@@ -116,12 +116,18 @@ def _prepared(cfg: dict, seed: int):
 
 
 def _schedule(cfg: dict, seed: int, default_epochs: int) -> TrainSchedule:
+    """Epoch schedule from a training section; an absent patience never
+    stops early, and out-of-range values (patience 0 included) are config
+    errors."""
     epochs = int(cfg.get("epochs", default_epochs))
     patience = cfg.get("patience")
-    return TrainSchedule(max_epochs=epochs,
-                         patience=int(patience) if patience else epochs,
-                         batch_size=int(cfg.get("batch_size", 64)),
-                         seed=seed)
+    try:
+        return TrainSchedule(max_epochs=epochs,
+                             patience=epochs if patience is None else int(patience),
+                             batch_size=int(cfg.get("batch_size", 64)),
+                             seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 @dataclass
@@ -161,12 +167,13 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
     if kind not in ("vae", "ae"):
         raise ConfigError(f"kind must be 'vae' or 'ae', got {kind!r}")
     data_path, train, val, stats = _prepared(cfg, seed)
-    config = VaeTrainConfig(epochs=int(cfg.get("epochs", 20)),
-                            batch_size=int(cfg.get("batch_size", 64)),
+    schedule = _schedule(cfg, seed, default_epochs=20)
+    config = VaeTrainConfig(epochs=schedule.max_epochs,
+                            batch_size=schedule.batch_size,
                             learning_rate=float(cfg.get("learning_rate", 1e-3)),
                             beta=float(cfg.get("beta", 0.0)),
                             seed=seed,
-                            patience=cfg.get("patience"))
+                            patience=schedule.patience)
     trainer = train_vae if kind == "vae" else train_ae
     model, history = trainer(train.all_states(), val.all_states(), config)
     model_path = out / f"{kind}.json"
@@ -268,6 +275,11 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
 def _build_env(sim: SimConfig, pool: np.ndarray,
                stats: NormalizationStats) -> PatientEnv:
     state_model = StateModel.load(sim.checkpoints["state"])
+    if state_model.config.variant != sim.variant:
+        raise ConfigError(
+            f"state checkpoint {sim.checkpoints['state']} holds a "
+            f"{state_model.config.variant!r} model, but the simulator is "
+            f"configured as {sim.variant!r}")
     termination = BinaryHead.load(sim.checkpoints["termination"])
     outcome = BinaryHead.load(sim.checkpoints["outcome"])
     encoder = None
@@ -483,6 +495,9 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     outputs: dict = {}
     ntm_rows: list[tuple] = []
     blocks = []
+    # each variant's models are loaded once; every pass over them starts
+    # from a fresh env (env.fresh()) so its generator begins at sim.seed
+    envs: dict[str, PatientEnv] = {}
     for entry in variants:
         name = entry["name"]
         checkpoints = {k: v for k, v in entry.items() if k != "name"}
@@ -495,6 +510,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
                           seed)
         inputs.update({f"{name}.{k}": Path(v) for k, v in checkpoints.items()})
         env = _build_env(sim, eval_cohort.initial_states(), stats)
+        envs[name] = env
 
         # teacher-forced sweep: true history in, one-step prediction out
         sample_rng = np.random.default_rng(next(seeds))
@@ -525,7 +541,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
                          real_trajs[:plot_episodes], sim_trajs[:plot_episodes])
         outputs[f"closed_loop_{name}.csv"] = cl_path
 
-        env_replay = _build_env(sim, eval_cohort.initial_states(), stats)
+        env_replay = env.fresh()
         for i, episode in enumerate(eval_cohort.episodes):
             replay = replay_physician(env_replay, episode)
             blocks.append((name, i, episode.states[0], episode.actions,
@@ -551,23 +567,13 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         inputs["qnet"] = qp
         net = QNetwork.load(qp)
         agent_variant = cfg.get("agent_variant", variants[0]["name"])
-        match = [v for v in variants if v["name"] == agent_variant]
-        if not match:
+        if agent_variant not in envs:
             raise ConfigError(f"agent_variant {agent_variant!r} not in variants")
-        checkpoints = {k: v for k, v in match[0].items() if k != "name"}
-        sim = _sim_config({"checkpoints": checkpoints,
-                           "variant": agent_variant,
-                           "temperature": cfg.get("temperature", 1.0),
-                           "reward": cfg.get("reward", {}),
-                           "max_steps": cfg.get("max_steps", 50),
-                           "termination_mode": cfg.get("termination_mode",
-                                                       "bernoulli")},
-                          seed)
-        env = _build_env(sim, eval_cohort.initial_states(), stats)
+        env = envs[agent_variant].fresh()
         rollouts = policy_histogram(net, env,
                                     int(cfg.get("policy_episodes", 100)))
         comparison = compare_policy_distributions(eval_cohort, rollouts,
-                                                  reward_spec=sim.reward,
+                                                  reward_spec=env.reward_spec,
                                                   stats=stats)
         hist_path = out / "histograms.csv"
         write_histograms_csv(comparison, hist_path)

@@ -205,7 +205,13 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
         for i, row in enumerate(reader):
             sid = row[schema.subject_id]
             step = _parse_number(row[schema.step], schema.step, i, int)
-            feats = np.array([_parse_number(row[c], c, i, float) for c in feature_cols])
+            cells = [row[c] for c in feature_cols]
+            try:
+                feats = np.array(list(map(float, cells)))
+            except (TypeError, ValueError):
+                # slow path, only to name the offending column in the error
+                feats = np.array([_parse_number(cell, c, i, float)
+                                  for cell, c in zip(cells, feature_cols)])
             action = _parse_number(row[schema.action], schema.action, i, int)
             terminal = _parse_number(row[schema.terminal], schema.terminal, i, int)
             if terminal not in (0, 1):

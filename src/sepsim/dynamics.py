@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as np_logsumexp
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES, Cohort
@@ -33,6 +32,7 @@ from .nn import (
     mdn_loss_graph,
     mse,
 )
+from .nn.tensor import logsumexp_np
 from .vae import LATENT_DIM
 
 VARIANTS = ("rnn", "ae_rnn", "vae_rnn", "mdn_rnn", "vae_mdn_rnn")
@@ -251,7 +251,7 @@ class StateModel(Module):
     def _mixture_from_row(self, row: np.ndarray) -> MixtureParams:
         k, d = self.config.n_mixtures, self.state_dim
         logits = row[:k]
-        weights = np.exp(logits - np_logsumexp(logits))
+        weights = np.exp(logits - logsumexp_np(logits))
         means = row[k:k + k * d].reshape(k, d)
         stds = np.exp(row[k + k * d:].reshape(k, d))
         return MixtureParams(weights, means, stds)
@@ -308,7 +308,7 @@ def sample_next(params: MixtureParams, temperature: float,
         raise ValueError(f"temperature must be > 0, got {temperature}")
     with np.errstate(divide="ignore"):
         scaled = np.log(params.weights) / temperature
-    probs = np.exp(scaled - np_logsumexp(scaled))
+    probs = np.exp(scaled - logsumexp_np(scaled))
     probs = probs / probs.sum()
     k = int(rng.choice(params.n_components, p=probs))
     noise = rng.normal(size=params.dim)

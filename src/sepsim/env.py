@@ -207,6 +207,17 @@ class PatientEnv:
         self._hist_states: list[np.ndarray] = []
         self._hist_actions: list[int] = []
 
+    def fresh(self) -> "PatientEnv":
+        """A new env over the same models and settings, in the state a new
+        build has: no episode running, generator seeded from `seed`."""
+        return PatientEnv(self.state_model, self.termination, self.outcome,
+                          self.initial_pool, reward_spec=self.reward_spec,
+                          encoder=self.encoder, stats=self.stats,
+                          temperature=self.temperature,
+                          max_steps=self.max_steps,
+                          termination_mode=self.termination_mode,
+                          seed=self.seed)
+
     # representation helpers
 
     def _to_internal(self, observation: np.ndarray) -> np.ndarray:

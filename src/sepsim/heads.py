@@ -81,14 +81,6 @@ class BinaryHead(Module):
         return model
 
 
-def predict_termination(model: BinaryHead, state, action, step) -> float:
-    return model.predict_proba(state, action, step)
-
-
-def predict_outcome(model: BinaryHead, state, action, step) -> float:
-    return model.predict_proba(state, action, step)
-
-
 @dataclass(frozen=True)
 class HeadRows:
     states: np.ndarray

@@ -113,14 +113,6 @@ class Dense(Module):
         return _apply_activation_np(x @ self.W.data + self.b.data, self.activation)
 
 
-def dense_forward(layer: Dense, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward through a dense layer."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    return layer.forward_np(x)
-
-
 class MLP(Module):
     """Dense stack; hidden layers share one activation, output has its own."""
 
@@ -202,13 +194,3 @@ class LSTMCell(Module):
         c_next = f * c + i * g
         h_next = o * np.tanh(c_next)
         return h_next, c_next
-
-
-def recurrent_step(cell: LSTMCell, x: np.ndarray, h: np.ndarray, c: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-vector recurrence through an LSTM cell."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    c = np.atleast_2d(np.asarray(c, dtype=np.float64))
-    h2, c2 = cell.step_np(x, h, c)
-    return h2[0], c2[0]

@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as _np_logsumexp
 
-from .tensor import Tensor, exp, log, log_softmax, logsumexp, relu
+from .tensor import Tensor, exp, log, log_softmax, logsumexp, logsumexp_np, relu
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -76,7 +75,7 @@ def mdn_nll(params: MixtureParams, target: np.ndarray) -> float:
     comp = component_log_likelihoods(params, target)
     with np.errstate(divide="ignore"):
         log_w = np.log(params.weights)
-    return float(-_np_logsumexp(log_w + comp))
+    return float(-logsumexp_np(log_w + comp))
 
 
 # ---- graph losses -----------------------------------------------------------

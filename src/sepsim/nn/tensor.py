@@ -6,11 +6,11 @@ framework; only the ops those models need exist.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
-from scipy.special import logsumexp as _np_logsumexp
 
 __all__ = [
     "Tensor",
@@ -23,7 +23,59 @@ __all__ = [
     "logsumexp",
     "log_softmax",
     "softmax",
+    "no_grad",
 ]
+
+# Process-wide switch read by Tensor._from_op; only no_grad() changes it.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording a tape.
+
+    Results carry the same values but no parents and no backward closures,
+    so they cannot be differentiated. Nestable; the previous setting is
+    restored on exit, also when the body raises. Not thread-safe: the
+    switch is shared by every thread in the process.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def logsumexp_np(a, axis=None, keepdims: bool = False):
+    """scipy.special.logsumexp (scipy 1.17, real float64, no weights) on
+    arrays of one or more dimensions, step for step, so results match it bit
+    for bit at a fraction of its per-call cost.
+
+    The maxima are split out of the sum: with m the number of entries equal
+    to the max, the result is log1p(sum of exp(a - max) over the others / m)
+    + log(m) + max. Where that is not finite (all -inf, +inf or NaN
+    entries), it falls back to log(sum(exp(a))), as scipy does.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axes, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=axes, keepdims=True, dtype=np.float64)
+        rest = np.exp(np.where(is_max, -np.inf, a) - a_max)
+        # scipy keeps s where s == 0; s / m is then +0.0 as well, since
+        # m >= 1 wherever the max is not NaN
+        s = rest.sum(axis=axes, keepdims=True, dtype=np.float64) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=axes, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -60,7 +112,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -157,17 +209,26 @@ class Tensor:
         data = a.data @ b.data
 
         def bw(g):
-            return (g @ b.data.T, a.data.T @ g)
+            # a constant operand (such as input data) gets no gradient;
+            # backward() skips parents that do not require one
+            return (g @ b.data.T if a.requires_grad else None,
+                    a.data.T @ g if b.requires_grad else None)
 
         return Tensor._from_op(data, (a, b), bw)
 
     def __getitem__(self, idx):
         a = self
         data = a.data[idx]
+        basic = _is_basic_index(idx)
 
         def bw(g):
             buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
+            if basic:
+                # a basic index names each element at most once
+                buf[idx] += g
+            else:
+                # advanced indices may repeat an element; add.at accumulates
+                np.add.at(buf, idx, g)
             return (buf,)
 
         return Tensor._from_op(data, (a,), bw)
@@ -264,6 +325,14 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _is_basic_index(idx) -> bool:
+    """True when idx uses only ints, slices, None and Ellipsis."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 # ---- elementwise functions ------------------------------------------------
 
 
@@ -318,13 +387,12 @@ def relu(t: Tensor) -> Tensor:
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     t = _coerce(t)
-    lse_keep = _np_logsumexp(t.data, axis=axis, keepdims=True)
-    soft = np.exp(t.data - lse_keep)
+    lse_keep = logsumexp_np(t.data, axis=axis, keepdims=True)
     out = lse_keep if keepdims else np.squeeze(lse_keep, axis=axis)
 
     def bw(g):
         ga = g if keepdims else np.expand_dims(g, axis)
-        return (soft * ga,)
+        return (np.exp(t.data - lse_keep) * ga,)
 
     return Tensor._from_op(out, (t,), bw)
 

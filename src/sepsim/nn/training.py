@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import no_grad
+
 logger = logging.getLogger(__name__)
 
 
@@ -67,7 +69,7 @@ def fit(model, optimizer, schedule: TrainSchedule, train_size: int,
 
     batch_loss(indices) must build and return the scalar loss Tensor for the
     given training rows; val_loss() must return a float score for the held-out
-    set (lower is better).
+    set (lower is better). val_loss runs under no_grad, so it records no tape.
     """
     if train_size < 1:
         raise ValueError("train_size must be >= 1")
@@ -87,7 +89,8 @@ def fit(model, optimizer, schedule: TrainSchedule, train_size: int,
             optimizer.step()
             epoch_losses.append(loss.item())
         train_mean = float(np.mean(epoch_losses))
-        val = float(val_loss())
+        with no_grad():
+            val = float(val_loss())
         history.records.append(EpochRecord(epoch, train_mean, val))
         logger.debug("epoch %d: train %.6f val %.6f", epoch, train_mean, val)
 

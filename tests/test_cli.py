@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from sepsim.agent import QNetwork
 from sepsim.cli import main
 
 
@@ -162,3 +164,98 @@ class TestTrainingStages:
         assert (out / "outcome.json").is_file()
         metrics = json.loads((out / "metrics.json").read_text())
         assert "termination_val_loss" in metrics
+
+
+@pytest.mark.parametrize("stage, section", [("train-vae", "train_vae"),
+                                            ("train-state", "train_state"),
+                                            ("train-heads", "train_heads")])
+def test_patience_zero_is_config_error(tmp_path, data_dir, capsys, stage,
+                                       section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {"data": str(data_dir / "cohort.csv"),
+                                         "epochs": 1, "variant": "rnn"}}))
+    code = main([stage, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0", "--set", "patience=0"])
+    assert code == 2
+    assert "patience must be >= 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sim_dir(tmp_path_factory, data_dir):
+    """Small raw-state checkpoints (rnn and mdn_rnn, heads, a Q-net)."""
+    out = tmp_path_factory.mktemp("sim")
+    cfg = out / "cfg.json"
+    data = str(data_dir / "cohort.csv")
+    small = {"data": data, "epochs": 1, "window": 3, "rnn_hidden": 8,
+             "n_mixtures": 2}
+    cfg.write_text(json.dumps({"train_state": small, "train_heads": small}))
+    for variant in ("rnn", "mdn_rnn"):
+        assert main(["train-state", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0", "--set", f"variant={variant}"]) == 0
+    assert main(["train-heads", "--config", str(cfg), "--out", str(out),
+                 "--seed", "0"]) == 0
+    QNetwork(rng=np.random.default_rng(0)).save(out / "qnet.json")
+    return out
+
+
+def _checkpoints(sim_dir, state_variant):
+    return {"state": str(sim_dir / f"state_{state_variant}.json"),
+            "termination": str(sim_dir / "termination.json"),
+            "outcome": str(sim_dir / "outcome.json")}
+
+
+def _eval_cfg(tmp_path, data_dir, variants, **extra):
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"eval": {
+        "data": str(data_dir / "cohort.csv"), "variants": variants,
+        "eval_episodes": 3, "max_steps": 5,
+        "termination_mode": "threshold", **extra}}))
+    return cfg
+
+
+class TestSimulatorAssembly:
+    def test_eval_rejects_state_checkpoint_of_other_variant(
+            self, tmp_path, data_dir, sim_dir, capsys):
+        cfg = _eval_cfg(tmp_path, data_dir,
+                        [{"name": "mdn_rnn", **_checkpoints(sim_dir, "rnn")}])
+        code = main(["eval", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--seed", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'rnn' model" in err and "'mdn_rnn'" in err
+
+    def test_train_agent_rejects_state_checkpoint_of_other_variant(
+            self, tmp_path, data_dir, sim_dir, capsys):
+        cfg = tmp_path / "agent.json"
+        cfg.write_text(json.dumps({"train_agent": {
+            "data": str(data_dir / "cohort.csv"), "variant": "rnn",
+            "checkpoints": _checkpoints(sim_dir, "mdn_rnn"),
+            "dqn": {"total_steps": 10}}}))
+        code = main(["train-agent", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--seed", "0"])
+        assert code == 2
+        assert "'mdn_rnn' model" in capsys.readouterr().err
+
+    def test_eval_loads_each_variant_once(self, tmp_path, data_dir, sim_dir,
+                                          monkeypatch):
+        from sepsim import cli
+
+        built = []
+        real_build = cli._build_env
+
+        def counting_build(sim, pool, stats):
+            built.append(sim.variant)
+            return real_build(sim, pool, stats)
+
+        monkeypatch.setattr(cli, "_build_env", counting_build)
+        variants = [{"name": v, **_checkpoints(sim_dir, v)}
+                    for v in ("rnn", "mdn_rnn")]
+        cfg = _eval_cfg(tmp_path, data_dir, variants,
+                        qnet=str(sim_dir / "qnet.json"),
+                        agent_variant="mdn_rnn", policy_episodes=2)
+        for run in ("a", "b"):
+            assert main(["eval", "--config", str(cfg), "--out",
+                         str(tmp_path / run), "--seed", "0"]) == 0
+        assert built == ["rnn", "mdn_rnn"] * 2
+        for name in ("trajectories.csv", "histograms.csv", "metrics.json"):
+            assert _sha(tmp_path / "a" / name) == _sha(tmp_path / "b" / name)

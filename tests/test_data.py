@@ -80,6 +80,23 @@ def test_load_cohort_names_missing_column(tmp_path):
         load_cohort(path)
 
 
+@pytest.mark.parametrize("cell", ["abc", ""])
+def test_load_cohort_names_bad_feature_cell(tmp_path, rng, cell):
+    cohort = Cohort((make_episode(rng, 3),),
+                    tuple(f"f_{i}" for i in range(N_FEATURES)))
+    path = tmp_path / "c.csv"
+    export_cohort(cohort, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index("f_7")] = cell
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=(f"non-numeric value '{cell}' in "
+                                          "column 'f_7' at data row 1")):
+        load_cohort(path)
+
+
 def test_load_cohort_rejects_multiple_terminals(tmp_path, rng):
     cohort = Cohort((make_episode(rng, 3),),
                     tuple(f"f_{i}" for i in range(N_FEATURES)))

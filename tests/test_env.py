@@ -7,6 +7,7 @@ from sepsim.dynamics import StateModel, StateModelConfig
 from sepsim.env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
                         replay_physician, shaped_reward)
 from sepsim.heads import BinaryHead
+from sepsim.vae import LATENT_DIM, VaeModel
 
 
 def _constant_head(kind: str, logit: float, state_dim: int = N_FEATURES) -> BinaryHead:
@@ -224,6 +225,38 @@ class TestMdnTemperature:
             draws.append(env.step(0).observation)
         spread = np.ptp(np.vstack(draws), axis=0)
         assert float(spread.max()) > 1e-3
+
+
+def test_mdn_rollout_unchanged_under_scipy_logsumexp(monkeypatch):
+    """The numpy logsumexp port drives a seeded vae_mdn_rnn rollout exactly
+    as scipy's does."""
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    import sepsim.dynamics
+
+    def rollout():
+        config = StateModelConfig(variant="vae_mdn_rnn", window=4,
+                                  rnn_hidden=8, n_mixtures=5)
+        env = PatientEnv(
+            StateModel(config, rng=np.random.default_rng(3)),
+            _constant_head("termination", -50.0, state_dim=LATENT_DIM),
+            _constant_head("outcome", -50.0, state_dim=LATENT_DIM),
+            np.random.default_rng(4).normal(size=(5, N_FEATURES)),
+            encoder=VaeModel(rng=np.random.default_rng(5)), max_steps=30,
+            seed=6)
+        actions = np.random.default_rng(7).integers(0, 25, size=30)
+        env.reset()
+        steps = [env.step(int(a)) for a in actions]
+        # the entropy reads the mixture weights, so it shows any last-bit
+        # difference the sampled observations may not
+        return (np.stack([r.observation for r in steps]),
+                [r.info["mixture_entropy"] for r in steps])
+
+    ours_obs, ours_entropy = rollout()
+    monkeypatch.setattr(sepsim.dynamics, "logsumexp_np", scipy_logsumexp)
+    scipy_obs, scipy_entropy = rollout()
+    assert np.array_equal(scipy_obs, ours_obs)
+    assert scipy_entropy == ours_entropy
 
 
 class TestSimConfig:

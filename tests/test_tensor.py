@@ -1,9 +1,15 @@
 """Autodiff core: values match numpy, gradients match finite differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
-from sepsim.nn import (Tensor, Parameter, exp, log, log_softmax, logsumexp,
-                       relu, sigmoid, softmax, tanh)
+import sepsim.nn.tensor as tensor_module
+from sepsim.nn import (MLP, Tensor, Parameter, check_gradients, exp, log,
+                       log_softmax, logsumexp, mse, no_grad, relu, sigmoid,
+                       softmax, tanh)
+from sepsim.nn.tensor import logsumexp_np
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -142,3 +148,141 @@ def test_repeated_node_in_sum():
     out = (p + p + p).sum()
     out.backward()
     np.testing.assert_allclose(p.grad, np.array([3.0]))
+
+
+# ---- logsumexp_np: bitwise equal to scipy, which stays the oracle ----------
+
+# few distinct values make ties (several maxima) common; the infinities and
+# NaN exercise scipy's fall-back to log(sum(exp(a)))
+_LSE_ELEMENTS = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 700.0, -np.inf, np.inf,
+                     np.nan]),
+)
+
+
+@st.composite
+def _lse_case(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
+    a = draw(hnp.arrays(np.float64, shape, elements=_LSE_ELEMENTS))
+    if draw(st.booleans()) and a.ndim == 2:
+        a[draw(st.integers(0, a.shape[0] - 1))] = -np.inf  # an all -inf row
+    axis = draw(st.sampled_from([None] + list(range(a.ndim))))
+    return a, axis, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lse_case())
+def test_logsumexp_np_bitwise_equals_scipy(case):
+    a, axis, keepdims = case
+    want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+    got = logsumexp_np(a, axis=axis, keepdims=keepdims)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---- no_grad ----------------------------------------------------------------
+
+
+def _small_mlp_loss(net, x, y):
+    return mse(net(Tensor(x)), y)
+
+
+def test_no_grad_records_no_parents(rng):
+    p = Parameter(rng.normal(size=(3, 2)))
+    with no_grad():
+        out = (Tensor(rng.normal(size=(4, 3))) @ p).sum()
+    assert out._parents == ()
+    assert out._backward is None
+    assert not out.requires_grad
+    with pytest.raises(RuntimeError, match="no recorded computation"):
+        out.backward()
+
+
+def test_no_grad_values_equal_taped_forward(rng):
+    net = MLP([5, 7, 3], rng=np.random.default_rng(1))
+    x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 3))
+    taped = _small_mlp_loss(net, x, y)
+    with no_grad():
+        free = _small_mlp_loss(net, x, y)
+    assert taped.requires_grad and not free.requires_grad
+    assert np.array_equal(taped.data, free.data)
+
+
+def test_no_grad_leaves_parameter_grads_untouched(rng):
+    net = MLP([5, 7, 3], rng=np.random.default_rng(1))
+    x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 3))
+    _small_mlp_loss(net, x, y).backward()
+    before = [p.grad.copy() for p in net.parameters()]
+    with no_grad():
+        _small_mlp_loss(net, x, y)
+    for p, g in zip(net.parameters(), before):
+        assert np.array_equal(p.grad, g)
+
+
+def test_no_grad_restores_flag_after_exception():
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not tensor_module._grad_enabled
+            1 / 0
+    assert tensor_module._grad_enabled
+    p = Parameter(np.array([2.0]))
+    out = (p * p).sum()
+    out.backward()
+    assert p.grad[0] == 4.0
+
+
+# ---- getitem and matmul backward ------------------------------------------
+
+
+@pytest.mark.parametrize("idx", [
+    np.s_[1:3, 2:5], np.s_[:, ::2], np.s_[-1], np.s_[2, 1],
+    np.s_[None, 1:, ...], np.s_[..., 3], np.s_[np.int64(1), :],
+])
+def test_getitem_basic_backward_matches_add_at(rng, idx):
+    a = Parameter(rng.normal(size=(4, 6)))
+    out = a[idx]
+    g = rng.normal(size=out.shape)
+    (out * g).sum().backward()
+    want = np.zeros((4, 6))
+    np.add.at(want, idx, g)
+    assert np.array_equal(a.grad, want)
+    assert np.array_equal(np.signbit(a.grad), np.signbit(want))
+
+
+def test_getitem_duplicate_advanced_indices_accumulate():
+    a = Parameter(np.zeros((3, 4)))
+    rows = np.array([0, 2, 2, 2])
+    cols = np.array([1, 3, 3, 0])
+    a[rows, cols].sum().backward()
+    want = np.zeros((3, 4))
+    want[0, 1], want[2, 3], want[2, 0] = 1.0, 2.0, 1.0
+    assert np.array_equal(a.grad, want)
+    b = Parameter(np.zeros(4))
+    b[[1, 1, 1]].sum().backward()
+    assert np.array_equal(b.grad, [0.0, 3.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("constant_side", ["left", "right"])
+def test_matmul_with_constant_operand_passes_gradcheck(rng, constant_side):
+    """Criterion-01 style check; the constant side gets no gradient."""
+    x = Tensor(rng.normal(size=(4, 5)))
+    if constant_side == "left":
+        w = Parameter(rng.normal(size=(5, 3)))
+        product = lambda: x @ w  # noqa: E731
+    else:
+        w = Parameter(rng.normal(size=(3, 4)))
+        product = lambda: w @ x  # noqa: E731
+    target = rng.normal(size=product().shape)
+    report = check_gradients([w], lambda: mse(tanh(product()), target),
+                             probe_count=12, h=1e-5,
+                             rng=np.random.default_rng(0))
+    assert report.max_rel_error <= 1e-4
+    node = product()
+    grads = node._backward(np.ones(node.shape))
+    assert (grads[0] is None) == (constant_side == "left")
+    assert (grads[1] is None) == (constant_side == "right")
