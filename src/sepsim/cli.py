@@ -280,6 +280,13 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             f"state checkpoint {sim.checkpoints['state']} holds a "
             f"{state_model.config.variant!r} model, but the simulator is "
             f"configured as {sim.variant!r}")
+    recorded = state_model.encoder_sha256
+    if (recorded is not None and "encoder" in sim.checkpoints
+            and file_sha256(sim.checkpoints["encoder"]) != recorded):
+        raise ConfigError(
+            f"encoder checkpoint {sim.checkpoints['encoder']} is not the one "
+            f"state checkpoint {sim.checkpoints['state']} was trained with "
+            f"(sha256 {recorded})")
     termination = BinaryHead.load(sim.checkpoints["termination"])
     outcome = BinaryHead.load(sim.checkpoints["outcome"])
     encoder = None

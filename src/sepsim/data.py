@@ -182,8 +182,8 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
     schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         claimed = {schema.subject_id, schema.step, schema.action,
                    schema.terminal, schema.outcome}
         for col in sorted(claimed):
@@ -199,24 +199,34 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
         if len(feature_cols) != N_FEATURES:
             raise ValueError(f"schema error: expected {N_FEATURES} feature columns, "
                              f"found {len(feature_cols)}")
+        # as in csv.DictReader: a repeated name reads its last column, blank
+        # lines are skipped, and the cells a short row lacks read as None
+        index = {name: j for j, name in enumerate(header)}
+        sid_j, step_j, action_j, terminal_j, outcome_j = (
+            index[schema.subject_id], index[schema.step], index[schema.action],
+            index[schema.terminal], index[schema.outcome])
+        feature_js = [index[c] for c in feature_cols]
+        width = len(header)
 
         # subject -> list of (step, features, action, terminal, outcome_cell)
         groups: dict[str, list] = {}
-        for i, row in enumerate(reader):
-            sid = row[schema.subject_id]
-            step = _parse_number(row[schema.step], schema.step, i, int)
-            cells = [row[c] for c in feature_cols]
+        for i, row in enumerate(r for r in reader if r):
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            sid = row[sid_j]
+            step = _parse_number(row[step_j], schema.step, i, int)
+            cells = [row[j] for j in feature_js]
             try:
                 feats = np.array(list(map(float, cells)))
             except (TypeError, ValueError):
                 # slow path, only to name the offending column in the error
                 feats = np.array([_parse_number(cell, c, i, float)
                                   for cell, c in zip(cells, feature_cols)])
-            action = _parse_number(row[schema.action], schema.action, i, int)
-            terminal = _parse_number(row[schema.terminal], schema.terminal, i, int)
+            action = _parse_number(row[action_j], schema.action, i, int)
+            terminal = _parse_number(row[terminal_j], schema.terminal, i, int)
             if terminal not in (0, 1):
                 raise ValueError(f"terminal flag must be 0 or 1 at data row {i}")
-            outcome_cell = (row[schema.outcome] or "").strip()
+            outcome_cell = (row[outcome_j] or "").strip()
             outcome = None
             if outcome_cell != "":
                 outcome = _parse_number(outcome_cell, schema.outcome, i, int)

@@ -9,10 +9,14 @@ rescales both the component choice (softmax of log-weights / tau) and the
 component stddevs (by sqrt(tau)).
 
 Inference is stateless: every prediction re-consumes its window, so rollouts
-can be reset, forked, and serialized freely.
+can be reset, forked, and serialized freely. Within one episode the
+environment's RollingWindow reuses what the windows of successive steps share
+(each row's input projection, and the LSTM state after the zero padding), but
+every prediction still unrolls its whole window from the zero state.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +205,8 @@ class StateModel(Module):
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.config = config
+        # sha256 of the encoder file a loaded checkpoint was trained with
+        self.encoder_sha256: str | None = None
         d = config.resolved_state_dim
         self.state_dim = d
         self.cell = LSTMCell(d + ACTION_COUNT, config.rnn_hidden, rng=rng)
@@ -256,13 +262,16 @@ class StateModel(Module):
         stds = np.exp(row[k + k * d:].reshape(k, d))
         return MixtureParams(weights, means, stds)
 
+    def _prediction(self, row: np.ndarray):
+        if self.config.uses_mdn:
+            return self._mixture_from_row(row)
+        return row
+
     def predict(self, window: HistoryWindow):
         """MixtureParams for MDN variants, a point estimate otherwise."""
         self._check_window(window)
-        out = self._forward_np(window.states[None], window.actions[None])[0]
-        if self.config.uses_mdn:
-            return self._mixture_from_row(out)
-        return out
+        return self._prediction(
+            self._forward_np(window.states[None], window.actions[None])[0])
 
     def predict_batch(self, window_states: np.ndarray, window_actions: np.ndarray):
         out = self._forward_np(window_states, window_actions)
@@ -293,7 +302,59 @@ class StateModel(Module):
                                   state_dim=int(hyper["state_dim"]))
         model = cls(config)
         model.load_state_arrays(arrays)
+        model.encoder_sha256 = hyper.get("encoder_sha256")
         return model
+
+
+class RollingWindow:
+    """One episode's history window, kept as LSTM input projections.
+
+    `push(state, action)` then `predict()` returns what
+    `model.predict(HistoryWindow.from_history(states, actions, window))`
+    returns for the pushed history, bit for bit: the same float operations,
+    in the same order and at the same shapes. Each row's projection
+    `x @ Wx` is computed once, when the row enters, and the LSTM state after
+    k all-zero padding rows once per window, when it is built. Every
+    prediction still unrolls from the zero state; nothing is carried from one
+    prediction to the next. Build one per episode, as the parameters are read
+    at build and push time.
+    """
+
+    def __init__(self, model: StateModel):
+        self.model = model
+        cell = model.cell
+        h, c = cell.init_state(1)
+        padding = np.zeros((1, cell.input_size)) @ cell.Wx.data
+        # _prefix[k]: (h, c) after k padding rows, for k < window
+        self._prefix = [(h, c)]
+        for _ in range(model.config.window - 1):
+            h, c = cell.recur_np(padding, h, c)
+            self._prefix.append((h, c))
+        self._rows: deque[np.ndarray] = deque(maxlen=model.config.window)
+
+    def push(self, state: np.ndarray, action: int) -> None:
+        """Append the (state, action) pair; the oldest row leaves when full."""
+        d = self.model.state_dim
+        state = np.asarray(state, dtype=np.float64)
+        if state.shape != (d,):
+            raise ValueError(f"window states must have {d} entries, "
+                             f"got shape {state.shape}")
+        if not 0 <= action < ACTION_COUNT:
+            raise ValueError("action codes out of range")
+        x = np.zeros((1, d + ACTION_COUNT))
+        x[0, :d] = state
+        x[0, d + action] = 1.0
+        self._rows.append(x @ self.model.cell.Wx.data)
+
+    def predict(self):
+        """MixtureParams for MDN variants, a point estimate otherwise."""
+        if not self._rows:
+            raise ValueError("history must contain at least one step")
+        cell = self.model.cell
+        h, c = self._prefix[self.model.config.window - len(self._rows)]
+        for xw in self._rows:
+            h, c = cell.recur_np(xw, h, c)
+        return self.model._prediction(self.model.head.forward_np(h)[0])
 
 
 def sample_next(params: MixtureParams, temperature: float,

@@ -8,6 +8,13 @@ gym-style environment: reset() -> observation, step(action) ->
 Internals run in the state model's representation (latent for encoder
 variants, raw features otherwise); observations are always decoded back to
 the 46 clinical features.
+
+Each step adds one (state, action) row to the episode's history window.
+Within an episode the env reuses each row's LSTM input projection and the
+LSTM state after the window's zero padding, both made again on reset(); the
+prediction itself stays stateless, unrolling the whole window from the zero
+state, so a step returns exactly what StateModel.predict returns for the
+same history.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from .data import (
     action_intensity,
     decode_action,
 )
-from .dynamics import VARIANTS, HistoryWindow, StateModel, sample_next
+from .dynamics import VARIANTS, RollingWindow, StateModel, sample_next
 from .heads import BinaryHead
 
 REWARD_FORMULATIONS = ("terminal_only", "terminal_minus_intensity",
@@ -204,8 +211,7 @@ class PatientEnv:
         self._step_count = 0
         self._internal: np.ndarray | None = None
         self._last_obs: np.ndarray | None = None
-        self._hist_states: list[np.ndarray] = []
-        self._hist_actions: list[int] = []
+        self._window: RollingWindow | None = None
 
     def fresh(self) -> "PatientEnv":
         """A new env over the same models and settings, in the state a new
@@ -248,8 +254,7 @@ class PatientEnv:
         self._step_count = 0
         self._internal = self._to_internal(obs)
         self._last_obs = obs
-        self._hist_states = []
-        self._hist_actions = []
+        self._window = RollingWindow(self.state_model)
         return obs.copy()
 
     def step(self, action: int) -> StepResult:
@@ -260,14 +265,10 @@ class PatientEnv:
         t = self._step_count
 
         # (1) extend history with the current (state, action) pair
-        self._hist_states.append(self._internal.copy())
-        self._hist_actions.append(action)
-        window = HistoryWindow.from_history(
-            np.stack(self._hist_states), np.array(self._hist_actions),
-            self.state_model.config.window)
+        self._window.push(self._internal, action)
 
         # (2) next internal state: mixture sample or point prediction
-        pred = self.state_model.predict(window)
+        pred = self._window.predict()
         if self.state_model.config.uses_mdn:
             next_internal = sample_next(pred, self.temperature, self._rng)
             mixture_entropy = pred.entropy()

@@ -185,8 +185,17 @@ class LSTMCell(Module):
         h = np.asarray(h, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         self._check(x.shape, h.shape, c.shape)
+        return self.recur_np(x @ self.Wx.data, h, c)
+
+    def recur_np(self, xw: np.ndarray, h: np.ndarray, c: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """`step_np` given the input projection `xw = x @ Wx`, unchecked.
+
+        A caller that feeds the same input rows to several unrolls can
+        project each row once; the result is bit-identical to `step_np`.
+        """
         n = self.hidden_size
-        z = x @ self.Wx.data + h @ self.Wh.data + self.b.data
+        z = xw + h @ self.Wh.data + self.b.data
         i = expit(z[..., :n])
         f = expit(z[..., n:2 * n])
         g = np.tanh(z[..., 2 * n:3 * n])

@@ -259,3 +259,82 @@ class TestSimulatorAssembly:
         assert built == ["rnn", "mdn_rnn"] * 2
         for name in ("trajectories.csv", "histograms.csv", "metrics.json"):
             assert _sha(tmp_path / "a" / name) == _sha(tmp_path / "b" / name)
+
+
+@pytest.fixture(scope="module")
+def latent_dir(tmp_path_factory, data_dir):
+    """A vae_rnn state model and heads trained on the seed-0 VAE, plus a
+    VAE from seed 1 and a copy of the state model that records no hash."""
+    from sepsim.dynamics import StateModel
+
+    out = tmp_path_factory.mktemp("latent")
+    data = str(data_dir / "cohort.csv")
+    for seed in ("0", "1"):
+        cfg = out / "vae_cfg.json"
+        cfg.write_text(json.dumps({"train_vae": {"data": data, "epochs": 1}}))
+        assert main(["train-vae", "--config", str(cfg),
+                     "--out", str(out / f"vae{seed}"), "--seed", seed]) == 0
+    small = {"data": data, "epochs": 1, "window": 3, "rnn_hidden": 8,
+             "variant": "vae_rnn", "encoder": str(out / "vae0" / "vae.json")}
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"train_state": small, "train_heads": small}))
+    for stage in ("train-state", "train-heads"):
+        assert main([stage, "--config", str(cfg), "--out", str(out),
+                     "--seed", "0"]) == 0
+    StateModel.load(out / "state_vae_rnn.json").save(out / "state_nohash.json")
+    return out
+
+
+def _latent_checkpoints(latent_dir, vae_seed, state="state_vae_rnn.json"):
+    return {"state": str(latent_dir / state),
+            "termination": str(latent_dir / "termination.json"),
+            "outcome": str(latent_dir / "outcome.json"),
+            "encoder": str(latent_dir / f"vae{vae_seed}" / "vae.json")}
+
+
+def _rollout(tmp_path, data_dir, checkpoints, out="out"):
+    cfg = tmp_path / "rollout.json"
+    cfg.write_text(json.dumps({"rollout": {
+        "data": str(data_dir / "cohort.csv"), "variant": "vae_rnn",
+        "checkpoints": checkpoints, "episodes": 2, "max_steps": 4,
+        "termination_mode": "threshold"}}))
+    return main(["rollout", "--config", str(cfg), "--out",
+                 str(tmp_path / out), "--seed", "0"])
+
+
+class TestEncoderHash:
+    def test_rollout_rejects_encoder_of_other_run(self, tmp_path, data_dir,
+                                                  latent_dir, capsys):
+        assert _rollout(tmp_path, data_dir,
+                        _latent_checkpoints(latent_dir, 1)) == 2
+        err = capsys.readouterr().err
+        assert "is not the one" in err and "vae1" in err
+        assert _rollout(tmp_path, data_dir, _latent_checkpoints(latent_dir, 0),
+                        out="ok") == 0
+
+    def test_eval_rejects_encoder_of_other_run(self, tmp_path, data_dir,
+                                               latent_dir, capsys):
+        cfg = _eval_cfg(tmp_path, data_dir, [
+            {"name": "vae_rnn", **_latent_checkpoints(latent_dir, 1)}])
+        code = main(["eval", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--seed", "0"])
+        assert code == 2
+        assert "is not the one" in capsys.readouterr().err
+
+    def test_train_agent_rejects_encoder_of_other_run(self, tmp_path, data_dir,
+                                                      latent_dir, capsys):
+        cfg = tmp_path / "agent.json"
+        cfg.write_text(json.dumps({"train_agent": {
+            "data": str(data_dir / "cohort.csv"), "variant": "vae_rnn",
+            "checkpoints": _latent_checkpoints(latent_dir, 1),
+            "dqn": {"total_steps": 10}}}))
+        code = main(["train-agent", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--seed", "0"])
+        assert code == 2
+        assert "is not the one" in capsys.readouterr().err
+
+    def test_state_checkpoint_without_hash_passes(self, tmp_path, data_dir,
+                                                  latent_dir):
+        checkpoints = _latent_checkpoints(latent_dir, 1,
+                                          state="state_nohash.json")
+        assert _rollout(tmp_path, data_dir, checkpoints) == 0

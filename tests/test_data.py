@@ -97,6 +97,85 @@ def test_load_cohort_names_bad_feature_cell(tmp_path, rng, cell):
         load_cohort(path)
 
 
+def _exported_lines(tmp_path, rng, length=3):
+    cohort = Cohort((make_episode(rng, length),),
+                    tuple(f"f_{i}" for i in range(N_FEATURES)))
+    path = tmp_path / "c.csv"
+    export_cohort(cohort, path)
+    return cohort, path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_load_cohort_short_row_fails_on_first_missing_feature(tmp_path, rng):
+    _, path, lines = _exported_lines(tmp_path, rng)
+    # keep subject_id, step and f_0..f_9; the cell of f_10 is missing
+    lines[2] = ",".join(lines[2].split(",")[:12])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=("non-numeric value None in column "
+                                          "'f_10' at data row 1")):
+        load_cohort(path)
+
+
+def test_load_cohort_row_without_outcome_cell_has_no_outcome(tmp_path, rng):
+    cohort, path, lines = _exported_lines(tmp_path, rng)
+    assert lines[1].endswith(",0,")  # non-terminal row, empty outcome cell
+    lines[1] = lines[1][:-1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    back = load_cohort(path)
+    np.testing.assert_array_equal(back.episodes[0].states,
+                                  cohort.episodes[0].states)
+    # on the terminal row the missing outcome is an error
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="outcome on the terminal row only"):
+        load_cohort(path)
+
+
+def test_load_cohort_skips_blank_lines_in_row_numbers(tmp_path, rng):
+    cohort, path, lines = _exported_lines(tmp_path, rng)
+    path.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n",
+                    encoding="utf-8")
+    back = load_cohort(path)
+    np.testing.assert_array_equal(back.episodes[0].states,
+                                  cohort.episodes[0].states)
+    np.testing.assert_array_equal(back.episodes[0].actions,
+                                  cohort.episodes[0].actions)
+    row = lines[3].split(",")
+    row[1] = "x"
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=("non-numeric value 'x' in column "
+                                          "'step' at data row 2")):
+        load_cohort(path)
+
+
+def test_load_cohort_other_errors_keep_their_text(tmp_path, rng):
+    _, path, lines = _exported_lines(tmp_path, rng)
+    for edit, message in [
+            (lambda r: r[:-2] + ["2", ""], "terminal flag must be 0 or 1 at "
+                                           "data row 0"),
+            (lambda r: r[:-3] + ["a", "0", ""], "non-numeric value 'a' in "
+                                                "column 'action' at data row 0"),
+            (lambda r: r[:1] + ["1"] + r[2:], "duplicate step values for "
+                                              "subject 'p1'")]:
+        row = edit(lines[1].split(","))
+        path.write_text("\n".join([lines[0], ",".join(row)] + lines[2:])
+                        + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_cohort(path)
+    header = lines[0].split(",")
+    path.write_text("\n".join([",".join(header[:-3] + header[-2:])]
+                               + lines[1:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="missing column 'action'"):
+        load_cohort(path)
+    path.write_text("\n".join(
+        [",".join(header[:2] + header[3:]), *lines[1:]]) + "\n",
+        encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 46 feature columns, "
+                                         "found 45"):
+        load_cohort(path)
+
+
 def test_load_cohort_rejects_multiple_terminals(tmp_path, rng):
     cohort = Cohort((make_episode(rng, 3),),
                     tuple(f"f_{i}" for i in range(N_FEATURES)))

@@ -103,3 +103,15 @@ def test_lstm_rejects_bad_shapes(rng):
     h, c = cell.init_state(2)
     with pytest.raises(ValueError):
         cell.step_np(np.zeros((2, 5)), h, c)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_lstm_step_np_is_recur_np_of_projection(rng, batch):
+    cell = LSTMCell(9, 16, rng=rng)
+    x = rng.normal(size=(batch, 9))
+    h = rng.normal(size=(batch, 16))
+    c = rng.normal(size=(batch, 16))
+    want_h, want_c = cell.step_np(x, h, c)
+    got_h, got_c = cell.recur_np(x @ cell.Wx.data, h, c)
+    assert np.array_equal(got_h, want_h)
+    assert np.array_equal(got_c, want_c)

@@ -1,0 +1,164 @@
+"""The env's rolling history window against a full window rebuilt per step.
+
+`PatientEnv.step` keeps each history row's LSTM input projection and the
+LSTM state after the zero padding; these tests hold it to the stateless
+definition, `StateModel.predict(HistoryWindow.from_history(...))`, bit for
+bit.
+"""
+import numpy as np
+import pytest
+
+from sepsim.data import N_FEATURES, Outcome
+from sepsim.dynamics import (VARIANTS, HistoryWindow, RollingWindow,
+                             StateModel, StateModelConfig, sample_next)
+from sepsim.env import TERMINATION_MODES, PatientEnv
+from sepsim.heads import BinaryHead
+from sepsim.vae import AeModel, LATENT_DIM, VaeModel
+
+WINDOW = 3
+
+
+def _model(variant: str, seed: int = 0) -> StateModel:
+    config = StateModelConfig(variant=variant, window=WINDOW, rnn_hidden=8,
+                              n_mixtures=2)
+    model = StateModel(config, rng=np.random.default_rng(seed))
+    # a fresh cell has zero biases, which leave the zero state unchanged
+    # through the padding rows; a trained one does not
+    model.cell.b.data[:] = np.random.default_rng(seed + 1).normal(
+        size=model.cell.b.data.shape)
+    return model
+
+
+def _head(kind: str, logit: float, state_dim: int) -> BinaryHead:
+    head = BinaryHead(kind, state_dim=state_dim, rng=np.random.default_rng(1))
+    head.net.layers[-1].b.data[:] = logit
+    return head
+
+
+def _env(variant: str, mode: str) -> PatientEnv:
+    model = _model(variant)
+    d = model.state_dim
+    encoder = None
+    if variant == "ae_rnn":
+        encoder = AeModel(rng=np.random.default_rng(2))
+    elif model.config.uses_encoder:
+        encoder = VaeModel(rng=np.random.default_rng(2))
+    # bernoulli episodes end at random; threshold ones only at max_steps
+    term_logit = -2.5 if mode == "bernoulli" else -50.0
+    return PatientEnv(model, _head("termination", term_logit, d),
+                      _head("outcome", 0.0, d),
+                      np.random.default_rng(3).normal(size=(4, N_FEATURES)),
+                      encoder=encoder, max_steps=8, termination_mode=mode,
+                      seed=5)
+
+
+def _perturb(model: StateModel) -> None:
+    """Change every parameter the padding prefix and the rows depend on."""
+    for p in model.parameters():
+        p.data += 0.05
+
+
+def _env_rollout(env, episode_actions, between) -> list:
+    steps = []
+    for n, actions in enumerate(episode_actions):
+        if n:
+            between(env.state_model)
+        env.reset()
+        for action in actions:
+            steps.append(env.step(int(action)))
+            if steps[-1].done:
+                break
+    return steps
+
+
+def _reference_rollout(env, episode_actions, between) -> list:
+    """PatientEnv.step as specified, rebuilding the whole window every step
+    and drawing from a generator seeded as the env's is."""
+    model, rng = env.state_model, np.random.default_rng(env.seed)
+    encode = env.encoder.encode_mean if env.encoder else np.asarray
+    decode = env.encoder.decode if env.encoder else np.asarray
+    magnitude = env.reward_spec.terminal_magnitude
+    bernoulli = env.termination_mode == "bernoulli"
+    steps = []
+    for n, actions in enumerate(episode_actions):
+        if n:
+            between(model)
+        internal = encode(env.initial_pool[int(rng.integers(4))].copy())
+        states, taken = [], []
+        for t, action in enumerate(int(a) for a in actions):
+            states.append(internal)
+            taken.append(action)
+            pred = model.predict(HistoryWindow.from_history(
+                np.stack(states), np.array(taken), WINDOW))
+            entropy = None
+            if model.config.uses_mdn:
+                nxt, entropy = sample_next(pred, env.temperature, rng), pred.entropy()
+            else:
+                nxt = pred
+            p_term = env.termination.predict_proba(internal, action, t)
+            done = bool(rng.random() < p_term) if bernoulli else bool(p_term >= 0.5)
+            hit = t + 1 >= env.max_steps
+            done = done or hit
+            reward, p_death, outcome = 0.0, None, None
+            if done:
+                p_death = env.outcome.predict_proba(internal, action, t)
+                died = bool(rng.random() < p_death) if bernoulli else bool(p_death >= 0.5)
+                outcome = int(Outcome.DEATH if died else Outcome.RELEASE)
+                reward += -magnitude if died else magnitude
+            internal = nxt
+            steps.append((decode(nxt), reward, done, {
+                "p_terminate": float(p_term),
+                "p_death": None if p_death is None else float(p_death),
+                "outcome": outcome, "mixture_entropy": entropy,
+                "step": t + 1, "hit_max_steps": hit}))
+            if done:
+                break
+    return steps
+
+
+@pytest.mark.parametrize("mode", TERMINATION_MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("perturb", [False, True], ids=["fixed", "retrained"])
+def test_env_rollout_equals_full_window_reference(variant, mode, perturb):
+    episode_actions = np.random.default_rng(11).integers(0, 25, size=(4, 8))
+    between = _perturb if perturb else (lambda model: None)
+    got = _env_rollout(_env(variant, mode), episode_actions, between)
+    want = _reference_rollout(_env(variant, mode), episode_actions, between)
+    assert max(r.info["step"] for r in got) > WINDOW
+    assert sum(r.done for r in got) == len(episode_actions)
+    assert len(got) == len(want)
+    for result, (obs, reward, done, info) in zip(got, want):
+        assert np.array_equal(result.observation, obs)
+        assert result.reward == reward
+        assert result.done == done
+        assert result.info == info
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rolling_window_predicts_as_state_model(variant):
+    model = _model(variant, seed=4)
+    d = model.state_dim
+    rng = np.random.default_rng(6)
+    states = rng.normal(size=(7, d))
+    actions = rng.integers(0, 25, size=7)
+    rolling = RollingWindow(model)
+    for t in range(7):
+        rolling.push(states[t], int(actions[t]))
+        want = model.predict(HistoryWindow.from_history(
+            states[:t + 1], actions[:t + 1], WINDOW))
+        got = rolling.predict()
+        if model.config.uses_mdn:
+            for name in ("weights", "means", "stds"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_rolling_window_checks_its_rows():
+    rolling = RollingWindow(_model("vae_rnn"))
+    with pytest.raises(ValueError, match="at least one step"):
+        rolling.predict()
+    with pytest.raises(ValueError, match=f"must have {LATENT_DIM} entries"):
+        rolling.push(np.zeros(N_FEATURES), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        rolling.push(np.zeros(LATENT_DIM), 25)
