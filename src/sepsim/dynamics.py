@@ -229,12 +229,7 @@ class StateModel(Module):
     def forward_graph(self, window_states: np.ndarray,
                       window_actions: np.ndarray) -> Tensor:
         """Unroll the cell over a batch of windows; returns raw head output."""
-        batch = window_states.shape[0]
-        h, c = self.cell.init_state(batch)
-        for t in range(window_states.shape[1]):
-            x = np.concatenate([window_states[:, t], window_actions[:, t]], axis=1)
-            h, c = self.cell.step(Tensor(x), h, c)
-        return self.head(h)
+        return self.head(self.cell.unroll(window_states, window_actions))
 
     def _forward_np(self, window_states: np.ndarray,
                     window_actions: np.ndarray) -> np.ndarray:
@@ -259,7 +254,12 @@ class StateModel(Module):
         logits = row[:k]
         weights = np.exp(logits - logsumexp_np(logits))
         means = row[k:k + k * d].reshape(k, d)
-        stds = np.exp(row[k + k * d:].reshape(k, d))
+        log_stds = row[k + k * d:].reshape(k, d)
+        stds = np.exp(log_stds)
+        if not stds.all():
+            raise ValueError(
+                f"MDN std underflow: exp(log_std) is 0 in float64 for log_std "
+                f"{log_stds.min():.6g}; the state model's output is out of range")
         return MixtureParams(weights, means, stds)
 
     def _prediction(self, row: np.ndarray):

@@ -15,7 +15,6 @@ from scipy.special import expit
 from . import checkpoint
 from .data import ACTION_COUNT, Cohort, Outcome
 from .nn import Adam, History, MLP, Module, TrainSchedule, Tensor, bce_with_logits, fit
-from .dynamics import one_hot_actions
 
 HEAD_HIDDEN = (64, 32)
 DEFAULT_STEP_NORM = 50.0
@@ -49,10 +48,19 @@ class BinaryHead(Module):
                              f"got {states.shape[1]}")
         actions = np.atleast_1d(np.asarray(actions, dtype=np.int64))
         steps = np.atleast_1d(np.asarray(steps, dtype=np.float64))
+        n, d = states.shape
+        if actions.shape != (n,) or steps.shape != (n,):
+            raise ValueError(f"expected {n} actions and steps, got "
+                             f"{actions.shape} and {steps.shape}")
+        if n and (actions.min() < 0 or actions.max() >= ACTION_COUNT):
+            raise ValueError("action codes out of range")
         if np.any(steps < 0):
             raise ValueError("step numbers must be >= 0")
-        return np.concatenate([states, one_hot_actions(actions),
-                               (steps / self.step_norm)[:, None]], axis=1)
+        x = np.zeros((n, d + ACTION_COUNT + 1))
+        x[:, :d] = states
+        x[np.arange(n), d + actions] = 1.0
+        x[:, -1] = steps / self.step_norm
+        return x
 
     def logits_graph(self, features: np.ndarray) -> Tensor:
         return self.net(Tensor(features))

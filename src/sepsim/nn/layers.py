@@ -1,15 +1,19 @@
-"""Dense and recurrent building blocks with paired graph / plain-numpy forwards.
+"""Dense and recurrent building blocks.
 
-Every layer exposes two equivalent paths: `__call__`/`step` build the autodiff
-graph for training, `forward_np`/`step_np` run the same arithmetic on bare
-arrays for inference (rollouts, environment stepping).
+`Dense.__call__` and `LSTMCell.unroll` are fused tape ops: one node each,
+with a hand-written backward that repeats the per-op graph's float
+operations in the same order, so trained weights match it bit for bit.
+`Dense.forward_np` and `LSTMCell.step_np`/`recur_np` run the same forward
+arithmetic on bare arrays for inference (rollouts, environment stepping);
+`LSTMCell.step` builds the per-op graph of one step and is the reference
+the fused unroll is tested against.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit
 
-from .tensor import Parameter, Tensor, relu, sigmoid, tanh
+from .tensor import Parameter, Tensor, grad_enabled, sigmoid, tanh
 
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 
@@ -73,18 +77,6 @@ def _apply_activation_np(x: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _apply_activation(x: Tensor, activation: str) -> Tensor:
-    if activation == "linear":
-        return x
-    if activation == "relu":
-        return relu(x)
-    if activation == "tanh":
-        return tanh(x)
-    if activation == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 class Dense(Module):
     """Fully connected layer: activation(x @ W + b)."""
 
@@ -104,8 +96,26 @@ class Dense(Module):
             raise ValueError(f"expected input dim {self.in_dim}, got {x_shape[-1]}")
 
     def __call__(self, x: Tensor) -> Tensor:
+        """One tape node: `forward_np`'s arithmetic, backward by hand."""
         self._check(x.shape)
-        return _apply_activation(x @ self.W + self.b, self.activation)
+        if x.data.ndim != 2:
+            raise ValueError(
+                f"matmul expects 2-d operands, got {x.shape} @ {self.W.shape}")
+        out = self.forward_np(x.data)
+        W, activation = self.W, self.activation
+
+        def bw(g):
+            # the activation derivative as the per-op relu/tanh/sigmoid take it
+            if activation == "relu":
+                g = g * (out > 0)
+            elif activation == "tanh":
+                g = g * (1.0 - out * out)
+            elif activation == "sigmoid":
+                g = g * out * (1.0 - out)
+            return (g @ W.data.T if x.requires_grad else None,
+                    x.data.T @ g, g.sum(axis=0))
+
+        return Tensor._from_op(out, (x, W, self.b), bw)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -178,6 +188,72 @@ class LSTMCell(Module):
         c_next = f * c + i * g
         h_next = o * tanh(c_next)
         return h_next, c_next
+
+    def unroll(self, *parts: np.ndarray) -> Tensor:
+        """Hidden state after running the cell over a window from the zero
+        state, as one tape node.
+
+        Each part is a (batch, steps, k) array; step t's input is the parts'
+        step-t slices joined along the feature axis, built as that step is
+        reached. The forward repeats `step` and the backward (BPTT) repeats
+        the backward of `steps` chained `step` graphs, float for float and in
+        the same order, so values and gradients equal the step loop's bit
+        for bit.
+        """
+        batch, steps = parts[0].shape[:2]
+        n = self.hidden_size
+        Wx, Wh, b = self.Wx, self.Wh, self.b
+        h, c = self.init_state(batch)
+        record = grad_enabled()
+        cache = []
+        for t in range(steps):
+            x = np.asarray(np.concatenate([p[:, t] for p in parts], axis=1),
+                           dtype=np.float64)
+            self._check(x.shape, h.shape, c.shape)
+            if x.ndim != 2:
+                raise ValueError(
+                    f"matmul expects 2-d operands, got {x.shape} @ {Wx.shape}")
+            z = x @ Wx.data + h @ Wh.data + b.data
+            i = expit(z[:, :n])
+            f = expit(z[:, n:2 * n])
+            g = np.tanh(z[:, 2 * n:3 * n])
+            o = expit(z[:, 3 * n:])
+            c_next = f * c + i * g
+            tc = np.tanh(c_next)
+            if record:
+                cache.append((x, h, c, i, f, g, o, tc))
+            h, c = o * tc, c_next
+
+        def bw(dh):
+            gWx = gWh = gb = dc = None
+            for t in range(steps - 1, -1, -1):
+                x, h_prev, c_prev, i, f, g, o, tc = cache[t]
+                do = dh * tc
+                dct = dh * o * (1.0 - tc * tc)
+                if dc is not None:
+                    dct = dct + dc
+                di = dct * g
+                dg = dct * i
+                df = dct * c_prev
+                dc = dct * f
+                # zeroed buffer plus +=, as getitem's backward builds it
+                dz = np.zeros((batch, 4 * n))
+                dz[:, :n] += di * i * (1.0 - i)
+                dz[:, n:2 * n] += df * f * (1.0 - f)
+                dz[:, 2 * n:3 * n] += dg * (1.0 - g * g)
+                dz[:, 3 * n:] += do * o * (1.0 - o)
+                # newest step first, the order the tape sums them in; step
+                # 0's h is zero, but its h.T @ dz term is summed all the same
+                terms = (x.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
+                if gWx is None:
+                    gWx, gWh, gb = terms
+                else:
+                    gWx, gWh, gb = gWx + terms[0], gWh + terms[1], gb + terms[2]
+                if t > 0:
+                    dh = dz @ Wh.data.T
+            return gWx, gWh, gb
+
+        return Tensor._from_op(h, (Wx, Wh, b), bw)
 
     def step_np(self, x: np.ndarray, h: np.ndarray, c: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ __all__ = [
     "log_softmax",
     "softmax",
     "no_grad",
+    "grad_enabled",
 ]
 
 # Process-wide switch read by Tensor._from_op; only no_grad() changes it.
@@ -46,6 +47,14 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """False inside no_grad(): ops then record no tape.
+
+    A fused op reads this to skip keeping the values only its backward needs.
+    """
+    return _grad_enabled
 
 
 def logsumexp_np(a, axis=None, keepdims: bool = False):
@@ -376,13 +385,14 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
+    """max(t, 0); NaN stays NaN, as in Dense and the numpy forwards."""
     t = _coerce(t)
     mask = t.data > 0
 
     def bw(g):
         return (g * mask,)
 
-    return Tensor._from_op(np.where(mask, t.data, 0.0), (t,), bw)
+    return Tensor._from_op(np.maximum(t.data, 0.0), (t,), bw)
 
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:

@@ -226,6 +226,14 @@ class TestMdnTemperature:
         spread = np.ptp(np.vstack(draws), axis=0)
         assert float(spread.max()) > 1e-3
 
+    def test_std_underflow_is_named(self):
+        env = self._mdn_env(1.0)
+        head, k, d = env.state_model.head, 3, N_FEATURES
+        head.b.data[k + k * d:] = -800.0  # exp(-800) is 0 in float64
+        env.reset()
+        with pytest.raises(ValueError, match="MDN std underflow.*-800"):
+            env.step(0)
+
 
 def test_mdn_rollout_unchanged_under_scipy_logsumexp(monkeypatch):
     """The numpy logsumexp port drives a seeded vae_mdn_rnn rollout exactly

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sepsim.data import Cohort, N_FEATURES, Outcome, PatientEpisode
+from sepsim.dynamics import one_hot_actions
 from sepsim.heads import (BinaryHead, HEAD_KINDS, build_head_rows,
                           train_heads)
 from sepsim.nn import TrainSchedule
@@ -15,6 +16,25 @@ def test_feature_vector_layout(rng):
     np.testing.assert_array_equal(x[0, :3], [1.0, 2.0, 3.0])
     assert x[0, 3 + 7] == 1.0 and x[0, 3:28].sum() == 1.0
     assert x[0, -1] == 25 / 50.0
+
+
+def test_features_equal_concatenated_one_hot(rng):
+    head = BinaryHead("termination", state_dim=5, step_norm=13.0, rng=rng)
+    states = rng.normal(size=(40, 5))
+    actions = rng.integers(0, 25, size=40)
+    steps = rng.integers(0, 30, size=40)
+    want = np.concatenate([states, one_hot_actions(actions),
+                           (steps / 13.0)[:, None]], axis=1)
+    assert head._features(states, actions, steps).tobytes() == want.tobytes()
+
+
+def test_features_reject_bad_actions_and_lengths(rng):
+    head = BinaryHead("termination", state_dim=2, rng=rng)
+    for action in (-1, 25):
+        with pytest.raises(ValueError, match="action codes out of range"):
+            head._features(np.zeros(2), action, 0)
+    with pytest.raises(ValueError, match="actions and steps"):
+        head._features(np.zeros((3, 2)), 4, [0, 1, 2])
 
 
 def test_zero_network_predicts_half(rng):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sepsim.nn import Dense, LSTMCell, MLP, Tensor
+from sepsim.nn import ACTIVATIONS, Dense, LSTMCell, MLP, Tensor, relu
 
 
 def test_dense_forward_matches_manual(rng):
@@ -20,6 +20,22 @@ def test_mlp_graph_and_numpy_agree(rng):
               output_activation="linear", rng=rng)
     x = rng.normal(size=(7, 6))
     np.testing.assert_array_equal(net(Tensor(x)).data, net.forward_np(x))
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_nan_input_reaches_dense_output(rng, activation):
+    """relu is max(x, 0) on both paths, so a NaN is not masked to zero."""
+    layer = Dense(3, 2, activation=activation, rng=rng)
+    x = np.array([[np.nan, 1.0, 2.0], [0.5, -1.0, 0.0]])
+    for out in (layer(Tensor(x)).data, layer.forward_np(x)):
+        assert np.isnan(out[0]).all()
+        assert np.isfinite(out[1]).all()
+
+
+def test_relu_keeps_nan(rng):
+    x = Tensor(np.array([np.nan, -1.0, 2.0]))
+    out = relu(x).data
+    assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
 
 def test_mlp_rejects_short_dims(rng):
