@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES
-from .nn import MLP, Adam, Module, Optimizer, Tensor, mse
+from .nn import MLP, Adam, Module, Optimizer, Tensor
 
 Q_HIDDEN = (128, 128)
 
@@ -143,15 +143,38 @@ def td_targets(target_net: QNetwork, batch: dict, gamma: float) -> np.ndarray:
 
 def td_update(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float,
               optimizer: Optimizer) -> float:
-    """One gradient step of Q(s,a) toward r + gamma * (1-done) * max Q_target."""
+    """One gradient step of Q(s,a) toward r + gamma * (1-done) * max Q_target.
+
+    Runs on bare arrays, without a tape: each layer's `forward_np`, keeping
+    the activations, then the loss gradient back through each layer's
+    `backward_np`. The float operations and their order are those of
+    `mse(net.q_graph(s)[rows, a], targets).backward()`, so the loss and the
+    trained weights equal the tape's bit for bit.
+    """
     targets = td_targets(target_net, batch, gamma)
+    layers = net.net.layers
+    acts = [np.asarray(batch["states"], dtype=np.float64)]
+    for layer in layers:
+        acts.append(layer.forward_np(acts[-1]))
+    actions = batch["actions"]
+    n = len(actions)
+    rows = np.arange(n)
+    diff = acts[-1][rows, actions] - targets
+    inv_n = 1.0 / n
+    loss = (diff * diff).sum() * inv_n
+    # the tape passes (1/n) * diff to each factor of diff * diff and adds
+    # the two; getitem's backward scatters with add.at into zeros
+    half = inv_n * diff
+    g = np.zeros_like(acts[-1])
+    np.add.at(g, (rows, actions), half + half)
     optimizer.zero_grad()
-    q = net.q_graph(batch["states"])
-    q_taken = q[np.arange(len(batch["actions"])), batch["actions"]]
-    loss = mse(q_taken, targets)
-    loss.backward()
+    for i in range(len(layers) - 1, -1, -1):
+        g, g_w, g_b = layers[i].backward_np(acts[i], acts[i + 1], g,
+                                            input_grad=i > 0)
+        layers[i].W.grad += g_w
+        layers[i].b.grad += g_b
     optimizer.step()
-    return loss.item()
+    return float(loss)
 
 
 @dataclass(frozen=True)

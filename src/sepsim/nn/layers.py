@@ -3,7 +3,8 @@
 `Dense.__call__` and `LSTMCell.unroll` are fused tape ops: one node each,
 with a hand-written backward that repeats the per-op graph's float
 operations in the same order, so trained weights match it bit for bit.
-`Dense.forward_np` and `LSTMCell.step_np`/`recur_np` run the same forward
+Dense's backward is `Dense.backward_np`, on bare arrays, which the DQN's
+tape-free `agent.td_update` calls too. `Dense.forward_np` and `LSTMCell.step_np`/`recur_np` run the same forward
 arithmetic on bare arrays for inference (rollouts, environment stepping);
 `LSTMCell.step` builds the per-op graph of one step and is the reference
 the fused unroll is tested against.
@@ -102,25 +103,30 @@ class Dense(Module):
             raise ValueError(
                 f"matmul expects 2-d operands, got {x.shape} @ {self.W.shape}")
         out = self.forward_np(x.data)
-        W, activation = self.W, self.activation
 
         def bw(g):
-            # the activation derivative as the per-op relu/tanh/sigmoid take it
-            if activation == "relu":
-                g = g * (out > 0)
-            elif activation == "tanh":
-                g = g * (1.0 - out * out)
-            elif activation == "sigmoid":
-                g = g * out * (1.0 - out)
-            return (g @ W.data.T if x.requires_grad else None,
-                    x.data.T @ g, g.sum(axis=0))
+            return self.backward_np(x.data, out, g, input_grad=x.requires_grad)
 
-        return Tensor._from_op(out, (x, W, self.b), bw)
+        return Tensor._from_op(out, (x, self.W, self.b), bw)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._check(x.shape)
         return _apply_activation_np(x @ self.W.data + self.b.data, self.activation)
+
+    def backward_np(self, x: np.ndarray, out: np.ndarray, g: np.ndarray, *,
+                    input_grad: bool = True):
+        """Gradients (input or None, W, b) of `forward_np(x) == out` given
+        the output gradient `g`, in the per-op graph's float order."""
+        # the activation derivative as the per-op relu/tanh/sigmoid take it
+        if self.activation == "relu":
+            g = g * (out > 0)
+        elif self.activation == "tanh":
+            g = g * (1.0 - out * out)
+        elif self.activation == "sigmoid":
+            g = g * out * (1.0 - out)
+        return (g @ self.W.data.T if input_grad else None,
+                x.T @ g, g.sum(axis=0))
 
 
 class MLP(Module):

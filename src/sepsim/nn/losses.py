@@ -21,7 +21,7 @@ WEIGHT_SUM_TOL = 1e-6
 class MixtureParams:
     """Diagonal Gaussian mixture over a d-dimensional target.
 
-    weights: (K,) simplex, means/stds: (K, d) with stds > 0.
+    weights: (K,) simplex, means/stds: (K, d) with 0 < stds < inf.
     """
 
     weights: np.ndarray
@@ -39,9 +39,14 @@ class MixtureParams:
                 f"inconsistent mixture shapes: weights {self.weights.shape}, "
                 f"means {self.means.shape}, stds {self.stds.shape}"
             )
-        if np.any(self.stds <= 0):
+        # min, max and sum propagate NaN, and every comparison with NaN is
+        # False, so each test below fails on a NaN entry
+        if self.stds.size and not self.stds.min() > 0:
             raise ValueError("mixture stds must be strictly positive")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if self.stds.size and not self.stds.max() < np.inf:
+            raise ValueError("mixture stds must be finite")
+        if (not self.weights.min() >= 0
+                or not abs(self.weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("mixture weights must be a simplex")
 
     @property

@@ -1,7 +1,16 @@
 """Gradient-descent update rules.
 
-Optimizers hold per-parameter state keyed by parameter identity, so one
-optimizer instance must stay paired with one model for its whole run.
+An optimizer packs its parameters' values and gradients into one contiguous
+float64 buffer each: every `Parameter.data` and `.grad` becomes a view of
+its slice, with values unchanged, so `zero_grad` is one fill and each
+update runs its elementwise ops once over the flat vector. Elementwise ops
+do not depend on how an array is split, so the results equal a loop over
+the parameters bit for bit.
+
+Write parameter values in place (`p.data[...] = x`, as `load_state_arrays`
+does). Rebinding `p.data` or `p.grad`, or packing the same parameters into
+another optimizer, detaches them from this optimizer's buffer; its next
+`zero_grad` or `step` then raises rather than update memory no model reads.
 """
 from __future__ import annotations
 
@@ -15,13 +24,38 @@ class Optimizer:
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("optimizer got the same parameter more than once")
+        if any(p.grad is None for p in self.params):
+            raise ValueError("optimizer parameters must require gradients")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
+        size = sum(p.data.size for p in self.params)
+        self._data = np.empty(size)
+        self._grad = np.empty(size)
+        self._views = []
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            self._data[start:stop] = p.data.ravel()
+            self._grad[start:stop] = p.grad.ravel()
+            p.data = self._data[start:stop].reshape(p.data.shape)
+            p.grad = self._grad[start:stop].reshape(p.grad.shape)
+            self._views.append((p.data, p.grad))
+            start = stop
+
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (values, gradients), once every parameter still reads them."""
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise RuntimeError(
+                    "a parameter no longer views this optimizer's buffer "
+                    "(rebound, or packed by another optimizer)")
+        return self._data, self._grad
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._buffers()[1].fill(0.0)
 
     def step(self) -> None:
         raise NotImplementedError
@@ -29,8 +63,8 @@ class Optimizer:
 
 class SGD(Optimizer):
     def step(self) -> None:
-        for p in self.params:
-            p.data -= self.lr * p.grad
+        data, grad = self._buffers()
+        data -= self.lr * grad
 
 
 class Momentum(Optimizer):
@@ -39,13 +73,14 @@ class Momentum(Optimizer):
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"momentum beta must be in [0, 1), got {beta}")
         self.beta = float(beta)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        self._velocity = np.zeros_like(self._data)
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            v *= self.beta
-            v += p.grad
-            p.data -= self.lr * v
+        data, grad = self._buffers()
+        v = self._velocity
+        v *= self.beta
+        v += grad
+        data -= self.lr * v
 
 
 class Adam(Optimizer):
@@ -54,17 +89,30 @@ class Adam(Optimizer):
         super().__init__(params, lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._scratch = np.empty_like(self._data)
         self._t = 0
 
     def step(self) -> None:
+        data, grad = self._buffers()
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v, s = self._m, self._v, self._scratch
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g);
+        # data -= lr*(m/c1) / (sqrt(v/c2) + eps), op for op
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        update = m / c1
+        update *= self.lr
+        update /= s
+        data -= update

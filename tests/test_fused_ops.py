@@ -1,12 +1,16 @@
-"""Fused tape ops (Dense.__call__, LSTMCell.unroll) against the per-op
-graphs they replace: same loss and gradients bit for bit, and gradcheck."""
+"""Fused tape ops (Dense.__call__, LSTMCell.unroll) and the tape-free TD
+step against the per-op graphs they replace: same loss and gradients (and,
+for the TD step, trained weights) bit for bit, and gradcheck."""
 import numpy as np
 import pytest
 
+from sepsim import agent
+from sepsim.agent import QNetwork, td_targets
+from sepsim.data import ACTION_COUNT, N_FEATURES
 from sepsim.dynamics import StateModel, StateModelConfig
-from sepsim.nn import (ACTIVATIONS, Dense, LSTMCell, Parameter, Tensor,
-                       check_gradients, mdn_loss_graph, mse, no_grad, relu,
-                       sigmoid, tanh)
+from sepsim.nn import (ACTIVATIONS, SGD, Adam, Dense, LSTMCell, Optimizer,
+                       Parameter, Tensor, check_gradients, mdn_loss_graph, mse,
+                       no_grad, relu, sigmoid, tanh)
 from sepsim.vae import VaeModel, vae_loss_graph
 
 PER_OP_ACTIVATION = {"linear": lambda t: t, "relu": relu, "tanh": tanh,
@@ -176,3 +180,100 @@ def test_unroll_gradcheck(rng):
         lambda: (cell.unroll(window_states, window_actions) * weights).sum(),
         probe_count=60, rng=np.random.default_rng(2))
     assert report.max_rel_error < 1e-6
+
+
+# ---- the tape-free TD step ---------------------------------------------------
+
+
+def tape_td_update(net, target_net, batch, gamma, optimizer):
+    """`td_update` as the tape computes it, with per-op Dense graphs."""
+    targets = td_targets(target_net, batch, gamma)
+    optimizer.zero_grad()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dense, "__call__", per_op_dense)
+        q = net.q_graph(batch["states"])
+    rows = np.arange(len(batch["actions"]))
+    loss = mse(q[rows, batch["actions"]], targets)
+    loss.backward()
+    optimizer.step()
+    return loss.item()
+
+
+def td_batch(rng, n, dones, actions, obs_dim=N_FEATURES):
+    done = {"none": np.zeros(n), "all": np.ones(n),
+            "mixed": (rng.random(n) < 0.3).astype(float)}[dones]
+    taken = (np.full(n, 7) if actions == "repeated"
+             else rng.integers(0, ACTION_COUNT, size=n))
+    return {"states": rng.normal(size=(n, obs_dim)), "actions": taken,
+            "rewards": rng.normal(size=n) * 5.0,
+            "next_states": rng.normal(size=(n, obs_dim)), "dones": done}
+
+
+def run_td_updates(optimizer_cls, batch_size, dones, actions, steps=200):
+    """Losses and final weights of `agent.td_update` over `steps` updates,
+    with the target synced every 50 as `train_agent` does."""
+    rng = np.random.default_rng(11)
+    net = QNetwork(rng=np.random.default_rng(12))
+    target = net.clone()
+    optimizer = optimizer_cls(net.parameters(), lr=1e-3)
+    losses = []
+    for step in range(1, steps + 1):
+        batch = td_batch(rng, batch_size, dones, actions)
+        losses.append(agent.td_update(net, target, batch, 0.99, optimizer))
+        if step % 50 == 0:
+            target.load_state_arrays(net.state_arrays())
+    return np.array(losses), net.state_arrays()
+
+
+@pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@pytest.mark.parametrize("dones, actions", [("mixed", "random"),
+                                            ("none", "repeated"),
+                                            ("all", "random")])
+def test_td_update_parity(optimizer_cls, batch_size, dones, actions):
+    losses_a, weights_a = run_td_updates(optimizer_cls, batch_size, dones,
+                                         actions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent, "td_update", tape_td_update)
+        losses_b, weights_b = run_td_updates(optimizer_cls, batch_size, dones,
+                                             actions)
+    assert losses_a.tobytes() == losses_b.tobytes()
+    assert weights_a.keys() == weights_b.keys()
+    for name in weights_a:
+        assert weights_a[name].tobytes() == weights_b[name].tobytes(), name
+
+
+class _FrozenOptimizer(Optimizer):
+    """Leaves the weights alone, so `td_update` only fills the gradients."""
+
+    def step(self) -> None:
+        pass
+
+
+class _Evaluated:
+    """A loss already computed, with its gradient already in `p.grad`."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def backward(self) -> None:
+        pass
+
+    def item(self) -> float:
+        return self.value
+
+
+def test_td_update_gradcheck(rng):
+    """Criterion-01-style: the gradient `td_update` hands its optimizer
+    against central differences of the loss it returns."""
+    net = QNetwork(obs_dim=6, n_actions=4, rng=np.random.default_rng(5))
+    randomize_biases(net, rng)
+    target = QNetwork(obs_dim=6, n_actions=4, rng=np.random.default_rng(6))
+    batch = td_batch(rng, 9, "mixed", "random", obs_dim=6)
+    batch["actions"] = rng.integers(0, 4, size=9)
+    optimizer = _FrozenOptimizer(net.parameters(), lr=1.0)
+    report = check_gradients(
+        net.named_parameters(),
+        lambda: _Evaluated(agent.td_update(net, target, batch, 0.9, optimizer)),
+        probe_count=50, rng=np.random.default_rng(3))
+    assert report.max_rel_error <= 1e-4, report.worst()  # criterion 01's bound

@@ -71,6 +71,25 @@ def test_mixture_params_validation(rng):
         MixtureParams(np.array([1.0]), np.zeros((1, 1)), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("bad_std, message", [
+    (np.nan, "strictly positive"),
+    (np.inf, "finite"),
+])
+def test_mixture_params_rejects_non_finite_std(bad_std, message):
+    """NaN compares False both ways, so `stds <= 0` alone lets it through;
+    an infinite std is no distribution to sample from."""
+    stds = np.array([[1.0, 1.0], [bad_std, 1.0]])
+    with pytest.raises(ValueError, match=message):
+        MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 2)), stds)
+
+
+def test_mixture_params_rejects_nan_weight():
+    with pytest.raises(ValueError, match="simplex"):
+        MixtureParams(np.array([np.nan, 1.0]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="simplex"):
+        MixtureParams(np.array([np.nan]), np.zeros((1, 1)), np.ones((1, 1)))
+
+
 def test_mixture_mean_weighted(rng):
     params = random_mixture(rng, k=3, d=2)
     want = (params.weights[:, None] * params.means).sum(axis=0)
