@@ -11,7 +11,7 @@ import numpy as np
 from sepsim.data import (SyntheticDynamicsSpec, generate_synthetic_cohort,
                          prepare_cohorts)
 from sepsim.dynamics import StateModelConfig, train_state_model
-from sepsim.env import PatientEnv, replay_physician
+from sepsim.env import PatientEnv, replay_physician, rollout
 from sepsim.evaluation import (closed_loop_trajectories,
                                normalized_trajectory_mean,
                                teacher_forced_eval, trajectory_matrices)
@@ -60,3 +60,9 @@ trace = replay_physician(env, episode)
 print(f"\nreplayed {episode.subject_id}: real length "
       f"{episode.states.shape[0]}, simulated length {trace.n_steps}")
 print("simulated rewards:", np.round(trace.rewards, 2).tolist())
+
+# any policy(obs, t) drives the same loop: here, no treatment from the same
+# start until the simulator ends the stay
+untreated = rollout(env, lambda obs, t: 0, initial_state=episode.states[0])
+print(f"no treatment from the same start: simulated length "
+      f"{untreated.n_steps}, return {untreated.rewards.sum():+.2f}")

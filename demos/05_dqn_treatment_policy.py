@@ -12,7 +12,7 @@ from sepsim.agent import DqnConfig, policy_histogram, train_agent
 from sepsim.data import (SyntheticDynamicsSpec, action_intensity,
                          generate_synthetic_cohort, prepare_cohorts)
 from sepsim.dynamics import StateModelConfig, train_state_model
-from sepsim.env import PatientEnv, RewardSpec
+from sepsim.env import PatientEnv, RewardSpec, rollout
 from sepsim.heads import train_heads
 from sepsim.nn import TrainSchedule
 
@@ -55,13 +55,8 @@ greedy = policy_histogram(result.qnet, make_env(val_c.initial_states(), 1011),
                           500)
 rand_env = make_env(val_c.initial_states(), 2011)
 rand_rng = np.random.default_rng(3011)
-rand_returns = []
-for _ in range(500):
-    rand_env.reset()
-    total = 0.0
-    while not rand_env.done:
-        total += rand_env.step(int(rand_rng.integers(0, 25))).reward
-    rand_returns.append(total)
+uniform = lambda obs, t: int(rand_rng.integers(0, 25))
+rand_returns = [rollout(rand_env, uniform).rewards.sum() for _ in range(500)]
 
 print(f"\ngreedy mean return : {greedy.returns.mean():+.2f}")
 print(f"random mean return : {np.mean(rand_returns):+.2f}")

@@ -17,7 +17,7 @@ from .dynamics import (HistoryWindow, StateModel, StateModelConfig, VARIANTS,
                        train_state_model)
 from .heads import BinaryHead, train_heads
 from .env import (PatientEnv, RewardSpec, SimConfig, StepResult,
-                  replay_physician, shaped_reward)
+                  replay_physician, rollout, shaped_reward)
 from .agent import (DqnConfig, QNetwork, ReplayBuffer, policy_histogram,
                     train_agent)
 from .evaluation import (NtmReport, TrajectoryMatrix,
@@ -41,7 +41,8 @@ __all__ = [
     "episode_return", "export_cohort", "generate_synthetic_cohort",
     "load_cohort", "load_encoder", "normalize_cohort",
     "normalized_trajectory_mean", "policy_histogram", "prepare_cohorts",
-    "replay_physician", "sample_next", "shaped_reward", "split_cohort",
-    "teacher_forced_eval", "train_ae", "train_agent", "train_heads",
-    "train_state_model", "train_vae", "trajectory_matrices", "__version__",
+    "replay_physician", "rollout", "sample_next", "shaped_reward",
+    "split_cohort", "teacher_forced_eval", "train_ae", "train_agent",
+    "train_heads", "train_state_model", "train_vae", "trajectory_matrices",
+    "__version__",
 ]

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES
+from .env import rollout
 from .nn import MLP, Adam, Module, Optimizer, Tensor
 
 Q_HIDDEN = (128, 128)
@@ -247,24 +248,22 @@ class PolicyRollouts:
 
 
 def policy_histogram(net: QNetwork, env, n_episodes: int) -> PolicyRollouts:
-    """Greedy rollouts; the env's own rng drives all stochasticity."""
+    """Greedy rollouts; the env's own rng drives all stochasticity.
+
+    Each return is summed left to right, step by step, as the rewards came.
+    """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    greedy = lambda obs, t: int(np.argmax(net.q_values(obs)))
     counts = np.zeros(ACTION_COUNT, dtype=np.int64)
     lengths, returns = [], []
     for _ in range(n_episodes):
-        obs = env.reset()
-        total, steps = 0.0, 0
-        while True:
-            action = int(np.argmax(net.q_values(obs)))
-            counts[action] += 1
-            result = env.step(action)
-            total += result.reward
-            steps += 1
-            obs = result.observation
-            if result.done:
-                break
-        lengths.append(steps)
+        traj = rollout(env, greedy)
+        counts += np.bincount(traj.actions, minlength=ACTION_COUNT)
+        total = 0.0
+        for r in traj.rewards.tolist():
+            total += r
+        lengths.append(traj.n_steps)
         returns.append(total)
     return PolicyRollouts(counts, np.array(lengths), np.array(returns))
 

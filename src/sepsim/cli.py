@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,7 @@ from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
 from .dynamics import (DEFAULT_WINDOW, StateModel, StateModelConfig, VARIANTS,
                        train_state_model)
 from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
-                  replay_physician)
+                  replay_physician, rollout)
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          normalized_trajectory_mean, teacher_forced_eval,
                          trajectory_matrices, write_histograms_csv,
@@ -96,6 +97,16 @@ def _require_file(value, what: str) -> Path:
     return p
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """cfg[key], which must be at least 1; default when the key is absent."""
+    if key not in cfg:
+        return default
+    n = int(cfg[key])
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1, got {n}")
+    return n
+
+
 def _canonical_sha256(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -140,9 +151,7 @@ class StageResult:
 # ------------------------------------------------------------------ stages
 
 def _stage_synth_data(cfg: dict, out: Path, seed: int) -> StageResult:
-    episodes = int(cfg.get("episodes", 200))
-    if episodes < 1:
-        raise ConfigError("episodes must be >= 1")
+    episodes = _count(cfg, "episodes", 200)
     gen = dict(cfg.get("generator", {}))
     if not isinstance(gen, dict):
         raise ConfigError("generator must be a JSON object of keyword overrides")
@@ -313,56 +322,36 @@ def _pool(cfg: dict, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
 
 
 def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
-    """blocks: iterable of (variant, episode_idx, initial_state, actions,
-    replay) tuples; one row per state with the step-0 initial row first."""
+    """blocks: iterable of (variant, trajectories) pairs; one row per state,
+    each episode's step-0 initial row first."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "episode", "step", "action", "reward",
                          "done", *feature_names])
-        for variant, ep, initial, actions, replay in blocks:
-            writer.writerow([variant, ep, 0, -1, repr(0.0), 0,
-                             *(repr(float(v)) for v in initial)])
-            for t in range(replay.n_steps):
-                writer.writerow([variant, ep, t + 1, int(actions[t]),
-                                 repr(float(replay.rewards[t])),
-                                 int(replay.dones[t]),
-                                 *(repr(float(v))
-                                   for v in replay.observations[t])])
+        for variant, trajectories in blocks:
+            for ep, traj in enumerate(trajectories):
+                writer.writerow([variant, ep, 0, -1, repr(0.0), 0,
+                                 *(repr(float(v)) for v in traj.initial)])
+                for t in range(traj.n_steps):
+                    writer.writerow([variant, ep, t + 1, int(traj.actions[t]),
+                                     repr(float(traj.rewards[t])),
+                                     int(traj.dones[t]),
+                                     *(repr(float(v))
+                                       for v in traj.observations[t])])
 
 
-def _random_rollout(env: PatientEnv, rng: np.random.Generator,
-                    ) -> tuple[np.ndarray, list[int], ReplayTrajectory]:
-    initial = env.reset()
-    observations, rewards, dones, infos, actions = [], [], [], [], []
-    while True:
-        action = int(rng.integers(env.action_count))
-        result = env.step(action)
-        actions.append(action)
-        observations.append(result.observation)
-        rewards.append(result.reward)
-        dones.append(result.done)
-        infos.append(result.info)
-        if result.done:
-            break
-    replay = ReplayTrajectory(np.stack(observations),
-                              np.array(rewards, dtype=np.float64),
-                              np.array(dones, dtype=bool), tuple(infos))
-    return initial, actions, replay
-
-
-def _rollout_episode(initial, actions, replay) -> PatientEpisode | None:
+def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
     """Recast a finished rollout as an episode row block for CSV export.
 
     Row t is the state in which action t was chosen; the observation after
     the terminal decision is not a row, matching the recorded-data layout.
     Returns None when the model never ended the episode (no outcome exists).
     """
-    if replay.n_steps == 0 or not replay.dones[-1]:
+    if traj.n_steps == 0 or not traj.dones[-1]:
         return None
-    n = replay.n_steps
-    states = np.vstack([initial[None, :], replay.observations[:n - 1]])
-    outcome = Outcome(int(replay.infos[-1]["outcome"]))
-    return PatientEpisode("sim", states, np.array(actions[:n]), outcome)
+    states = np.vstack([traj.initial, traj.observations[:-1]])
+    outcome = Outcome(int(traj.infos[-1]["outcome"]))
+    return PatientEpisode("sim", states, traj.actions, outcome)
 
 
 def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -371,41 +360,33 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
     inputs = {"data": data_path,
               **{k: Path(v) for k, v in sim.checkpoints.items()}}
     source, pool = _pool(cfg, train, val)
-    env = _build_env(sim, pool, stats)
     policy = cfg.get("policy", "physician")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-    blocks, episodes, returns, lengths = [], [], [], []
     if policy == "physician":
-        n = int(cfg.get("episodes", source.n_episodes))
-        picks = source.episodes[:n]
+        picks = source.episodes[:_count(cfg, "episodes", source.n_episodes)]
         if not picks:
             raise ConfigError("no episodes available to replay")
-        for i, episode in enumerate(picks):
-            replay = replay_physician(env, episode)
-            blocks.append((sim.variant, i, episode.states[0],
-                           episode.actions, replay))
-            sim_ep = _rollout_episode(episode.states[0], list(episode.actions),
-                                      replay)
-            if sim_ep is not None:
-                episodes.append(sim_ep)
-            returns.append(float(replay.rewards.sum()))
-            lengths.append(replay.n_steps)
+        env = _build_env(sim, pool, stats)
+        trajectories = [replay_physician(env, episode) for episode in picks]
     elif policy == "random":
-        n = int(cfg.get("episodes", 100))
-        for i in range(n):
-            initial, actions, replay = _random_rollout(env, rng)
-            blocks.append((sim.variant, i, initial, actions, replay))
-            sim_ep = _rollout_episode(initial, actions, replay)
-            if sim_ep is not None:
-                episodes.append(sim_ep)
-            returns.append(float(replay.rewards.sum()))
-            lengths.append(replay.n_steps)
+        n = _count(cfg, "episodes", 100)
+        env = _build_env(sim, pool, stats)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        uniform = lambda obs, t: int(rng.integers(env.action_count))
+        trajectories = [rollout(env, uniform) for _ in range(n)]
     else:
         raise ConfigError(f"policy must be physician or random, got {policy!r}")
 
+    episodes, returns, lengths = [], [], []
+    for traj in trajectories:
+        sim_ep = _rollout_episode(traj)
+        if sim_ep is not None:
+            episodes.append(sim_ep)
+        returns.append(float(traj.rewards.sum()))
+        lengths.append(traj.n_steps)
+
     traj_path = out / "trajectories.csv"
-    _write_trajectories_csv(traj_path, train.feature_names, blocks)
+    _write_trajectories_csv(traj_path, train.feature_names,
+                            [(sim.variant, trajectories)])
     outputs = {"trajectories.csv": traj_path}
     if episodes:
         relabeled = [PatientEpisode(f"sim-{i:05d}", e.states, e.actions,
@@ -415,7 +396,7 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
         export_cohort(sim_cohort, sim_path)
         outputs["sim_cohort.csv"] = sim_path
     deaths = sum(e.outcome == Outcome.DEATH for e in episodes)
-    metrics = {"n_rollouts": len(blocks),
+    metrics = {"n_rollouts": len(trajectories),
                "n_completed": len(episodes),
                "mean_return": float(np.mean(returns)),
                "mean_length": float(np.mean(lengths)),
@@ -489,13 +470,21 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     data_path, train, val, stats = _prepared(cfg, seed)
     inputs = {"data": data_path}
     variants = _eval_variants(cfg)
-    n_eval = int(cfg.get("eval_episodes", val.n_episodes))
+    n_eval = _count(cfg, "eval_episodes", val.n_episodes)
     eval_cohort = Cohort(val.episodes[:n_eval], val.feature_names,
                          val.normalization)
     if eval_cohort.n_episodes == 0:
         raise ConfigError("eval_episodes leaves no validation episodes")
-    plot_episodes = int(cfg.get("plot_episodes", 3))
+    plot_episodes = _count(cfg, "plot_episodes", 3)
     ntm_mode = cfg.get("ntm_mode", "sumsq")
+    net = None
+    if cfg.get("qnet") is not None:
+        agent_variant = cfg.get("agent_variant", variants[0]["name"])
+        if agent_variant not in {entry["name"] for entry in variants}:
+            raise ConfigError(f"agent_variant {agent_variant!r} not in variants")
+        policy_episodes = _count(cfg, "policy_episodes", 100)
+        inputs["qnet"] = _require_file(cfg["qnet"], "qnet")
+        net = QNetwork.load(inputs["qnet"])
     seeds = iter(np.random.SeedSequence(seed).spawn(len(variants) * 2 + 1))
 
     metrics: dict = {}
@@ -549,10 +538,8 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         outputs[f"closed_loop_{name}.csv"] = cl_path
 
         env_replay = env.fresh()
-        for i, episode in enumerate(eval_cohort.episodes):
-            replay = replay_physician(env_replay, episode)
-            blocks.append((name, i, episode.states[0], episode.actions,
-                           replay))
+        blocks.append((name, [replay_physician(env_replay, episode)
+                              for episode in eval_cohort.episodes]))
 
     traj_path = out / "trajectories.csv"
     _write_trajectories_csv(traj_path, train.feature_names, blocks)
@@ -568,17 +555,9 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
                              repr(float(simv)), repr(float(gap)), degen])
     outputs["ntm.csv"] = ntm_path
 
-    qnet_path = cfg.get("qnet")
-    if qnet_path is not None:
-        qp = _require_file(qnet_path, "qnet")
-        inputs["qnet"] = qp
-        net = QNetwork.load(qp)
-        agent_variant = cfg.get("agent_variant", variants[0]["name"])
-        if agent_variant not in envs:
-            raise ConfigError(f"agent_variant {agent_variant!r} not in variants")
+    if net is not None:
         env = envs[agent_variant].fresh()
-        rollouts = policy_histogram(net, env,
-                                    int(cfg.get("policy_episodes", 100)))
+        rollouts = policy_histogram(net, env, policy_episodes)
         comparison = compare_policy_distributions(eval_cohort, rollouts,
                                                   reward_spec=env.reward_spec,
                                                   stats=stats)
@@ -646,9 +625,9 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
     out.mkdir(parents=True, exist_ok=True)
     result = _STAGE_FUNCS[stage](cfg, out, seed)
     bad = [k for k, v in result.metrics.items()
-           if not isinstance(v, (int, float))]
+           if not isinstance(v, (int, float)) or not math.isfinite(v)]
     if bad:
-        raise RuntimeError(f"non-numeric metrics: {bad}")
+        raise RuntimeError(f"non-numeric or non-finite metrics: {bad}")
     metrics_path = out / "metrics.json"
     _write_json(metrics_path, result.metrics)
     manifest = {"command": stage,

@@ -3,7 +3,8 @@
 Composes a trained state model, termination and outcome heads, an optional
 encoder/decoder pair, a reward formulation, and a sampling temperature into a
 gym-style environment: reset() -> observation, step(action) ->
-(observation, reward, done, info).
+(observation, reward, done, info). rollout(env, policy) runs one whole
+episode; every simulated episode except those of DQN training goes through it.
 
 Internals run in the state model's representation (latent for encoder
 variants, raw features otherwise); observations are always decoded back to
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -330,9 +331,11 @@ class PatientEnv:
 
 @dataclass(frozen=True)
 class ReplayTrajectory:
-    """Model-generated states from replaying recorded actions."""
+    """One simulated episode: the reset observation, then one entry per step."""
 
-    observations: np.ndarray   # (steps, 46)
+    initial: np.ndarray        # (46,) observation the first action was taken in
+    actions: np.ndarray        # (steps,) int64
+    observations: np.ndarray   # (steps, 46) model-generated
     rewards: np.ndarray        # (steps,)
     dones: np.ndarray          # (steps,) bool
     infos: tuple[dict, ...]
@@ -342,29 +345,42 @@ class ReplayTrajectory:
         return self.rewards.shape[0]
 
 
-def replay_physician(env: PatientEnv, episode: PatientEpisode) -> ReplayTrajectory:
-    """Reset to the episode's first state and feed its recorded actions.
+def rollout(env: PatientEnv, policy: Callable[[np.ndarray, int], int | None],
+            initial_state: np.ndarray | None = None) -> ReplayTrajectory:
+    """Run one episode: reset, then step with `policy(obs, t)` until done.
 
-    Feeds the first length-1 actions (the final recorded action has no
-    successor to compare against); stops early if the model ends the episode.
-    Returned observations are model-generated only; the real initial state is
-    not included.
+    Resets to `initial_state`, or to a pool state drawn from the env's
+    generator. `obs` is the observation action t is taken in; a policy that
+    returns None ends the episode there, before the env does. The policy is
+    called just before each step, so a generator it draws from interleaves
+    with the env's draws in step order.
     """
-    if episode.length < 1:
-        raise ValueError("episode has no steps")
-    env.reset(initial_state=episode.states[0])
-    observations, rewards, dones, infos = [], [], [], []
-    for action in episode.actions[:-1]:
-        result = env.step(int(action))
+    initial = obs = env.reset(initial_state=initial_state)
+    actions, observations, rewards, dones, infos = [], [], [], [], []
+    while (action := policy(obs, len(actions))) is not None:
+        result = env.step(action)
+        actions.append(action)
         observations.append(result.observation)
         rewards.append(result.reward)
         dones.append(result.done)
         infos.append(result.info)
         if result.done:
             break
-    if observations:
-        obs_arr = np.stack(observations)
-    else:
-        obs_arr = np.zeros((0, N_FEATURES))
-    return ReplayTrajectory(obs_arr, np.array(rewards, dtype=np.float64),
+        obs = result.observation
+    obs_arr = np.stack(observations) if observations else np.zeros((0, N_FEATURES))
+    return ReplayTrajectory(initial, np.array(actions, dtype=np.int64), obs_arr,
+                            np.array(rewards, dtype=np.float64),
                             np.array(dones, dtype=bool), tuple(infos))
+
+
+def replay_physician(env: PatientEnv, episode: PatientEpisode) -> ReplayTrajectory:
+    """Reset to the episode's first state and feed its recorded actions.
+
+    Feeds the first length-1 actions (the final recorded action has no
+    successor to compare against); stops early if the model ends the episode.
+    Returned observations are model-generated only; the real initial state is
+    `initial`, not a row of them.
+    """
+    fed = episode.actions[:-1].tolist()
+    return rollout(env, lambda obs, t: fed[t] if t < len(fed) else None,
+                   initial_state=episode.states[0])

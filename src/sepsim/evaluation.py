@@ -206,8 +206,7 @@ def closed_loop_trajectories(env: PatientEnv, cohort: Cohort,
     rollouts = []
     for episode in cohort.episodes:
         replay = replay_physician(env, episode)
-        rows = [episode.states[0]] + list(replay.observations)
-        rollouts.append(np.stack(rows))
+        rollouts.append(np.vstack([replay.initial, replay.observations]))
     return rollouts
 
 

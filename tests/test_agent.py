@@ -1,10 +1,17 @@
 """DQN components: replay buffer, epsilon schedule, TD updates, Q-network."""
+import math
+
 import numpy as np
 import pytest
 
 from sepsim.agent import (DqnConfig, QNetwork, ReplayBuffer, act,
-                          td_targets, td_update, write_reward_curve)
+                          policy_histogram, td_targets, td_update,
+                          write_reward_curve)
 from sepsim.agent import EpisodeRecord
+from sepsim.data import N_FEATURES, NormalizationStats
+from sepsim.dynamics import StateModel, StateModelConfig
+from sepsim.env import PatientEnv, RewardSpec
+from sepsim.heads import BinaryHead
 from sepsim.nn import Adam
 
 
@@ -160,3 +167,41 @@ def test_reward_curve_format(tmp_path):
     assert lines[0] == "episode,return,length,epsilon"
     assert lines[1] == "0,12.5,9,1.0"
     assert len(lines) == 3
+
+
+def test_policy_histogram_sums_returns_left_to_right():
+    def never(kind):
+        head = BinaryHead(kind, N_FEATURES)
+        for p in head.parameters():
+            p.data[:] = 0.0
+        head.net.layers[-1].b.data[:] = -50.0
+        return head
+
+    def env():
+        # eight steps of shaped rewards: np.sum and math.fsum both round
+        # this episode's return differently from a left-to-right sum
+        model = StateModel(StateModelConfig(variant="rnn", window=3,
+                                            rnn_hidden=8),
+                           rng=np.random.default_rng(0))
+        stats = NormalizationStats(np.linspace(-1.0, 1.0, N_FEATURES),
+                                   np.linspace(0.5, 2.0, N_FEATURES))
+        return PatientEnv(model, never("termination"), never("outcome"),
+                          np.random.default_rng(37).normal(size=(3, N_FEATURES)),
+                          reward_spec=RewardSpec("sofa_lactate_shaped",
+                                                 sofa_index=3, lactate_index=7),
+                          stats=stats, max_steps=8, seed=37)
+
+    net = QNetwork(rng=np.random.default_rng(0))
+    rollouts = policy_histogram(net, env(), 1)
+    hand = env()
+    obs, rewards = hand.reset(), []
+    while not hand.done:
+        result = hand.step(int(np.argmax(net.q_values(obs))))
+        obs = result.observation
+        rewards.append(result.reward)
+    total = 0.0
+    for r in rewards:
+        total += r
+    assert rollouts.lengths.tolist() == [8]
+    assert rollouts.returns.tolist() == [total]
+    assert total != float(np.sum(rewards)) and total != math.fsum(rewards)

@@ -338,3 +338,47 @@ class TestEncoderHash:
         checkpoints = _latent_checkpoints(latent_dir, 1,
                                           state="state_nohash.json")
         assert _rollout(tmp_path, data_dir, checkpoints) == 0
+
+
+@pytest.mark.parametrize("stage, extra, key", [
+    ("rollout", {"policy": "random", "episodes": 0}, "episodes"),
+    ("rollout", {"policy": "physician", "episodes": -3}, "episodes"),
+    ("eval", {"eval_episodes": 0}, "eval_episodes"),
+    ("eval", {"plot_episodes": 0}, "plot_episodes"),
+    ("eval", {"policy_episodes": 0}, "policy_episodes"),
+    ("eval", {"agent_variant": "mdn_rnn"}, "agent_variant"),
+    ("eval", {"qnet": "absent.json"}, "qnet"),
+])
+def test_bad_counts_and_agent_settings_fail_before_any_checkpoint_loads(
+        tmp_path, data_dir, sim_dir, monkeypatch, capsys, stage, extra, key):
+    from sepsim import checkpoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint was loaded")
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    section = {"data": str(data_dir / "cohort.csv"), "max_steps": 5,
+               "termination_mode": "threshold"}
+    if stage == "rollout":
+        section.update(variant="rnn", checkpoints=_checkpoints(sim_dir, "rnn"))
+    else:
+        section.update(variants=[{"name": "rnn", **_checkpoints(sim_dir, "rnn")}],
+                       qnet=str(sim_dir / "qnet.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({stage: {**section, **extra}}))
+    code = main([stage, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_metric_is_refused(tmp_path, monkeypatch, capsys, value):
+    from sepsim import cli
+
+    monkeypatch.setitem(cli._STAGE_FUNCS, "ntm",
+                        lambda cfg, out, seed: cli.StageResult({"gap": value}))
+    code = main(["ntm", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "['gap']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.json").exists()

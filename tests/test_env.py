@@ -325,3 +325,10 @@ class TestReplay:
         env2 = _env()
         traj = replay_physician(env2, episode)
         np.testing.assert_array_equal(traj.observations[0], expected)
+
+    def test_length_one_episode_takes_no_step(self):
+        episode = self._episode(1)
+        traj = replay_physician(_env(), episode)
+        assert traj.n_steps == 0 and traj.actions.shape == (0,)
+        assert traj.observations.shape == (0, N_FEATURES)
+        np.testing.assert_array_equal(traj.initial, episode.states[0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sepsim.data import N_FEATURES, NormalizationStats, Outcome, action_intensity
 from sepsim.dynamics import VARIANTS, StateModel, StateModelConfig
 from sepsim.env import (REWARD_FORMULATIONS, TERMINATION_MODES, PatientEnv,
-                        RewardSpec, shaped_reward)
+                        RewardSpec, rollout, shaped_reward)
 from sepsim.heads import BinaryHead
 from sepsim.vae import AeModel, VaeModel
 
@@ -107,3 +107,33 @@ def test_same_seed_and_actions_repeat(variant, formulation, mode, max_steps,
     for a, b in zip(steps_a, steps_b):
         assert np.array_equal(a.observation, b.observation)
         assert (a.reward, a.done, a.info) == (b.reward, b.done, b.info)
+
+
+@cases
+@settings(deadline=None, max_examples=40)
+def test_rollout_equals_hand_stepping(variant, formulation, mode, max_steps,
+                                      head_seed, seed, actions):
+    # 0-7 recorded actions: some run out before the env ends the episode
+    fed = actions[:seed % 8]
+    first, steps = _episode(_env(variant, formulation, mode, max_steps,
+                                 head_seed, seed), fed)
+    seen = []
+
+    def policy(obs, t):
+        seen.append(obs.tobytes())
+        return fed[t] if t < len(fed) else None
+
+    traj = rollout(_env(variant, formulation, mode, max_steps, head_seed, seed),
+                   policy)
+    # action t is chosen in the reset observation, then in each step's
+    expected = [first.tobytes()] + [r.observation.tobytes() for r in steps]
+    assert seen == expected[:len(seen)]
+    assert traj.initial.tobytes() == first.tobytes()
+    assert traj.actions.tolist() == fed[:len(steps)]
+    assert traj.observations.shape == (len(steps), N_FEATURES)
+    assert traj.observations.tobytes() == b"".join(
+        r.observation.tobytes() for r in steps)
+    assert traj.rewards.tobytes() == np.array(
+        [r.reward for r in steps], dtype=np.float64).tobytes()
+    assert traj.dones.tolist() == [r.done for r in steps]
+    assert traj.infos == tuple(r.info for r in steps)

@@ -3,13 +3,16 @@ import numpy as np
 import pytest
 
 from sepsim.data import Cohort, N_FEATURES, Outcome, PatientEpisode
-from sepsim.env import RewardSpec
+from sepsim.dynamics import StateModel, StateModelConfig
+from sepsim.env import PatientEnv, RewardSpec, replay_physician
 from sepsim.evaluation import (HistogramPair, build_trajectory_matrix,
+                               closed_loop_trajectories,
                                compare_policy_distributions, episode_return,
                                normalized_trajectory_mean,
                                teacher_forced_eval, trajectory_matrices,
                                write_histograms_csv, write_ntm_csv,
                                write_series_csv)
+from sepsim.heads import BinaryHead
 
 
 def _col(values):
@@ -158,6 +161,28 @@ class TestTeacherForced:
         report = teacher_forced_eval(_ConstantModel(np.zeros(N_FEATURES)),
                                      cohort, window=2)
         assert report.per_feature_mse.shape == (N_FEATURES,)
+
+
+class TestClosedLoop:
+    def test_equals_physician_replay_on_a_fresh_env(self):
+        # mixture sampling and Bernoulli termination both draw from the env's
+        # generator, so a second pass matches only from a fresh env
+        model = StateModel(StateModelConfig(variant="mdn_rnn", window=3,
+                                            rnn_hidden=8, n_mixtures=2),
+                           rng=np.random.default_rng(0))
+        heads = [BinaryHead(kind, N_FEATURES, rng=np.random.default_rng(i))
+                 for i, kind in enumerate(("termination", "outcome"))]
+        cohort = _tiny_cohort(episodes=6, length=7)
+        env = PatientEnv(model, *heads, cohort.initial_states(), seed=4)
+        sims = closed_loop_trajectories(env, cohort)
+        replay_env = env.fresh()
+        lengths = set()
+        for episode, sim in zip(cohort.episodes, sims, strict=True):
+            replay = replay_physician(replay_env, episode)
+            expected = np.vstack([episode.states[0], replay.observations])
+            assert sim.tobytes() == expected.tobytes()
+            lengths.add(replay.n_steps)
+        assert len(lengths) > 1   # some episodes end before their actions do
 
 
 class TestEpisodeReturn:
