@@ -13,7 +13,8 @@ import numpy as np
 
 from sepsim.data import (SyntheticDynamicsSpec, generate_synthetic_cohort,
                          prepare_cohorts)
-from sepsim.vae import VaeTrainConfig, train_ae, train_vae
+from sepsim.nn import TrainSchedule
+from sepsim.vae import train_ae, train_vae
 
 spec = SyntheticDynamicsSpec.default(seed=8)
 cohort = generate_synthetic_cohort(spec, 200)
@@ -26,16 +27,15 @@ print(f"train states {train_states.shape}, held-out {val_states.shape}")
 baseline = float(np.mean((val_states - train_states.mean(axis=0)) ** 2))
 print(f"predict-the-mean baseline MSE: {baseline:.4f}\n")
 
+schedule = TrainSchedule(max_epochs=15, patience=15, batch_size=64, seed=0)
 for beta in (0.0, 0.5):
-    cfg = VaeTrainConfig(epochs=15, batch_size=64, beta=beta, seed=0)
-    vae, history = train_vae(train_states, val_states, cfg)
+    vae, history = train_vae(train_states, val_states, schedule, beta=beta)
     recon = float(np.mean((vae.reconstruct(val_states) - val_states) ** 2))
     note = " <- posterior collapse" if recon > 0.9 * baseline else ""
     print(f"VAE beta={beta}: held-out recon MSE {recon:.4f} "
           f"(best epoch {history.best_epoch}){note}")
 
-ae, history = train_ae(train_states, val_states,
-                       VaeTrainConfig(epochs=15, batch_size=64, seed=0))
+ae, history = train_ae(train_states, val_states, schedule)
 recon = float(np.mean((ae.reconstruct(val_states) - val_states) ** 2))
 print(f"AE          : held-out recon MSE {recon:.4f} "
       f"(best epoch {history.best_epoch})")

@@ -9,8 +9,8 @@ how the spread widens and narrows.
 """
 import numpy as np
 
-from sepsim.dynamics import (StateModelConfig, sample_next,
-                             sequences_from_arrays, train_on_sequences)
+from sepsim.dynamics import (StateModelConfig, build_training_sequences,
+                             sample_next, train_on_sequences)
 from sepsim.nn import TrainSchedule
 
 gen = np.random.default_rng(0)
@@ -18,7 +18,7 @@ episodes = []
 for _ in range(60):
     vals = gen.choice([-1.0, 1.0], size=12)[:, None]
     episodes.append((vals, np.zeros(12, dtype=int)))
-data = sequences_from_arrays(episodes, window=10)
+data = build_training_sequences(episodes, window=10)
 print(f"{data.n_rows} transition windows from {len(episodes)} episodes")
 
 schedule = TrainSchedule(max_epochs=10, patience=10, batch_size=64, seed=0)

@@ -11,7 +11,7 @@ from .data import (ACTION_COUNT, Cohort, CsvSchema, N_DOSE_BINS, N_FEATURES,
                    compute_normalization, decode_action, encode_action,
                    export_cohort, generate_synthetic_cohort, load_cohort,
                    normalize_cohort, prepare_cohorts, split_cohort)
-from .vae import AeModel, VaeModel, VaeTrainConfig, load_encoder, train_ae, train_vae
+from .vae import AeModel, VaeModel, load_encoder, train_ae, train_vae
 from .dynamics import (HistoryWindow, StateModel, StateModelConfig, VARIANTS,
                        build_training_sequences, sample_next,
                        train_state_model)
@@ -34,7 +34,7 @@ __all__ = [
     "NormalizationStats", "NtmReport", "Outcome", "PatientEnv",
     "PatientEpisode", "QNetwork", "ReplayBuffer", "RewardSpec", "SimConfig",
     "StateModel", "StateModelConfig", "StepResult", "SyntheticDynamicsSpec",
-    "TrajectoryMatrix", "VARIANTS", "VaeModel", "VaeTrainConfig",
+    "TrajectoryMatrix", "VARIANTS", "VaeModel",
     "action_intensity", "build_trajectory_matrix",
     "build_training_sequences", "compare_policy_distributions",
     "compute_normalization", "decode_action", "encode_action",

@@ -45,7 +45,7 @@ from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          write_ntm_csv, write_series_csv)
 from .heads import BinaryHead, train_heads
 from .nn import TrainSchedule
-from .vae import load_encoder, train_ae, train_vae, VaeTrainConfig
+from .vae import load_encoder, train_ae, train_vae
 
 STAGES = ("synth-data", "train-vae", "train-state", "train-heads", "rollout",
           "train-agent", "eval", "ntm")
@@ -97,13 +97,16 @@ def _require_file(value, what: str) -> Path:
     return p
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """cfg[key], which must be at least 1; default when the key is absent."""
+def _count(cfg: dict, key: str, default: int, pool: int | None = None) -> int:
+    """cfg[key], which must be at least 1, and at most `pool` (the number of
+    episodes to draw from) when given; default when the key is absent."""
     if key not in cfg:
         return default
     n = int(cfg[key])
     if n < 1:
         raise ConfigError(f"{key} must be >= 1, got {n}")
+    if pool is not None and n > pool:
+        raise ConfigError(f"{key} is {n}, but the pool holds {pool} episodes")
     return n
 
 
@@ -177,14 +180,13 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
         raise ConfigError(f"kind must be 'vae' or 'ae', got {kind!r}")
     data_path, train, val, stats = _prepared(cfg, seed)
     schedule = _schedule(cfg, seed, default_epochs=20)
-    config = VaeTrainConfig(epochs=schedule.max_epochs,
-                            batch_size=schedule.batch_size,
-                            learning_rate=float(cfg.get("learning_rate", 1e-3)),
-                            beta=float(cfg.get("beta", 0.0)),
-                            seed=seed,
-                            patience=schedule.patience)
-    trainer = train_vae if kind == "vae" else train_ae
-    model, history = trainer(train.all_states(), val.all_states(), config)
+    learning_rate = float(cfg.get("learning_rate", 1e-3))
+    if kind == "vae":
+        model, history = train_vae(train.all_states(), val.all_states(), schedule,
+                                   learning_rate, float(cfg.get("beta", 0.0)))
+    else:
+        model, history = train_ae(train.all_states(), val.all_states(), schedule,
+                                  learning_rate)
     model_path = out / f"{kind}.json"
     model.save(model_path)
     stats_path = out / "stats.json"
@@ -362,7 +364,8 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
     source, pool = _pool(cfg, train, val)
     policy = cfg.get("policy", "physician")
     if policy == "physician":
-        picks = source.episodes[:_count(cfg, "episodes", source.n_episodes)]
+        picks = source.episodes[:_count(cfg, "episodes", source.n_episodes,
+                                        pool=source.n_episodes)]
         if not picks:
             raise ConfigError("no episodes available to replay")
         env = _build_env(sim, pool, stats)
@@ -452,25 +455,17 @@ def _eval_variants(cfg: dict) -> list[dict]:
 
 def _tf_series(report, episodes: int):
     """First-N-episode (targets, predictions) pairs for plot export."""
-    order: list[str] = []
-    for subj in report.subjects:
-        if subj not in order:
-            order.append(subj)
-    keep = set(order[:episodes])
-    real_rows, sim_rows = [], []
     subjects = np.array(report.subjects)
-    for subj in order[:episodes]:
-        rows = subjects == subj
-        real_rows.append(report.targets[rows])
-        sim_rows.append(report.predictions[rows])
-    return real_rows, sim_rows, keep
+    rows = [subjects == subj for subj in dict.fromkeys(report.subjects)][:episodes]
+    return ([report.targets[r] for r in rows],
+            [report.predictions[r] for r in rows])
 
 
 def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     data_path, train, val, stats = _prepared(cfg, seed)
     inputs = {"data": data_path}
     variants = _eval_variants(cfg)
-    n_eval = _count(cfg, "eval_episodes", val.n_episodes)
+    n_eval = _count(cfg, "eval_episodes", val.n_episodes, pool=val.n_episodes)
     eval_cohort = Cohort(val.episodes[:n_eval], val.feature_names,
                          val.normalization)
     if eval_cohort.n_episodes == 0:
@@ -485,7 +480,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         policy_episodes = _count(cfg, "policy_episodes", 100)
         inputs["qnet"] = _require_file(cfg["qnet"], "qnet")
         net = QNetwork.load(inputs["qnet"])
-    seeds = iter(np.random.SeedSequence(seed).spawn(len(variants) * 2 + 1))
+    seeds = iter(np.random.SeedSequence(seed).spawn(len(variants)))
 
     metrics: dict = {}
     outputs: dict = {}
@@ -517,7 +512,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         if report.sample_mse is not None:
             metrics[f"tf_sample_mse_{name}"] = report.sample_mse
         tf_path = out / f"teacher_forced_{name}.csv"
-        real_rows, sim_rows, _ = _tf_series(report, plot_episodes)
+        real_rows, sim_rows = _tf_series(report, plot_episodes)
         names = (train.feature_names if env.encoder is None
                  else tuple(f"z_{i}" for i in range(report.targets.shape[1])))
         write_series_csv(tf_path, name, names, real_rows, sim_rows)

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES, Cohort
@@ -36,7 +37,7 @@ from .nn import (
     mdn_loss_graph,
     mse,
 )
-from .nn.tensor import logsumexp_np
+from .nn.tensor import logsumexp_np, no_grad
 from .vae import LATENT_DIM
 
 VARIANTS = ("rnn", "ae_rnn", "vae_rnn", "mdn_rnn", "vae_mdn_rnn")
@@ -139,63 +140,48 @@ class SequenceData:
     def n_rows(self) -> int:
         return self.targets.shape[0]
 
-    def subset(self, idx) -> "SequenceData":
-        idx = np.asarray(idx)
-        return SequenceData(self.window_states[idx], self.window_actions[idx],
-                           self.targets[idx],
-                           tuple(self.subjects[i] for i in idx))
+
+def _windows(rows: np.ndarray, window: int) -> np.ndarray:
+    """(len(rows), window, k) array whose t-th window ends at row t, with
+    all-zero rows in front where the history is shorter than the window."""
+    padded = np.concatenate([np.zeros((window - 1, rows.shape[1])), rows])
+    return sliding_window_view(padded, window, axis=0).transpose(0, 2, 1)
 
 
-def windows_from_episode(states: np.ndarray, actions: np.ndarray, window: int):
-    """Yield (window_states, window_actions, target) per transition.
-
-    A length-1 episode yields nothing; histories never cross episodes.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.asarray(actions, dtype=np.int64)
-    length, d = states.shape
-    onehots = one_hot_actions(actions)
-    for t in range(length - 1):
-        keep = min(window, t + 1)
-        ws = np.zeros((window, d))
-        wa = np.zeros((window, ACTION_COUNT))
-        ws[window - keep:] = states[t + 1 - keep:t + 1]
-        wa[window - keep:] = onehots[t + 1 - keep:t + 1]
-        yield ws, wa, states[t + 1]
-
-
-def build_training_sequences(cohort: Cohort, window: int = DEFAULT_WINDOW,
+def build_training_sequences(episodes, window: int = DEFAULT_WINDOW,
                              encoder=None) -> SequenceData:
-    """One training pair per in-episode transition, targets are the t+1
-    representation (encode_mean of the raw state when an encoder is given)."""
-    ws_all, wa_all, tg_all, subjects = [], [], [], []
-    for ep in cohort.episodes:
-        seq = encoder.encode_mean(ep.states) if encoder is not None else ep.states
-        for ws, wa, target in windows_from_episode(seq, ep.actions, window):
-            ws_all.append(ws)
-            wa_all.append(wa)
-            tg_all.append(target)
-            subjects.append(ep.subject_id)
-    if not tg_all:
-        raise ValueError("cohort contains no transitions (all episodes length 1)")
-    return SequenceData(np.stack(ws_all), np.stack(wa_all), np.stack(tg_all),
-                        tuple(subjects))
+    """One training pair per in-episode transition: row t of an episode is
+    its history window at step t, as `HistoryWindow.from_history` builds it,
+    and the target is the step t+1 representation (encode_mean of the raw
+    states when an encoder is given).
 
-
-def sequences_from_arrays(episodes, window: int) -> SequenceData:
-    """Build SequenceData from raw (states, actions) pairs; for toy problems
-    whose state dimension is not the clinical 46."""
+    `episodes` is a Cohort, or (states, actions) pairs, for toy problems
+    whose state dimension is not the clinical 46; pair i is subject "ep-<i>".
+    Histories never cross episodes, and a length-1 episode yields no row.
+    """
+    if isinstance(episodes, Cohort):
+        items = [(ep.subject_id, ep.states, ep.actions) for ep in episodes.episodes]
+    else:
+        items = [(f"ep-{i}", s, a) for i, (s, a) in enumerate(episodes)]
     ws_all, wa_all, tg_all, subjects = [], [], [], []
-    for i, (states, actions) in enumerate(episodes):
-        for ws, wa, target in windows_from_episode(states, actions, window):
-            ws_all.append(ws)
-            wa_all.append(wa)
-            tg_all.append(target)
-            subjects.append(f"ep-{i}")
-    if not tg_all:
-        raise ValueError("no transitions in the given episodes")
-    return SequenceData(np.stack(ws_all), np.stack(wa_all), np.stack(tg_all),
-                        tuple(subjects))
+    for subject, states, actions in items:
+        if encoder is not None:
+            states = encoder.encode_mean(states)
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        onehots = one_hot_actions(actions)
+        if onehots.shape[0] != states.shape[0]:
+            raise ValueError(f"episode {subject}: states and actions differ in length")
+        n = states.shape[0] - 1
+        if n < 1:
+            continue
+        ws_all.append(_windows(states[:n], window))
+        wa_all.append(_windows(onehots[:n], window))
+        tg_all.append(states[1:])
+        subjects += [subject] * n
+    if not subjects:
+        raise ValueError("no transitions in the given episodes (all have length 1)")
+    return SequenceData(np.concatenate(ws_all), np.concatenate(wa_all),
+                        np.concatenate(tg_all), tuple(subjects))
 
 
 class StateModel(Module):
@@ -231,15 +217,6 @@ class StateModel(Module):
         """Unroll the cell over a batch of windows; returns raw head output."""
         return self.head(self.cell.unroll(window_states, window_actions))
 
-    def _forward_np(self, window_states: np.ndarray,
-                    window_actions: np.ndarray) -> np.ndarray:
-        batch = window_states.shape[0]
-        h, c = self.cell.init_state(batch)
-        for t in range(window_states.shape[1]):
-            x = np.concatenate([window_states[:, t], window_actions[:, t]], axis=1)
-            h, c = self.cell.step_np(x, h, c)
-        return self.head.forward_np(h)
-
     def split_head(self, out: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """MDN head output -> (logits, means, log_stds) graph nodes."""
         k, d = self.config.n_mixtures, self.state_dim
@@ -270,11 +247,14 @@ class StateModel(Module):
     def predict(self, window: HistoryWindow):
         """MixtureParams for MDN variants, a point estimate otherwise."""
         self._check_window(window)
-        return self._prediction(
-            self._forward_np(window.states[None], window.actions[None])[0])
+        return self.predict_batch(window.states[None], window.actions[None])[0]
 
     def predict_batch(self, window_states: np.ndarray, window_actions: np.ndarray):
-        out = self._forward_np(window_states, window_actions)
+        """`predict` for each window of a batch, through the unroll that
+        training uses, with no tape recorded."""
+        with no_grad():
+            h = self.cell.unroll(window_states, window_actions).data
+        out = self.head.forward_np(h)
         if self.config.uses_mdn:
             return [self._mixture_from_row(row) for row in out]
         return out
@@ -386,13 +366,12 @@ def train_on_sequences(config: StateModelConfig, train_data: SequenceData,
     model = StateModel(config, rng=np.random.default_rng(schedule.seed))
     optimizer = Adam(model.parameters(), lr=learning_rate)
 
-    def loss_on(data: SequenceData, idx=None) -> Tensor:
-        sub = data if idx is None else data.subset(idx)
-        out = model.forward_graph(sub.window_states, sub.window_actions)
+    def loss_on(data: SequenceData, idx=slice(None)) -> Tensor:
+        out = model.forward_graph(data.window_states[idx], data.window_actions[idx])
         if config.uses_mdn:
             logits, means, log_stds = model.split_head(out)
-            return mdn_loss_graph(logits, means, log_stds, sub.targets)
-        return mse(out, sub.targets)
+            return mdn_loss_graph(logits, means, log_stds, data.targets[idx])
+        return mse(out, data.targets[idx])
 
     history = fit(model, optimizer, schedule, train_data.n_rows,
                   lambda idx: loss_on(train_data, idx),

@@ -127,25 +127,15 @@ def build_head_rows(cohort: Cohort, encoder=None) -> tuple[HeadRows, HeadRows]:
     """
     if cohort.n_episodes == 0:
         raise ValueError("cohort is empty")
-    t_states, t_actions, t_steps, t_labels = [], [], [], []
-    o_states, o_actions, o_steps, o_labels = [], [], [], []
+    term, outc = [], []
     for ep in cohort.episodes:
         seq = encoder.encode_mean(ep.states) if encoder is not None else ep.states
-        last = ep.length - 1
-        for t in range(ep.length):
-            t_states.append(seq[t])
-            t_actions.append(ep.actions[t])
-            t_steps.append(t)
-            t_labels.append(1.0 if t == last else 0.0)
-        o_states.append(seq[last])
-        o_actions.append(ep.actions[last])
-        o_steps.append(last)
-        o_labels.append(1.0 if ep.outcome == Outcome.DEATH else 0.0)
-    term = HeadRows(np.stack(t_states), np.array(t_actions), np.array(t_steps),
-                    np.array(t_labels))
-    outc = HeadRows(np.stack(o_states), np.array(o_actions), np.array(o_steps),
-                    np.array(o_labels))
-    return term, outc
+        steps = np.arange(ep.length)
+        term.append((seq, ep.actions, steps, (steps == ep.length - 1) * 1.0))
+        death = 1.0 if ep.outcome == Outcome.DEATH else 0.0
+        outc.append((seq[-1:], ep.actions[-1:], steps[-1:], np.array([death])))
+    return (HeadRows(*map(np.concatenate, zip(*term))),
+            HeadRows(*map(np.concatenate, zip(*outc))))
 
 
 def _train_head(kind: str, train_rows: HeadRows, val_rows: HeadRows,
@@ -154,12 +144,9 @@ def _train_head(kind: str, train_rows: HeadRows, val_rows: HeadRows,
     model = BinaryHead(kind, train_rows.states.shape[1], step_norm,
                        rng=np.random.default_rng(schedule.seed))
 
-    def loss_on(rows: HeadRows, idx=None) -> Tensor:
-        if idx is not None:
-            rows = HeadRows(rows.states[idx], rows.actions[idx],
-                            rows.steps[idx], rows.labels[idx])
-        feats = model._features(rows.states, rows.actions, rows.steps)
-        return bce_with_logits(model.logits_graph(feats), rows.labels[:, None])
+    def loss_on(rows: HeadRows, idx=slice(None)) -> Tensor:
+        feats = model._features(rows.states[idx], rows.actions[idx], rows.steps[idx])
+        return bce_with_logits(model.logits_graph(feats), rows.labels[idx][:, None])
 
     optimizer = Adam(model.parameters(), lr=learning_rate)
     history = fit(model, optimizer, schedule, train_rows.n_rows,

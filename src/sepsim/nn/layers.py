@@ -4,8 +4,9 @@
 with a hand-written backward that repeats the per-op graph's float
 operations in the same order, so trained weights match it bit for bit.
 Dense's backward is `Dense.backward_np`, on bare arrays, which the DQN's
-tape-free `agent.td_update` calls too. `Dense.forward_np` and `LSTMCell.step_np`/`recur_np` run the same forward
-arithmetic on bare arrays for inference (rollouts, environment stepping);
+tape-free `agent.td_update` calls too. Inference runs `unroll` under
+`no_grad`, or `Dense.forward_np` and `LSTMCell.step_np`/`recur_np`, which
+repeat the forward arithmetic on bare arrays (environment stepping);
 `LSTMCell.step` builds the per-op graph of one step and is the reference
 the fused unroll is tested against.
 """

@@ -2,9 +2,10 @@
 
 The loop is index-driven so it works for any data layout: callers provide a
 closure that maps a batch of row indices to a scalar loss Tensor, plus a
-closure that scores the validation set. Improvement is strict (<); after
-`patience` consecutive non-improving epochs training stops and the weights
-from the best epoch are restored.
+closure that scores the validation set. Every epoch visits the rows in a
+fresh permutation. Improvement is strict (<); after `patience` consecutive
+non-improving epochs training stops, and the weights from the best epoch are
+restored either way.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ class TrainSchedule:
     patience: int = 3          # set >= max_epochs to never stop early
     batch_size: int = 64
     seed: int = 0
-    shuffle: bool = True
-    restore_best: bool = True
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -79,7 +78,7 @@ def fit(model, optimizer, schedule: TrainSchedule, train_size: int,
     bad_epochs = 0
 
     for epoch in range(1, schedule.max_epochs + 1):
-        order = rng.permutation(train_size) if schedule.shuffle else np.arange(train_size)
+        order = rng.permutation(train_size)
         epoch_losses = []
         for start in range(0, train_size, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
@@ -105,6 +104,6 @@ def fit(model, optimizer, schedule: TrainSchedule, train_size: int,
                 history.stopped_early = True
                 break
 
-    if schedule.restore_best and best_state is not None:
+    if best_state is not None:
         model.load_state_arrays(best_state)
     return history

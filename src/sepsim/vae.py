@@ -12,8 +12,6 @@ stochastic encode is for training and diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import checkpoint
@@ -109,10 +107,7 @@ class VaeModel(Module):
 
     @classmethod
     def load(cls, path) -> "VaeModel":
-        _, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind=cls.model_kind)
-        model = cls(beta=float(hyper.get("beta", 0.0)))
-        model.load_state_arrays(arrays)
-        return model
+        return _load(path, expect_kind=cls.model_kind)
 
 
 class AeModel(Module):
@@ -160,20 +155,25 @@ class AeModel(Module):
 
     @classmethod
     def load(cls, path) -> "AeModel":
-        _, _, arrays = checkpoint.load_checkpoint(path, expect_kind=cls.model_kind)
-        model = cls()
-        model.load_state_arrays(arrays)
-        return model
+        return _load(path, expect_kind=cls.model_kind)
+
+
+def _load(path, expect_kind: str | None = None):
+    kind, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind=expect_kind)
+    if kind == VaeModel.model_kind:
+        model = VaeModel(beta=float(hyper.get("beta", 0.0)))
+    elif kind == AeModel.model_kind:
+        model = AeModel()
+    else:
+        raise ValueError(f"checkpoint holds a {kind!r} model, expected an autoencoder")
+    model.load_state_arrays(arrays)
+    return model
 
 
 def load_encoder(path):
-    """Load either autoencoder kind from a checkpoint, keyed by model_kind."""
-    kind, _, _ = checkpoint.load_checkpoint(path)
-    if kind == VaeModel.model_kind:
-        return VaeModel.load(path)
-    if kind == AeModel.model_kind:
-        return AeModel.load(path)
-    raise ValueError(f"checkpoint holds a {kind!r} model, expected an autoencoder")
+    """Load either autoencoder kind from a checkpoint, keyed by model_kind;
+    the file is parsed once."""
+    return _load(path)
 
 
 # ---- losses -----------------------------------------------------------------
@@ -208,21 +208,6 @@ def ae_loss_graph(model: AeModel, batch: np.ndarray) -> Tensor:
 # ---- training ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VaeTrainConfig:
-    epochs: int = 20
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta: float = 0.0
-    seed: int = 0
-    patience: int | None = None   # None: never stop before `epochs`
-
-    def schedule(self) -> TrainSchedule:
-        patience = self.patience if self.patience is not None else self.epochs
-        return TrainSchedule(max_epochs=self.epochs, patience=patience,
-                             batch_size=self.batch_size, seed=self.seed)
-
-
 def _check_states(states: np.ndarray, what: str) -> np.ndarray:
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != N_FEATURES or states.shape[0] < 1:
@@ -231,16 +216,17 @@ def _check_states(states: np.ndarray, what: str) -> np.ndarray:
 
 
 def train_vae(train_states: np.ndarray, val_states: np.ndarray,
-              config: VaeTrainConfig | None = None) -> tuple[VaeModel, History]:
+              schedule: TrainSchedule, learning_rate: float = 1e-3,
+              beta: float = 0.0) -> tuple[VaeModel, History]:
     """Train on state rows; validation loss uses eps = 0 so the early-stopping
-    metric is deterministic."""
-    config = config or VaeTrainConfig()
+    metric is deterministic. The eps draws and the weight init take the two
+    children of SeedSequence(schedule.seed)."""
     train_states = _check_states(train_states, "train_states")
     val_states = _check_states(val_states, "val_states")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
-    model = VaeModel(beta=config.beta,
-                     rng=np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1]))
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    eps_seed, init_seed = np.random.SeedSequence(schedule.seed).spawn(2)
+    rng = np.random.default_rng(eps_seed)
+    model = VaeModel(beta=beta, rng=np.random.default_rng(init_seed))
+    optimizer = Adam(model.parameters(), lr=learning_rate)
 
     def batch_loss(idx):
         eps = rng.normal(size=(len(idx), LATENT_DIM))
@@ -252,19 +238,19 @@ def train_vae(train_states: np.ndarray, val_states: np.ndarray,
         total, _, _ = vae_loss_graph(model, val_states, eps)
         return total.item()
 
-    history = fit(model, optimizer, config.schedule(), train_states.shape[0],
+    history = fit(model, optimizer, schedule, train_states.shape[0],
                   batch_loss, val_loss)
     return model, history
 
 
 def train_ae(train_states: np.ndarray, val_states: np.ndarray,
-             config: VaeTrainConfig | None = None) -> tuple[AeModel, History]:
-    config = config or VaeTrainConfig()
+             schedule: TrainSchedule, learning_rate: float = 1e-3,
+             ) -> tuple[AeModel, History]:
     train_states = _check_states(train_states, "train_states")
     val_states = _check_states(val_states, "val_states")
-    model = AeModel(rng=np.random.default_rng(config.seed))
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    history = fit(model, optimizer, config.schedule(), train_states.shape[0],
+    model = AeModel(rng=np.random.default_rng(schedule.seed))
+    optimizer = Adam(model.parameters(), lr=learning_rate)
+    history = fit(model, optimizer, schedule, train_states.shape[0],
                   lambda idx: ae_loss_graph(model, train_states[idx]),
                   lambda: ae_loss_graph(model, val_states).item())
     return model, history

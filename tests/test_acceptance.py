@@ -22,7 +22,7 @@ from sepsim.data import (Cohort, N_FEATURES, Outcome, PatientEpisode,
                          export_cohort, generate_synthetic_cohort,
                          prepare_cohorts, split_cohort)
 from sepsim.dynamics import (StateModel, StateModelConfig, one_hot_actions,
-                             sample_next, sequences_from_arrays,
+                             build_training_sequences, sample_next,
                              train_on_sequences, train_state_model)
 from sepsim.env import PatientEnv, RewardSpec, StepResult, shaped_reward
 from sepsim.evaluation import build_trajectory_matrix, normalized_trajectory_mean
@@ -31,8 +31,8 @@ from sepsim.heads import (BinaryHead, HEAD_KINDS, build_head_rows,
 from sepsim.nn import (MixtureParams, Tensor, TrainSchedule, bce_with_logits,
                        check_gradients, gaussian_kl, mdn_loss_graph, mdn_nll,
                        mse)
-from sepsim.vae import (LATENT_DIM, AeModel, VaeModel, VaeTrainConfig,
-                        ae_loss_graph, train_ae, train_vae, vae_loss_graph)
+from sepsim.vae import (LATENT_DIM, AeModel, VaeModel, ae_loss_graph,
+                        train_ae, train_vae, vae_loss_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,9 @@ def test_criterion_02_vae_reconstruction():
     train_states = np.concatenate([ep.states for ep in train_c.episodes])
     val_states = np.concatenate([ep.states for ep in val_c.episodes])
 
-    cfg = VaeTrainConfig(epochs=20, batch_size=64, learning_rate=1e-3,
-                         beta=0.0, seed=0)
-    model, _ = train_vae(train_states, val_states, cfg)
+    schedule = TrainSchedule(max_epochs=20, patience=20, batch_size=64, seed=0)
+    model, _ = train_vae(train_states, val_states, schedule,
+                         learning_rate=1e-3, beta=0.0)
 
     recon_mse = float(np.mean((model.reconstruct(val_states) - val_states) ** 2))
     baseline = float(np.mean((val_states - train_states.mean(axis=0)) ** 2))
@@ -150,7 +150,7 @@ def test_criterion_04_bimodal_mdn_vs_rnn():
     for _ in range(60):
         vals = gen.choice([-1.0, 1.0], size=12)[:, None]
         episodes.append((vals, np.zeros(12, dtype=int)))
-    data = sequences_from_arrays(episodes, window=10)
+    data = build_training_sequences(episodes, window=10)
 
     point, _ = train_on_sequences(
         StateModelConfig(variant="rnn", window=10, rnn_hidden=16, state_dim=1),
@@ -625,12 +625,13 @@ def test_criterion_13_eval_variant_coverage(tmp_path):
     export_cohort(cohort, tmp_path / "cohort.csv")
     train_c, val_c, _ = prepare_cohorts(cohort, 0.8, seed=13)
 
-    vae_cfg = VaeTrainConfig(epochs=2, batch_size=64, learning_rate=1e-3,
-                             beta=0.0, seed=0)
+    vae_schedule = TrainSchedule(max_epochs=2, patience=2, batch_size=64,
+                                 seed=0)
     train_states = np.concatenate([ep.states for ep in train_c.episodes])
     val_states = np.concatenate([ep.states for ep in val_c.episodes])
-    vae, _ = train_vae(train_states, val_states, vae_cfg)
-    ae, _ = train_ae(train_states, val_states, vae_cfg)
+    vae, _ = train_vae(train_states, val_states, vae_schedule,
+                       learning_rate=1e-3, beta=0.0)
+    ae, _ = train_ae(train_states, val_states, vae_schedule, learning_rate=1e-3)
     vae.save(tmp_path / "vae.json")
     ae.save(tmp_path / "ae.json")
 

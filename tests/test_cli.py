@@ -348,6 +348,8 @@ class TestEncoderHash:
     ("eval", {"policy_episodes": 0}, "policy_episodes"),
     ("eval", {"agent_variant": "mdn_rnn"}, "agent_variant"),
     ("eval", {"qnet": "absent.json"}, "qnet"),
+    ("rollout", {"policy": "physician", "episodes": 1000}, "episodes"),
+    ("eval", {"eval_episodes": 1000}, "eval_episodes"),
 ])
 def test_bad_counts_and_agent_settings_fail_before_any_checkpoint_loads(
         tmp_path, data_dir, sim_dir, monkeypatch, capsys, stage, extra, key):

@@ -7,6 +7,7 @@ from sepsim.dynamics import one_hot_actions
 from sepsim.heads import (BinaryHead, HEAD_KINDS, build_head_rows,
                           train_heads)
 from sepsim.nn import TrainSchedule
+from sepsim.vae import AeModel
 
 
 def test_feature_vector_layout(rng):
@@ -83,6 +84,33 @@ def test_build_head_rows_matches_terminal_states():
     np.testing.assert_array_equal(outc.states[0], cohort.episodes[0].states[-1])
     np.testing.assert_array_equal(outc.actions,
                                   [ep.actions[-1] for ep in cohort.episodes])
+
+
+def test_build_head_rows_equal_per_step_rows():
+    """Every column, dtype included, equals a walk over each episode's steps,
+    with and without an encoder, length-1 episodes included."""
+    rng = np.random.default_rng(6)
+    cohort = Cohort(tuple(
+        PatientEpisode(f"p{i}", rng.normal(size=(n, N_FEATURES)),
+                       rng.integers(0, 25, size=n), outcome)
+        for i, (n, outcome) in enumerate([(4, Outcome.DEATH), (1, Outcome.RELEASE),
+                                          (3, Outcome.RELEASE), (1, Outcome.DEATH)])),
+        tuple(f"f_{i}" for i in range(N_FEATURES)))
+    for encoder in (None, AeModel(rng=np.random.default_rng(0))):
+        term, outc = build_head_rows(cohort, encoder)
+        want_term, want_outc = [], []
+        for ep in cohort.episodes:
+            seq = ep.states if encoder is None else encoder.encode_mean(ep.states)
+            last = ep.length - 1
+            for t in range(ep.length):
+                want_term.append((seq[t], ep.actions[t], t, 1.0 if t == last else 0.0))
+            want_outc.append((seq[last], ep.actions[last], last,
+                              1.0 if ep.outcome == Outcome.DEATH else 0.0))
+        for rows, want in ((term, want_term), (outc, want_outc)):
+            got = (rows.states, rows.actions, rows.steps, rows.labels)
+            for column, expected in zip(got, map(np.array, zip(*want))):
+                assert column.dtype == expected.dtype
+                assert column.tobytes() == expected.tobytes()
 
 
 def test_empty_cohort_rejected():

@@ -1,13 +1,13 @@
 """Transition model: windowing, mixture head, sampling, training, variants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepsim.data import (ACTION_COUNT, Cohort, N_FEATURES, Outcome,
                          PatientEpisode)
 from sepsim.dynamics import (HistoryWindow, StateModel, StateModelConfig,
                              VARIANTS, build_training_sequences, one_hot_actions,
-                             sample_next, sequences_from_arrays,
-                             train_on_sequences, windows_from_episode)
+                             sample_next, train_on_sequences)
 from sepsim.nn import MixtureParams, TrainSchedule
 
 
@@ -73,6 +73,52 @@ def test_length_one_episodes_rejected(rng):
         build_training_sequences(cohort, window=3)
 
 
+@settings(deadline=None, max_examples=60)
+@given(window=st.integers(1, 12),
+       lengths=st.lists(st.integers(1, 15), min_size=1, max_size=4),
+       as_cohort=st.booleans(), seed=st.integers(0, 2**16))
+def test_training_windows_equal_history_windows(window, lengths, as_cohort,
+                                                seed):
+    """Row t of an episode is from_history over steps 0..t, its target is
+    step t+1, for the Cohort form and the (states, actions) pair form."""
+    gen = np.random.default_rng(seed)
+    dim = N_FEATURES if as_cohort else 3
+    episodes = [(gen.normal(size=(n, dim)), gen.integers(0, ACTION_COUNT, size=n))
+                for n in lengths]
+    if as_cohort:
+        names = [f"s-{i}" for i in range(len(episodes))]
+        source = Cohort(tuple(PatientEpisode(name, states, actions, Outcome.RELEASE)
+                              for name, (states, actions) in zip(names, episodes)),
+                        tuple(f"f_{i}" for i in range(N_FEATURES)))
+    else:
+        names = [f"ep-{i}" for i in range(len(episodes))]
+        source = episodes
+    if max(lengths) == 1:
+        with pytest.raises(ValueError, match="no transitions"):
+            build_training_sequences(source, window)
+        return
+    data = build_training_sequences(source, window)
+    row = 0
+    for name, (states, actions) in zip(names, episodes):
+        for t in range(len(states) - 1):
+            want = HistoryWindow.from_history(states[:t + 1], actions[:t + 1],
+                                              window)
+            assert data.window_states[row].tobytes() == want.states.tobytes()
+            assert data.window_actions[row].tobytes() == want.actions.tobytes()
+            assert data.targets[row].tobytes() == states[t + 1].tobytes()
+            assert data.subjects[row] == name
+            row += 1
+    assert row == data.n_rows
+
+
+def test_pair_form_checks_actions():
+    states = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        build_training_sequences([(states, np.array([0, ACTION_COUNT, 1]))], 2)
+    with pytest.raises(ValueError, match="differ in length"):
+        build_training_sequences([(states, np.array([0, 1]))], 2)
+
+
 def test_zeroed_head_gives_uniform_unit_mixture(rng):
     config = StateModelConfig(variant="mdn_rnn", window=3, rnn_hidden=8,
                               n_mixtures=4, state_dim=2)
@@ -123,7 +169,7 @@ def test_mdn_beats_point_rnn_on_bimodal_toy(rng):
         states[0] = 0.0  # shared ambiguous start
         actions = np.zeros(8, dtype=int)
         episodes.append((states, actions))
-    data = sequences_from_arrays(episodes, window=3)
+    data = build_training_sequences(episodes, window=3)
 
     point_cfg = StateModelConfig(variant="rnn", window=3, rnn_hidden=8,
                                  state_dim=1)

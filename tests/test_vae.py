@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 from sepsim.data import N_FEATURES
-from sepsim.nn import Tensor
-from sepsim.vae import (AeModel, LATENT_DIM, VaeModel, VaeTrainConfig,
-                        load_encoder, train_ae, train_vae, vae_loss,
-                        vae_loss_graph)
+from sepsim.nn import Tensor, TrainSchedule
+from sepsim.vae import (AeModel, LATENT_DIM, VaeModel, load_encoder, train_ae,
+                        train_vae, vae_loss, vae_loss_graph)
 
 
 def test_latent_width_contract(rng):
@@ -60,7 +59,7 @@ def test_training_beats_mean_baseline(rng):
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     train, val = X[:500], X[500:]
     model, history = train_vae(train, val,
-                               VaeTrainConfig(epochs=4, seed=0))
+                               TrainSchedule(max_epochs=4, patience=4, seed=0))
     recon_mse = float(np.mean((model.reconstruct(val) - val) ** 2))
     baseline = float(np.mean((val - train.mean(axis=0)) ** 2))
     assert recon_mse < baseline
@@ -98,6 +97,25 @@ def test_load_encoder_dispatches_on_kind(tmp_path, rng):
     assert isinstance(load_encoder(path), AeModel)
 
 
+def test_load_encoder_parses_the_checkpoint_once(tmp_path, rng, monkeypatch):
+    from sepsim import checkpoint
+
+    calls = []
+    real = checkpoint.load_checkpoint
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counting)
+    for cls in (VaeModel, AeModel):
+        path = tmp_path / f"{cls.model_kind}.json"
+        cls(rng=rng).save(path)
+        calls.clear()
+        assert isinstance(load_encoder(path), cls)
+        assert calls == [path]
+
+
 def test_vae_loss_rejects_empty(rng):
     model = VaeModel(rng=rng)
     with pytest.raises(ValueError):
@@ -106,9 +124,9 @@ def test_vae_loss_rejects_empty(rng):
 
 def test_train_vae_deterministic(rng):
     X = np.random.default_rng(3).normal(size=(200, N_FEATURES))
-    cfg = VaeTrainConfig(epochs=2, seed=5)
-    m1, h1 = train_vae(X[:160], X[160:], cfg)
-    m2, h2 = train_vae(X[:160], X[160:], cfg)
+    schedule = TrainSchedule(max_epochs=2, patience=2, seed=5)
+    m1, h1 = train_vae(X[:160], X[160:], schedule)
+    m2, h2 = train_vae(X[:160], X[160:], schedule)
     assert h1.val_losses == h2.val_losses
     for k, v in m1.state_arrays().items():
         np.testing.assert_array_equal(v, m2.state_arrays()[k])
