@@ -6,9 +6,7 @@ the simulator variant, so learned policies are directly comparable.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -269,9 +267,8 @@ def policy_histogram(net: QNetwork, env, n_episodes: int) -> PolicyRollouts:
 
 
 def write_reward_curve(episodes: list[EpisodeRecord], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "return", "length", "epsilon"])
-        for rec in episodes:
-            writer.writerow([rec.episode, repr(rec.ret), rec.length,
-                             repr(rec.epsilon)])
+    returns = checkpoint.float_cells([rec.ret for rec in episodes])
+    epsilons = checkpoint.float_cells([rec.epsilon for rec in episodes])
+    checkpoint.write_table(path, ["episode", "return", "length", "epsilon"],
+                           ([rec.episode, ret, rec.length, eps]
+                            for rec, ret, eps in zip(episodes, returns, epsilons)))

@@ -1,14 +1,16 @@
-"""Shared model checkpoint format.
+"""sepsim's on-disk text format.
 
-Every trained model in this package serializes to the same JSON document:
+`float_cells` is the only place a float becomes text: the repr of a Python
+float, which reads back as the same IEEE double, so every checkpoint,
+`stats.json` and CSV reloads exactly and save -> load -> save is
+bit-identical. `write_table` is the only CSV writer. Every trained model
+serializes to the same JSON document:
 
     {format_version, model_kind, hyperparams, tensors: [{name, shape, values}]}
-
-Values are written with repr(float), which round-trips IEEE doubles exactly,
-so save -> load -> save is bit-identical.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -18,22 +20,25 @@ import numpy as np
 FORMAT_VERSION = 1
 
 
+def float_cells(values) -> list[str]:
+    """Text of each value, flattened in C order, as float64 reprs."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).ravel().tolist()))
+
+
+def write_table(path, header, rows) -> None:
+    """Write one CSV file: the header, then the rows as given."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_checkpoint(path, model_kind: str, hyperparams: dict,
                     arrays: dict[str, np.ndarray]) -> None:
-    tensors = []
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        tensors.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "values": [repr(float(v)) for v in arr.ravel()],
-        })
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "model_kind": model_kind,
-        "hyperparams": hyperparams,
-        "tensors": tensors,
-    }
+    tensors = [{"name": name, "shape": list(np.shape(arrays[name])),
+                "values": float_cells(arrays[name])} for name in sorted(arrays)]
+    doc = {"format_version": FORMAT_VERSION, "model_kind": model_kind,
+           "hyperparams": hyperparams, "tensors": tensors}
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
 
 

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -31,18 +30,18 @@ import numpy as np
 
 from .agent import (DqnConfig, QNetwork, policy_histogram, train_agent,
                     write_reward_curve)
-from .checkpoint import file_sha256
+from .checkpoint import file_sha256, float_cells, write_table
 from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
                    export_cohort, generate_synthetic_cohort, load_cohort,
-                   prepare_cohorts, SyntheticDynamicsSpec)
+                   prepare_cohorts, SyntheticDynamicsSpec, write_stats_json)
 from .dynamics import (DEFAULT_WINDOW, StateModel, StateModelConfig, VARIANTS,
                        train_state_model)
 from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
                   replay_physician, rollout)
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
-                         normalized_trajectory_mean, teacher_forced_eval,
-                         trajectory_matrices, write_histograms_csv,
-                         write_ntm_csv, write_series_csv)
+                         normalized_trajectory_mean, ntm_rows, NTM_HEADER,
+                         teacher_forced_eval, trajectory_matrices,
+                         write_histograms_csv, write_ntm_csv, write_series_csv)
 from .heads import BinaryHead, train_heads
 from .nn import TrainSchedule
 from .vae import load_encoder, train_ae, train_vae
@@ -178,6 +177,8 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
     kind = cfg.get("kind", "vae")
     if kind not in ("vae", "ae"):
         raise ConfigError(f"kind must be 'vae' or 'ae', got {kind!r}")
+    if kind == "ae" and "beta" in cfg:
+        raise ConfigError("beta applies to kind 'vae' only; an 'ae' has no KL term")
     data_path, train, val, stats = _prepared(cfg, seed)
     schedule = _schedule(cfg, seed, default_epochs=20)
     learning_rate = float(cfg.get("learning_rate", 1e-3))
@@ -190,7 +191,6 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
     model_path = out / f"{kind}.json"
     model.save(model_path)
     stats_path = out / "stats.json"
-    from .data import write_stats_json
     write_stats_json(stats, train.feature_names, stats_path)
     recon = model.reconstruct(val.all_states())
     mse = float(np.mean((recon - val.all_states()) ** 2))
@@ -326,20 +326,19 @@ def _pool(cfg: dict, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
 def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
     """blocks: iterable of (variant, trajectories) pairs; one row per state,
     each episode's step-0 initial row first."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "episode", "step", "action", "reward",
-                         "done", *feature_names])
+    def rows():
         for variant, trajectories in blocks:
             for ep, traj in enumerate(trajectories):
-                writer.writerow([variant, ep, 0, -1, repr(0.0), 0,
-                                 *(repr(float(v)) for v in traj.initial)])
-                for t in range(traj.n_steps):
-                    writer.writerow([variant, ep, t + 1, int(traj.actions[t]),
-                                     repr(float(traj.rewards[t])),
-                                     int(traj.dones[t]),
-                                     *(repr(float(v))
-                                       for v in traj.observations[t])])
+                width = traj.initial.shape[0]
+                states = float_cells(np.vstack([traj.initial, traj.observations]))
+                rewards = float_cells(np.concatenate(([0.0], traj.rewards)))
+                actions = np.concatenate(([-1], traj.actions)).tolist()
+                dones = np.concatenate(([0], traj.dones)).tolist()
+                for t, row in enumerate(zip(actions, rewards, dones)):
+                    yield [variant, ep, t, *row, *states[t * width:(t + 1) * width]]
+
+    write_table(path, ["variant", "episode", "step", "action", "reward", "done",
+                       *feature_names], rows())
 
 
 def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
@@ -484,7 +483,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
 
     metrics: dict = {}
     outputs: dict = {}
-    ntm_rows: list[tuple] = []
+    ntm_table: list[list] = []
     blocks = []
     # each variant's models are loaded once; every pass over them starts
     # from a fresh env (env.fresh()) so its generator begins at sim.seed
@@ -492,12 +491,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     for entry in variants:
         name = entry["name"]
         checkpoints = {k: v for k, v in entry.items() if k != "name"}
-        sim = _sim_config({"checkpoints": checkpoints, "variant": name,
-                           "temperature": cfg.get("temperature", 1.0),
-                           "reward": cfg.get("reward", {}),
-                           "max_steps": cfg.get("max_steps", 50),
-                           "termination_mode": cfg.get("termination_mode",
-                                                       "bernoulli")},
+        sim = _sim_config({**cfg, "variant": name, "checkpoints": checkpoints},
                           seed)
         inputs.update({f"{name}.{k}": Path(v) for k, v in checkpoints.items()})
         env = _build_env(sim, eval_cohort.initial_states(), stats)
@@ -524,9 +518,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         real_m, sim_m = trajectory_matrices(real_trajs, sim_trajs)
         ntm = normalized_trajectory_mean(real_m, sim_m, mode=ntm_mode)
         metrics[f"ntm_gap_{name}"] = ntm.mean_gap
-        for i, fname in enumerate(train.feature_names):
-            ntm_rows.append((name, fname, ntm.real_ntm[i], ntm.sim_ntm[i],
-                             ntm.gaps[i], int(ntm.degenerate[i])))
+        ntm_table += ([name, *row] for row in ntm_rows(ntm, train.feature_names))
         cl_path = out / f"closed_loop_{name}.csv"
         write_series_csv(cl_path, name, train.feature_names,
                          real_trajs[:plot_episodes], sim_trajs[:plot_episodes])
@@ -541,13 +533,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     outputs["trajectories.csv"] = traj_path
 
     ntm_path = out / "ntm.csv"
-    with ntm_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "feature", "real_ntm", "sim_ntm",
-                         "abs_gap", "degenerate"])
-        for variant, fname, real, simv, gap, degen in ntm_rows:
-            writer.writerow([variant, fname, repr(float(real)),
-                             repr(float(simv)), repr(float(gap)), degen])
+    write_table(ntm_path, ["variant", *NTM_HEADER], ntm_table)
     outputs["ntm.csv"] = ntm_path
 
     if net is not None:

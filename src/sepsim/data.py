@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-logger = logging.getLogger(__name__)
+from .checkpoint import float_cells, write_table
 
 N_FEATURES = 46
 N_DOSE_BINS = 5
@@ -129,10 +128,6 @@ class Cohort:
     def n_episodes(self) -> int:
         return len(self.episodes)
 
-    @property
-    def max_length(self) -> int:
-        return max(ep.length for ep in self.episodes)
-
     def all_states(self) -> np.ndarray:
         return np.concatenate([ep.states for ep in self.episodes], axis=0)
 
@@ -233,11 +228,7 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
             groups.setdefault(sid, []).append((step, feats, action, terminal, outcome))
 
     episodes = []
-    skipped = 0
     for sid, rows in groups.items():
-        if not rows:
-            skipped += 1
-            continue
         rows.sort(key=lambda r: r[0])
         steps = [r[0] for r in rows]
         if len(set(steps)) != len(steps):
@@ -256,40 +247,27 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
             actions=np.array([r[2] for r in rows]),
             outcome=Outcome(outcomes[-1]),
         ))
-    if skipped:
-        logger.warning("skipped %d subject(s) with zero rows", skipped)
     return Cohort(tuple(episodes), feature_cols)
 
 
 def export_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort back to CSV; floats use repr so a reload is exact."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "step", *cohort.feature_names,
-                         "action", "terminal", "outcome"])
+    """Write a cohort back to CSV; a reload is exact (see `float_cells`)."""
+    def rows():
         for ep in cohort.episodes:
+            cells = float_cells(ep.states)
             last = ep.length - 1
-            for t in range(ep.length):
-                terminal = 1 if t == last else 0
-                outcome = str(int(ep.outcome)) if t == last else ""
-                writer.writerow([ep.subject_id, t,
-                                 *(repr(float(v)) for v in ep.states[t]),
-                                 int(ep.actions[t]), terminal, outcome])
+            for t, action in enumerate(ep.actions.tolist()):
+                yield [ep.subject_id, t, *cells[t * N_FEATURES:(t + 1) * N_FEATURES],
+                       action, int(t == last), str(int(ep.outcome)) if t == last else ""]
+
+    write_table(path, ["subject_id", "step", *cohort.feature_names, "action",
+                       "terminal", "outcome"], rows())
 
 
 def write_stats_json(stats: NormalizationStats, feature_names, path) -> None:
     payload = {"feature_names": list(feature_names),
-               "mean": [repr(float(v)) for v in stats.mean],
-               "std": [repr(float(v)) for v in stats.std]}
+               "mean": float_cells(stats.mean), "std": float_cells(stats.std)}
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def read_stats_json(path) -> tuple[tuple[str, ...], NormalizationStats]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    stats = NormalizationStats(np.array([float(v) for v in payload["mean"]]),
-                               np.array([float(v) for v in payload["std"]]))
-    return tuple(payload["feature_names"]), stats
 
 
 # ---- normalization and splitting --------------------------------------------

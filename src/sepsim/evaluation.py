@@ -4,14 +4,13 @@ policy-distribution comparisons between recorded and learned behavior.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import float_cells, write_table
 from .data import (ACTION_COUNT, Cohort, NormalizationStats, Outcome,
                    PatientEpisode, action_intensity)
 from .dynamics import StateModel, build_training_sequences, sample_next
@@ -295,18 +294,22 @@ def compare_policy_distributions(physician: Cohort, agent_rollouts,
                             _collapsed(action_real), _collapsed(action_sim))
 
 
-def write_ntm_csv(report: NtmReport, feature_names: Sequence[str], path) -> None:
+NTM_HEADER = ("feature", "real_ntm", "sim_ntm", "abs_gap", "degenerate")
+
+
+def ntm_rows(report: NtmReport, feature_names: Sequence[str]) -> list[list]:
+    """One NTM_HEADER row per feature."""
     if len(feature_names) != report.n_features:
         raise ValueError("feature name count mismatch")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "real_ntm", "sim_ntm", "abs_gap",
-                         "degenerate"])
-        for i, name in enumerate(feature_names):
-            writer.writerow([name, repr(float(report.real_ntm[i])),
-                             repr(float(report.sim_ntm[i])),
-                             repr(float(report.gaps[i])),
-                             int(report.degenerate[i])])
+    cells = float_cells(np.column_stack([report.real_ntm, report.sim_ntm,
+                                         report.gaps]))
+    return [[name, *cells[3 * i:3 * i + 3], int(degenerate)]
+            for i, (name, degenerate) in enumerate(zip(feature_names,
+                                                       report.degenerate))]
+
+
+def write_ntm_csv(report: NtmReport, feature_names: Sequence[str], path) -> None:
+    write_table(path, NTM_HEADER, ntm_rows(report, feature_names))
 
 
 def write_series_csv(path, variant: str, feature_names: Sequence[str],
@@ -319,32 +322,28 @@ def write_series_csv(path, variant: str, feature_names: Sequence[str],
     """
     if len(real_rows) != len(sim_rows):
         raise ValueError("real and simulated episode counts differ")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "episode", "feature", "t", "real", "sim"])
+
+    def rows():
         for ep, (real, sim) in enumerate(zip(real_rows, sim_rows)):
-            real = np.asarray(real)
-            sim = np.asarray(sim)
-            steps = min(real.shape[0], sim.shape[0])
+            steps = min(len(real), len(sim))
+            # feature-major, as the rows run
+            reals = float_cells(np.asarray(real)[:steps].T)
+            sims = float_cells(np.asarray(sim)[:steps].T)
             for f, name in enumerate(feature_names):
                 for t in range(steps):
-                    writer.writerow([variant, ep, name, t,
-                                     repr(float(real[t, f])),
-                                     repr(float(sim[t, f]))])
+                    yield [variant, ep, name, t, reals[f * steps + t],
+                           sims[f * steps + t]]
+
+    write_table(path, ["variant", "episode", "feature", "t", "real", "sim"], rows())
 
 
 def write_histograms_csv(comparison: PolicyComparison, path) -> None:
     """All three histogram families in one long-form CSV."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "bin", "real", "sim"])
-        for code in range(ACTION_COUNT):
-            writer.writerow(["action", code,
-                             int(comparison.action_counts_real[code]),
-                             int(comparison.action_counts_sim[code])])
-        for pair, family in ((comparison.lengths, "length"),
-                             (comparison.returns, "return")):
-            for b in range(pair.real_counts.shape[0]):
-                label = repr(float(pair.edges[b]))
-                writer.writerow([family, label, int(pair.real_counts[b]),
-                                 int(pair.sim_counts[b])])
+    rows = [["action", code, int(real), int(sim)] for code, (real, sim)
+            in enumerate(zip(comparison.action_counts_real,
+                             comparison.action_counts_sim))]
+    for pair, family in ((comparison.lengths, "length"),
+                         (comparison.returns, "return")):
+        rows += ([family, label, int(real), int(sim)] for label, real, sim
+                 in zip(float_cells(pair.edges), pair.real_counts, pair.sim_counts))
+    write_table(path, ["family", "bin", "real", "sim"], rows)

@@ -50,10 +50,6 @@ class History:
     stopped_early: bool = False
 
     @property
-    def train_losses(self) -> list[float]:
-        return [r.train_loss for r in self.records]
-
-    @property
     def val_losses(self) -> list[float]:
         return [r.val_loss for r in self.records]
 

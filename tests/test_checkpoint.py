@@ -1,11 +1,44 @@
-"""Checkpoint files: exact float round trips, stable layout, hashing."""
+"""Checkpoint files and the text format: exact float round trips, stable
+layout, hashing."""
 import json
 
 import numpy as np
 import pytest
 
-from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, load_checkpoint,
-                               save_checkpoint)
+from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, float_cells,
+                               load_checkpoint, save_checkpoint, write_table)
+
+# floats whose text is easy to get wrong; numpy 2 reprs an np.float64 as
+# "np.float64(0.1)", which float() cannot read
+AWKWARD = [0.1, 1 / 3, -0.0, 5e-324, 1e300, float("nan"), float("inf"),
+           float("-inf")]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("form", [float, np.float64], ids=["float", "np.float64"])
+@pytest.mark.parametrize("value", AWKWARD, ids=repr)
+def test_float_cells_scalar(form, value):
+    cells = float_cells(form(value))
+    assert cells == [repr(float(value))]
+    assert _bits(float(cells[0])) == _bits(value)
+
+
+def test_float_cells_flattens_in_c_order():
+    grid = np.array(AWKWARD).reshape(2, 4)
+    for arr in (grid, grid.T, np.asfortranarray(grid)):
+        cells = float_cells(arr)
+        assert cells == [repr(float(v)) for row in arr for v in row]
+        back = np.array([float(c) for c in cells]).reshape(arr.shape)
+        np.testing.assert_array_equal(_bits(back), _bits(arr))
+
+
+def test_write_table_keeps_csv_defaults(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], iter([["x,y", 1], ['q"', ""]]))
+    assert path.read_bytes() == b'a,b\r\n"x,y",1\r\n"q""",\r\n'
 
 
 def test_round_trip_bit_exact(tmp_path, rng):

@@ -1,4 +1,5 @@
 """CLI: exit codes, determinism, manifests, config overrides."""
+import csv
 import hashlib
 import json
 import subprocess
@@ -138,6 +139,22 @@ class TestTrainingStages:
         assert metrics["n_epochs"] >= 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert "data" in manifest["inputs"]
+
+    def test_beta_with_kind_ae_is_config_error(self, tmp_path, data_dir,
+                                               monkeypatch, capsys):
+        from sepsim import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_ae", refuse)
+        cfg = self._cfg(tmp_path, data_dir, {"train_vae": {"epochs": 1}})
+        out = tmp_path / "ae"
+        code = main(["train-vae", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0", "--set", "kind=ae", "--set", "beta=0.5"])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not (out / "ae.json").exists()
 
     def test_train_state_stage_plain_rnn(self, tmp_path, data_dir):
         cfg = self._cfg(tmp_path, data_dir,
@@ -384,3 +401,141 @@ def test_non_finite_metric_is_refused(tmp_path, monkeypatch, capsys, value):
     assert code == 1
     assert "['gap']" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+# ---- every float a writer emits reads back as the same double
+
+def _awkward(rng, *shape):
+    """Normal draws scaled by 1e-300..1e300, led by floats whose text is
+    easy to get wrong."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = values.reshape(-1)
+    specials = [0.1, 1 / 3, -0.0, 5e-324, -1e300][:flat.size]
+    flat[:len(specials)] = specials
+    return values
+
+
+def _data_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _trajectories_csv(tmp_path, rng, request):
+    from sepsim.cli import _write_trajectories_csv
+    from sepsim.env import ReplayTrajectory
+
+    trajs = [ReplayTrajectory(_awkward(rng, 3), np.arange(n, dtype=np.int64),
+                              _awkward(rng, n, 3), _awkward(rng, n),
+                              np.arange(n) == n - 1, ({},) * n)
+             for n in (4, 0, 2)]
+    path = tmp_path / "trajectories.csv"
+    _write_trajectories_csv(path, ["a", "b", "c"], [("rnn", trajs[:2]),
+                                                    ("mdn_rnn", trajs[2:])])
+    expected = []
+    for traj in trajs:
+        expected += [0.0, *traj.initial]
+        for reward, obs in zip(traj.rewards, traj.observations):
+            expected += [reward, *obs]
+    return [c for row in _data_rows(path) for c in (row[4], *row[6:])], expected
+
+
+def _ntm_csv(tmp_path, rng, request):
+    from sepsim.evaluation import NtmReport, write_ntm_csv
+
+    report = NtmReport(np.array([0.5, np.nan, 1 / 3]), _awkward(rng, 3),
+                       _awkward(rng, 3), np.array([False, True, False]),
+                       "sumsq")
+    path = tmp_path / "ntm.csv"
+    write_ntm_csv(report, ["x", "y", "z"], path)
+    expected = [v for row in zip(report.real_ntm, report.sim_ntm, report.gaps)
+                for v in row]
+    return [c for row in _data_rows(path) for c in row[1:4]], expected
+
+
+def _eval_ntm_csv(tmp_path, rng, request):
+    from sepsim import cli
+    from sepsim.evaluation import NtmReport
+
+    sim_dir, data_dir = (request.getfixturevalue(name)
+                         for name in ("sim_dir", "data_dir"))
+    reports = []
+
+    def awkward_ntm(real_m, sim_m, mode):
+        n = real_m.values.shape[2]
+        reports.append(NtmReport(_awkward(rng, n), _awkward(rng, n),
+                                 np.abs(_awkward(rng, n)),
+                                 np.zeros(n, dtype=bool), mode))
+        return reports[-1]
+
+    request.getfixturevalue("monkeypatch").setattr(
+        cli, "normalized_trajectory_mean", awkward_ntm)
+    variants = [{"name": v, **_checkpoints(sim_dir, v)}
+                for v in ("rnn", "mdn_rnn")]
+    cfg = _eval_cfg(tmp_path, data_dir, variants)
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0"]) == 0
+    expected = [v for r in reports
+                for row in zip(r.real_ntm, r.sim_ntm, r.gaps) for v in row]
+    rows = _data_rows(tmp_path / "out" / "ntm.csv")
+    return [c for row in rows for c in row[2:5]], expected
+
+
+def _series_csv(tmp_path, rng, request):
+    from sepsim.evaluation import write_series_csv
+
+    real_rows = [_awkward(rng, 4, 2), _awkward(rng, 2, 2)]
+    sim_rows = [_awkward(rng, 3, 2), _awkward(rng, 5, 2)]
+    path = tmp_path / "series.csv"
+    write_series_csv(path, "rnn", ["a", "b"], real_rows, sim_rows)
+    expected = [v for real, sim in zip(real_rows, sim_rows) for f in range(2)
+                for t in range(min(len(real), len(sim)))
+                for v in (real[t, f], sim[t, f])]
+    return [c for row in _data_rows(path) for c in row[4:6]], expected
+
+
+def _histograms_csv(tmp_path, rng, request):
+    from sepsim.evaluation import (HistogramPair, PolicyComparison,
+                                   write_histograms_csv)
+
+    pairs = [HistogramPair(_awkward(rng, n + 1), rng.integers(0, 9, n),
+                           rng.integers(0, 9, n)) for n in (3, 4)]
+    comparison = PolicyComparison(rng.integers(0, 9, 25), rng.integers(0, 9, 25),
+                                  *pairs, False, False)
+    path = tmp_path / "histograms.csv"
+    write_histograms_csv(comparison, path)
+    expected = [*pairs[0].edges[:3], *pairs[1].edges[:4]]
+    return [row[1] for row in _data_rows(path) if row[0] != "action"], expected
+
+
+def _reward_curve_csv(tmp_path, rng, request):
+    from sepsim.agent import EpisodeRecord, write_reward_curve
+
+    episodes = [EpisodeRecord(i, float(ret), 3, float(eps)) for i, (ret, eps)
+                in enumerate(zip(_awkward(rng, 6), rng.random(6)))]
+    path = tmp_path / "reward_curve.csv"
+    write_reward_curve(episodes, path)
+    expected = [v for e in episodes for v in (e.ret, e.epsilon)]
+    return [c for row in _data_rows(path) for c in (row[1], row[3])], expected
+
+
+def _stats_json(tmp_path, rng, request):
+    from sepsim.data import N_FEATURES, NormalizationStats, write_stats_json
+
+    stats = NormalizationStats(_awkward(rng, N_FEATURES),
+                               np.arange(1, N_FEATURES + 1) / 3)
+    path = tmp_path / "stats.json"
+    write_stats_json(stats, [f"f{i}" for i in range(N_FEATURES)], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return doc["mean"] + doc["std"], [*stats.mean, *stats.std]
+
+
+@pytest.mark.parametrize("case", [_trajectories_csv, _ntm_csv, _eval_ntm_csv,
+                                  _series_csv, _histograms_csv,
+                                  _reward_curve_csv, _stats_json],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_written_floats_read_back_bit_equal(tmp_path, request, case):
+    cells, expected = case(tmp_path, np.random.default_rng(0), request)
+    assert len(cells) == len(expected) > 0
+    back = np.array([float(c) for c in cells])
+    np.testing.assert_array_equal(back.view(np.uint64),
+                                  np.array(expected, dtype=np.float64).view(np.uint64))
