@@ -1,4 +1,4 @@
-"""sepsim's on-disk text format.
+"""sepsim's on-disk formats.
 
 `float_cells` is the only place a float becomes text: the repr of a Python
 float, which reads back as the same IEEE double, so every checkpoint,
@@ -7,17 +7,31 @@ bit-identical. `write_table` is the only CSV writer. Every trained model
 serializes to the same JSON document:
 
     {format_version, model_kind, hyperparams, tensors: [{name, shape, values}]}
+
+Text is slow to parse, so `load_parsed` parses each file once: it keeps a
+binary sidecar `.<name>.sepsim-cache.npz` next to the file, keyed by the
+sha256 of the file's bytes, `SIDECAR_VERSION` and the loader's settings.
+`load_checkpoint` and `data.load_cohort` read through it. A sidecar is plain
+arrays, read with `allow_pickle=False`; one that cannot be read or has
+another key is parsed around and replaced, and one that cannot be written is
+skipped, so sidecars are always safe to delete.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 FORMAT_VERSION = 1
+# bump when a loader changes what it keeps in its sidecar
+SIDECAR_VERSION = 1
 
 
 def float_cells(values) -> list[str]:
@@ -44,18 +58,91 @@ def save_checkpoint(path, model_kind: str, hyperparams: dict,
 
 def load_checkpoint(path, expect_kind: str | None = None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    meta, arrays = load_parsed(path, lambda data: _parse_checkpoint(data, expect_kind),
+                               ["load_checkpoint"])
+    # a parse checks the kind before the tensors; a sidecar hit checks it here
+    _check_kind(meta["kind"], expect_kind)
+    return meta["kind"], meta["hyperparams"], dict(zip(meta["names"], arrays))
+
+
+def _check_kind(kind, expect_kind: str | None) -> None:
+    if expect_kind is not None and kind != expect_kind:
+        raise ValueError(f"checkpoint holds a {kind!r} model, expected {expect_kind!r}")
+
+
+def _parse_checkpoint(data: bytes, expect_kind: str | None) -> tuple[dict, list]:
+    # decoded as Path.read_text decodes it, newline translation included
+    doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     kind = doc["model_kind"]
-    if expect_kind is not None and kind != expect_kind:
-        raise ValueError(f"checkpoint holds a {kind!r} model, expected {expect_kind!r}")
-    arrays = {}
+    _check_kind(kind, expect_kind)
+    names, arrays = [], []
     for entry in doc["tensors"]:
         values = np.array([float(v) for v in entry["values"]], dtype=np.float64)
-        arrays[entry["name"]] = values.reshape(entry["shape"])
-    return kind, doc["hyperparams"], arrays
+        arrays.append(values.reshape(entry["shape"]))
+        names.append(entry["name"])
+    return {"kind": kind, "hyperparams": doc["hyperparams"], "names": names}, arrays
+
+
+# ---- parse once: binary sidecars -------------------------------------------
+
+
+def sidecar_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(f".{path.name}.sepsim-cache.npz")
+
+
+def load_parsed(path, parse, loader) -> tuple[object, list[np.ndarray]]:
+    """parse(data) of the bytes of the file at `path`, read from its sidecar
+    when the sidecar's key matches, else parsed and written to the sidecar.
+
+    parse returns (meta, arrays): a JSON value and a list of numeric arrays.
+    `loader` is a JSON value naming the loader and every setting that changes
+    what parse returns. Either way meta comes back through one JSON round
+    trip, so a hit returns exactly what a parse returns.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    key = json.dumps([SIDECAR_VERSION, loader, hashlib.sha256(data).hexdigest()])
+    sidecar = sidecar_path(path)
+    found = _read_sidecar(sidecar, key)
+    if found is not None:
+        return found
+    meta, arrays = parse(data)
+    text = json.dumps(meta)
+    _write_sidecar(sidecar, {"key": np.array(key), "meta": np.array(text),
+                             **{f"a{i}": a for i, a in enumerate(arrays)}})
+    return json.loads(text), arrays
+
+
+def _read_sidecar(sidecar: Path, key: str) -> tuple[object, list] | None:
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            if npz["key"].item() != key:
+                return None
+            arrays = [npz[f"a{i}"] for i in range(len(npz.files) - 2)]
+            return json.loads(npz["meta"].item()), arrays
+    except Exception:  # noqa: BLE001 - whatever is wrong with it, parse instead
+        return None
+
+
+def _write_sidecar(sidecar: Path, entries: dict[str, np.ndarray]) -> None:
+    """Write an .npz through a temporary file and os.replace. Members carry
+    zip's fixed 1980 timestamp, so the same entries give the same bytes."""
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, value in entries.items():
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                             force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, np.asarray(value),
+                                              allow_pickle=False)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def file_sha256(path) -> str:

@@ -571,6 +571,30 @@ def _stage_ntm(cfg: dict, out: Path, seed: int) -> StageResult:
                        {"ntm.csv": path})
 
 
+# The section keys each stage reads; run_stage refuses any other key, so a
+# misspelt key is an error instead of a silent default. eval sets each
+# variant's `variant` and `checkpoints` itself, so it takes neither.
+_SPLIT = {"data", "split_fraction"}
+_SCHEDULE = {"epochs", "patience", "batch_size", "learning_rate"}
+_SIM = {"temperature", "reward", "max_steps", "termination_mode"}
+_STAGE_KEYS = {
+    "synth-data": {"episodes", "generator"},
+    "train-vae": _SPLIT | _SCHEDULE | {"kind", "beta"},
+    "train-state": _SPLIT | _SCHEDULE | {"variant", "encoder", "window",
+                                         "rnn_hidden", "n_mixtures",
+                                         "val_fraction"},
+    "train-heads": _SPLIT | _SCHEDULE | {"encoder", "step_norm", "val_fraction",
+                                         "suffix"},
+    "rollout": _SPLIT | _SIM | {"variant", "checkpoints", "pool_split",
+                                "policy", "episodes"},
+    "train-agent": _SPLIT | _SIM | {"variant", "checkpoints", "pool_split",
+                                    "dqn"},
+    "eval": _SPLIT | _SIM | {"variants", "eval_episodes", "plot_episodes",
+                             "ntm_mode", "qnet", "agent_variant",
+                             "policy_episodes"},
+    "ntm": {"real", "sim", "ntm_mode"},
+}
+
 _STAGE_FUNCS = {"synth-data": _stage_synth_data,
                 "train-vae": _stage_train_vae,
                 "train-state": _stage_train_state,
@@ -603,6 +627,9 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
               overrides: list[str] | None = None) -> dict:
     """Run one stage; returns its metrics. Raises ConfigError on bad input."""
     cfg = _section(config, stage.replace("-", "_"), overrides)
+    unknown = sorted(set(cfg) - _STAGE_KEYS[stage])
+    if unknown:
+        raise ConfigError(f"unknown config keys for {stage}: {', '.join(unknown)}")
     out.mkdir(parents=True, exist_ok=True)
     result = _STAGE_FUNCS[stage](cfg, out, seed)
     bad = [k for k, v in result.metrics.items()

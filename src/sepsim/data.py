@@ -5,20 +5,23 @@ An episode is one patient stay: a sequence of 46-feature state vectors, one
 discrete action (0..24) per step, a single terminal step at the end, and a
 Death/Release outcome. Cohorts loaded from CSV are raw; normalization is a
 separate, explicit stage so that statistics can be computed from the training
-split alone.
+split alone. `load_cohort` parses a CSV file once: later loads of the same
+bytes under the same `CsvSchema` read the cohort back from the file's binary
+sidecar (see `checkpoint.load_parsed`).
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .checkpoint import float_cells, write_table
+from .checkpoint import float_cells, load_parsed, write_table
 
 N_FEATURES = 46
 N_DOSE_BINS = 5
@@ -172,11 +175,36 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
 
     Episodes are grouped by subject id (first-appearance order) and sorted by
     step within each subject. Every episode must end with exactly one terminal
-    row carrying the outcome.
+    row carrying the outcome. Each episode owns its arrays.
     """
     schema = schema or CsvSchema()
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    meta, (states, actions, lengths, outcomes) = load_parsed(
+        path, lambda data: _cohort_arrays(_parse_cohort(data, schema)),
+        ["load_cohort", asdict(schema)])
+    bounds = np.cumsum(lengths)[:-1]
+    episodes = (PatientEpisode(sid, s.copy(), a.copy(), outcome)
+                for sid, s, a, outcome in zip(meta["subject_ids"],
+                                              np.split(states, bounds),
+                                              np.split(actions, bounds),
+                                              outcomes.tolist()))
+    return Cohort(tuple(episodes), meta["feature_names"])
+
+
+def _cohort_arrays(cohort: Cohort) -> tuple[dict, list[np.ndarray]]:
+    """A cohort as plain arrays: all states stacked, all actions joined,
+    each episode's length and outcome; the names go in the JSON part."""
+    eps = cohort.episodes
+    meta = {"subject_ids": [ep.subject_id for ep in eps],
+            "feature_names": list(cohort.feature_names)}
+    return meta, [np.vstack([np.empty((0, N_FEATURES)), *(ep.states for ep in eps)]),
+                  np.concatenate([np.empty(0, np.int64), *(ep.actions for ep in eps)]),
+                  np.array([ep.length for ep in eps], dtype=np.int64),
+                  np.array([int(ep.outcome) for ep in eps], dtype=np.int64)]
+
+
+def _parse_cohort(data: bytes, schema: CsvSchema) -> Cohort:
+    # decoded as open(newline="", encoding="utf-8") decodes the file
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         claimed = {schema.subject_id, schema.step, schema.action,

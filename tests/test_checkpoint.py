@@ -1,12 +1,14 @@
 """Checkpoint files and the text format: exact float round trips, stable
-layout, hashing."""
+layout, hashing, and the binary sidecar that spares a second parse."""
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, float_cells,
-                               load_checkpoint, save_checkpoint, write_table)
+                               load_checkpoint, save_checkpoint, sidecar_path,
+                               write_table)
 
 # floats whose text is easy to get wrong; numpy 2 reprs an np.float64 as
 # "np.float64(0.1)", which float() cannot read
@@ -97,3 +99,188 @@ def test_shape_mismatch_detected(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# ---- parse once: the binary sidecar ------------------------------------------
+
+def _models():
+    """One checkpoint writer per model the pipeline saves."""
+    from sepsim.agent import QNetwork
+    from sepsim.dynamics import VARIANTS, StateModel, StateModelConfig
+    from sepsim.heads import HEAD_KINDS, BinaryHead
+    from sepsim.vae import AeModel, VaeModel
+
+    def state(variant):
+        config = StateModelConfig(variant=variant, window=3, rnn_hidden=8,
+                                  n_mixtures=3)
+        sha = None if variant in ("rnn", "mdn_rnn") else "ab" * 32
+        return lambda path: StateModel(config, np.random.default_rng(2)).save(
+            path, encoder_sha256=sha)
+
+    models = {f"state_{v}": state(v) for v in VARIANTS}
+    for kind in HEAD_KINDS:
+        models[kind] = lambda path, kind=kind: BinaryHead(
+            kind, state_dim=7, rng=np.random.default_rng(3)).save(path)
+    models["vae"] = lambda path: VaeModel(beta=0.3, rng=np.random.default_rng(0)).save(path)
+    models["ae"] = lambda path: AeModel(rng=np.random.default_rng(1)).save(path)
+    models["qnet"] = lambda path: QNetwork(rng=np.random.default_rng(4)).save(path)
+    return models
+
+
+def _assert_same_load(a, b):
+    """Two load_checkpoint results hold the same kind, hyperparams, names,
+    shapes and float64 bits."""
+    assert a[0] == b[0] and a[1] == b[1]
+    assert list(a[2]) == list(b[2])
+    for name in a[2]:
+        assert a[2][name].dtype == b[2][name].dtype == np.float64
+        assert a[2][name].shape == b[2][name].shape
+        np.testing.assert_array_equal(a[2][name].view(np.int64),
+                                      b[2][name].view(np.int64))
+
+
+def _refuse_parse(monkeypatch):
+    from sepsim import checkpoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed although the sidecar matches")
+
+    monkeypatch.setattr(checkpoint, "_parse_checkpoint", refuse)
+
+
+@pytest.mark.parametrize("model", list(_models()))
+def test_sidecar_hit_equals_parse(tmp_path, monkeypatch, model):
+    path = tmp_path / f"{model}.json"
+    _models()[model](path)
+    assert not sidecar_path(path).exists()
+    parsed = load_checkpoint(path)
+    assert sidecar_path(path).is_file()
+    assert sidecar_path(path).name == f".{model}.json.sepsim-cache.npz"
+    _refuse_parse(monkeypatch)
+    _assert_same_load(load_checkpoint(path), parsed)
+
+
+def test_sidecar_hit_keeps_awkward_floats(tmp_path, monkeypatch):
+    arrays = {"w": np.array(AWKWARD).reshape(2, 4), "s": np.array(2.5),
+              "e": np.zeros((0, 3))}
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", {"x": [1, 0.1, None, "y"]}, arrays)
+    parsed = load_checkpoint(path)
+    _refuse_parse(monkeypatch)
+    hit = load_checkpoint(path)
+    _assert_same_load(hit, parsed)
+    assert hit[2]["s"].shape == () and hit[2]["e"].shape == (0, 3)
+    assert hit[1] == {"x": [1, 0.1, None, "y"]}
+
+
+def test_sidecar_is_deterministic(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        save_checkpoint(path, "demo", {"k": 1}, {"w": np.arange(6.0).reshape(2, 3)})
+        load_checkpoint(path)
+    a, b = (sidecar_path(p).read_bytes() for p in paths)
+    assert a == b
+    # no member carries the time of writing
+    with zipfile.ZipFile(sidecar_path(paths[0])) as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+def _fresh_parse(path):
+    """What load_checkpoint returns with no sidecar to read."""
+    sidecar_path(path).unlink(missing_ok=True)
+    result = load_checkpoint(path)
+    sidecar_path(path).unlink()
+    return result
+
+
+def _one_byte_edit(path):
+    text = path.read_text(encoding="utf-8")
+    at = text.index('"values": [') + len('"values": [')
+    at = text.index(".", at) + 1              # first fraction digit
+    digit = "1" if text[at] != "1" else "2"
+    path.write_text(text[:at] + digit + text[at + 1:], encoding="utf-8")
+
+
+def _truncate(path):
+    sidecar = sidecar_path(path)
+    sidecar.write_bytes(sidecar.read_bytes()[:200])
+
+
+def _garbage(path):
+    sidecar_path(path).write_bytes(b"PK\x03\x04 not a zip at all" * 10)
+
+
+def _wrong_key(path):
+    other = path.with_name("other.json")
+    save_checkpoint(other, "demo", {}, {"w": np.ones(3)})
+    load_checkpoint(other)
+    sidecar_path(other).replace(sidecar_path(path))
+
+
+def _object_array(path):
+    sidecar = sidecar_path(path)
+    with np.load(sidecar) as npz:
+        entries = dict(npz)
+    entries["a0"] = np.array([{"x": 1}, None], dtype=object)
+    with sidecar.open("wb") as fh:
+        np.savez(fh, **entries)
+
+
+def _pickle_file(path):
+    import pickle  # the sidecar reader must refuse this
+
+    sidecar_path(path).write_bytes(pickle.dumps({"key": "x"}))
+
+
+@pytest.mark.parametrize("spoil", [_one_byte_edit, _truncate, _garbage,
+                                   _wrong_key, _object_array, _pickle_file],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_spoilt_sidecar_falls_back_to_parsing(tmp_path, monkeypatch, spoil):
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", {"k": 1},
+                    {"w": np.random.default_rng(0).normal(size=(3, 4))})
+    load_checkpoint(path)
+    spoil(path)
+    expected = load_checkpoint(path)          # parses, no exception
+    _assert_same_load(expected, _fresh_parse(path))
+    load_checkpoint(path)                     # writes a good sidecar again
+    _refuse_parse(monkeypatch)
+    _assert_same_load(load_checkpoint(path), expected)
+
+
+def test_failed_sidecar_write_still_returns_the_parse(tmp_path, monkeypatch):
+    import os
+
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", {}, {"w": np.arange(4.0)})
+
+    def fail(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(os, "replace", fail)
+    result = load_checkpoint(path)
+    np.testing.assert_array_equal(result[2]["w"], np.arange(4.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_failed_parse_raises_the_same_error_and_leaves_no_sidecar(tmp_path):
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", {}, {"w": np.zeros(1)})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["format_version"] = FORMAT_VERSION + 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported checkpoint format_version 2"):
+        load_checkpoint(path)
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        load_checkpoint(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_kind_is_checked_on_a_hit(tmp_path):
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "vae", {}, {"w": np.zeros(2)})
+    load_checkpoint(path)
+    assert sidecar_path(path).is_file()
+    with pytest.raises(ValueError, match="holds a 'vae' model, expected 'qnet'"):
+        load_checkpoint(path, expect_kind="qnet")

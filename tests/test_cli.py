@@ -189,8 +189,9 @@ class TestTrainingStages:
 def test_patience_zero_is_config_error(tmp_path, data_dir, capsys, stage,
                                        section):
     cfg = tmp_path / "cfg.json"
+    extra = {"variant": "rnn"} if stage == "train-state" else {}
     cfg.write_text(json.dumps({section: {"data": str(data_dir / "cohort.csv"),
-                                         "epochs": 1, "variant": "rnn"}}))
+                                         "epochs": 1, **extra}}))
     code = main([stage, "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--seed", "0", "--set", "patience=0"])
     assert code == 2
@@ -205,7 +206,8 @@ def sim_dir(tmp_path_factory, data_dir):
     data = str(data_dir / "cohort.csv")
     small = {"data": data, "epochs": 1, "window": 3, "rnn_hidden": 8,
              "n_mixtures": 2}
-    cfg.write_text(json.dumps({"train_state": small, "train_heads": small}))
+    cfg.write_text(json.dumps({"train_state": small,
+                               "train_heads": {"data": data, "epochs": 1}}))
     for variant in ("rnn", "mdn_rnn"):
         assert main(["train-state", "--config", str(cfg), "--out", str(out),
                      "--seed", "0", "--set", f"variant={variant}"]) == 0
@@ -291,10 +293,11 @@ def latent_dir(tmp_path_factory, data_dir):
         cfg.write_text(json.dumps({"train_vae": {"data": data, "epochs": 1}}))
         assert main(["train-vae", "--config", str(cfg),
                      "--out", str(out / f"vae{seed}"), "--seed", seed]) == 0
-    small = {"data": data, "epochs": 1, "window": 3, "rnn_hidden": 8,
-             "variant": "vae_rnn", "encoder": str(out / "vae0" / "vae.json")}
+    heads = {"data": data, "epochs": 1,
+             "encoder": str(out / "vae0" / "vae.json")}
+    small = {**heads, "window": 3, "rnn_hidden": 8, "variant": "vae_rnn"}
     cfg = out / "cfg.json"
-    cfg.write_text(json.dumps({"train_state": small, "train_heads": small}))
+    cfg.write_text(json.dumps({"train_state": small, "train_heads": heads}))
     for stage in ("train-state", "train-heads"):
         assert main([stage, "--config", str(cfg), "--out", str(out),
                      "--seed", "0"]) == 0
@@ -539,3 +542,110 @@ def test_written_floats_read_back_bit_equal(tmp_path, request, case):
     back = np.array([float(c) for c in cells])
     np.testing.assert_array_equal(back.view(np.uint64),
                                   np.array(expected, dtype=np.float64).view(np.uint64))
+
+
+# ---- every stage refuses section keys it does not read
+
+@pytest.mark.parametrize("stage", ["synth-data", "train-vae", "train-state",
+                                   "train-heads", "rollout", "train-agent",
+                                   "eval", "ntm"])
+def test_unknown_config_key_is_refused_before_any_file_is_read(
+        tmp_path, data_dir, monkeypatch, capsys, stage):
+    from sepsim import checkpoint, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(cli, "load_cohort", refuse)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    section = {"data": str(data_dir / "cohort.csv")}
+    if stage == "synth-data":
+        section = {"episodes": 5}
+    elif stage == "ntm":
+        section = {"real": section["data"], "sim": section["data"]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({stage.replace("-", "_"): section}))
+    out = tmp_path / "out"
+    code = main([stage, "--config", str(cfg), "--out", str(out), "--seed", "0",
+                 "--set", "epochz=3", "--set", "bogus=1"])
+    assert code == 2
+    assert f"unknown config keys for {stage}: bogus, epochz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelt_synth_data_key_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["synth-data", "--out", str(out), "--set", "episodes=5",
+                 "--set", "episodez=50"])
+    assert code == 2
+    assert "episodez" in capsys.readouterr().err
+    assert not (out / "cohort.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["variant", "checkpoints"])
+def test_eval_refuses_section_level_variant_keys(tmp_path, data_dir, sim_dir,
+                                                 capsys, key):
+    cfg = _eval_cfg(tmp_path, data_dir,
+                    [{"name": "rnn", **_checkpoints(sim_dir, "rnn")}],
+                    **{key: "rnn" if key == "variant" else _checkpoints(sim_dir, "rnn")})
+    code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0"])
+    assert code == 2
+    assert f"unknown config keys for eval: {key}" in capsys.readouterr().err
+
+
+# ---- sidecars change no output
+
+def test_outputs_are_byte_identical_with_sidecars_present(tmp_path, data_dir,
+                                                          monkeypatch):
+    """train-state, train-heads and eval from clean input directories, then
+    again with every input's sidecar in place: each file a stage writes,
+    manifests included, is byte-identical, and the second run parses
+    nothing."""
+    import shutil
+
+    from sepsim import checkpoint, data
+
+    base = tmp_path / "run"
+    (base / "data").mkdir(parents=True)
+    shutil.copy(data_dir / "cohort.csv", base / "data" / "cohort.csv")
+    cohort = str(base / "data" / "cohort.csv")
+    small = {"data": cohort, "epochs": 1, "window": 3, "rnn_hidden": 8,
+             "variant": "rnn"}
+    checkpoints = {"state": str(base / "state" / "state_rnn.json"),
+                   "termination": str(base / "heads" / "termination.json"),
+                   "outcome": str(base / "heads" / "outcome.json")}
+    stages = [("train-state", "state", {"train_state": small}),
+              ("train-heads", "heads", {"train_heads": {"data": cohort,
+                                                        "epochs": 1}}),
+              ("eval", "eval", {"eval": {
+                  "data": cohort, "variants": [{"name": "rnn", **checkpoints}],
+                  "eval_episodes": 3, "max_steps": 5,
+                  "termination_mode": "threshold"}})]
+
+    def run():
+        for stage, out, doc in stages:
+            cfg = base / f"{out}.json"
+            cfg.write_text(json.dumps(doc))
+            assert main([stage, "--config", str(cfg), "--out",
+                         str(base / out), "--seed", "0"]) == 0
+        return {str(p.relative_to(base)): p.read_bytes()
+                for p in sorted(base.rglob("*")) if p.is_file()}
+
+    first = run()
+    sidecars = sorted(name for name in first if name.endswith(".sepsim-cache.npz"))
+    assert sidecars == ["data/.cohort.csv.sepsim-cache.npz",
+                        "heads/.outcome.json.sepsim-cache.npz",
+                        "heads/.termination.json.sepsim-cache.npz",
+                        "state/.state_rnn.json.sepsim-cache.npz"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed although a sidecar matches")
+
+    monkeypatch.setattr(checkpoint, "_parse_checkpoint", refuse)
+    monkeypatch.setattr(data, "_parse_cohort", refuse)
+    second = run()
+    assert list(second) == list(first)
+    for name in first:
+        assert second[name] == first[name], name
+    assert "eval/manifest.json" in first and "state/manifest.json" in first

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from sepsim.data import (ACTION_COUNT, Cohort, CsvSchema, N_FEATURES, Outcome,
                          PatientEpisode, SyntheticDynamicsSpec,
                          action_intensity, compute_normalization,
-                         decode_action, encode_action, export_cohort,
+                         decode_action, default_feature_names,
+                         encode_action, export_cohort,
                          generate_synthetic_cohort, load_cohort,
                          normalize_cohort, prepare_cohorts, split_cohort)
 
@@ -308,3 +309,162 @@ def test_schema_renames_columns(tmp_path, rng):
     path.write_text(text.replace("subject_id", "patient"), encoding="utf-8")
     back = load_cohort(path, CsvSchema(subject_id="patient"))
     assert back.episodes[0].subject_id == "p1"
+
+
+# ---- parse once: the cohort's binary sidecar -----------------------------------
+
+def _assert_same_cohort(a, b):
+    assert a.feature_names == b.feature_names
+    assert a.normalization is None and b.normalization is None
+    assert [ep.subject_id for ep in a.episodes] == [ep.subject_id for ep in b.episodes]
+    for x, y in zip(a.episodes, b.episodes, strict=True):
+        assert x.states.shape == y.states.shape and x.actions.shape == y.actions.shape
+        assert x.states.dtype == y.states.dtype == np.float64
+        assert x.actions.dtype == y.actions.dtype == np.int64
+        np.testing.assert_array_equal(x.states.view(np.int64), y.states.view(np.int64))
+        np.testing.assert_array_equal(x.actions, y.actions)
+        assert x.outcome is y.outcome
+
+
+def _parse_only(path, schema=None):
+    """What a parse of the file gives, with no sidecar involved."""
+    from sepsim.data import _parse_cohort
+
+    return _parse_cohort(path.read_bytes(), schema or CsvSchema())
+
+
+def _refuse_cohort_parse(monkeypatch):
+    from sepsim import data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed although the sidecar matches")
+
+    monkeypatch.setattr(data, "_parse_cohort", refuse)
+
+
+def _awkward_cohort(rng):
+    """Quoted and odd subject ids, awkward floats, length-1 episodes."""
+    subjects = ["p,1", 'q"2', " spaced ", "ü-3", "", "7"]
+    episodes = []
+    for i, subject in enumerate(subjects):
+        states = rng.normal(size=(1 + 2 * i % 5, N_FEATURES)) * 10.0 ** rng.integers(
+            -300, 300, size=(1 + 2 * i % 5, N_FEATURES))
+        states[0, :4] = [0.1, -0.0, 5e-324, 1 / 3]
+        episodes.append(PatientEpisode(subject, states,
+                                       rng.integers(0, ACTION_COUNT, len(states)),
+                                       Outcome(i % 2)))
+    return Cohort(tuple(episodes), tuple(f"feat {i}" for i in range(N_FEATURES)))
+
+
+def test_cohort_sidecar_hit_equals_parse(tmp_path, rng, monkeypatch):
+    from sepsim.checkpoint import sidecar_path
+
+    cohort = _awkward_cohort(rng)
+    path = tmp_path / "cohort.csv"
+    export_cohort(cohort, path)
+    assert '"p,1"' in path.read_text(encoding="utf-8")
+    first = load_cohort(path)
+    assert sidecar_path(path).name == ".cohort.csv.sepsim-cache.npz"
+    assert sidecar_path(path).is_file()
+    _assert_same_cohort(first, _parse_only(path))
+    _assert_same_cohort(first, cohort)
+    _refuse_cohort_parse(monkeypatch)
+    _assert_same_cohort(load_cohort(path), first)
+
+
+def test_cohort_sidecar_under_custom_schema(tmp_path, rng, monkeypatch):
+    cohort = _awkward_cohort(rng)
+    path = tmp_path / "c.csv"
+    export_cohort(cohort, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("subject_id", "patient", 1), encoding="utf-8")
+    reversed_schema = CsvSchema(subject_id="patient",
+                                features=tuple(reversed(cohort.feature_names)))
+    plain = load_cohort(path, CsvSchema(subject_id="patient"))
+    flipped = load_cohort(path, reversed_schema)     # another schema: a parse
+    _assert_same_cohort(flipped, _parse_only(path, reversed_schema))
+    np.testing.assert_array_equal(flipped.episodes[0].states,
+                                  plain.episodes[0].states[:, ::-1])
+    _refuse_cohort_parse(monkeypatch)
+    _assert_same_cohort(load_cohort(path, reversed_schema), flipped)
+
+
+def test_cohort_sidecar_episodes_own_their_arrays(tmp_path, rng, monkeypatch):
+    path = tmp_path / "c.csv"
+    export_cohort(_awkward_cohort(rng), path)
+    loads = [load_cohort(path)]
+    _refuse_cohort_parse(monkeypatch)
+    loads.append(load_cohort(path))
+    for cohort in loads:
+        for ep in cohort.episodes:
+            assert ep.states.flags.owndata and ep.actions.flags.owndata
+            assert ep.states.flags.c_contiguous
+
+
+def _spoil_cohort(kind, path):
+    from sepsim.checkpoint import sidecar_path
+
+    sidecar = sidecar_path(path)
+    if kind == "one_byte_edit":
+        text = path.read_text(encoding="utf-8")
+        at = text.index(".", text.index("\n")) + 1
+        path.write_text(text[:at] + ("1" if text[at] != "1" else "2") + text[at + 1:],
+                        encoding="utf-8")
+    elif kind == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-100])
+    elif kind == "garbage":
+        sidecar.write_bytes(b"\x93NUMPY garbage" * 50)
+    elif kind == "wrong_key":
+        other = path.with_name("other.csv")
+        export_cohort(generate_synthetic_cohort(SyntheticDynamicsSpec.default(seed=3), 2),
+                      other)
+        load_cohort(other)
+        sidecar_path(other).replace(sidecar)
+    elif kind == "object_array":
+        with np.load(sidecar) as npz:
+            entries = dict(npz)
+        entries["a0"] = np.array([[None] * N_FEATURES], dtype=object)
+        with sidecar.open("wb") as fh:
+            np.savez(fh, **entries)
+
+
+@pytest.mark.parametrize("kind", ["one_byte_edit", "truncated", "garbage",
+                                  "wrong_key", "object_array"])
+def test_cohort_spoilt_sidecar_falls_back_to_parsing(tmp_path, rng, kind):
+    path = tmp_path / "c.csv"
+    export_cohort(_awkward_cohort(rng), path)
+    load_cohort(path)
+    _spoil_cohort(kind, path)
+    _assert_same_cohort(load_cohort(path), _parse_only(path))
+
+
+def test_cohort_failed_sidecar_write_still_returns_the_parse(tmp_path, rng,
+                                                             monkeypatch):
+    import os
+
+    path = tmp_path / "c.csv"
+    export_cohort(_awkward_cohort(rng), path)
+
+    def fail(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(os, "replace", fail)
+    _assert_same_cohort(load_cohort(path), _parse_only(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+
+def test_cohort_failed_parse_keeps_its_message_and_leaves_no_sidecar(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("subject_id,step\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="missing column 'action'"):
+        load_cohort(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_cohort_sidecar_of_a_header_only_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    export_cohort(Cohort((), default_feature_names()), path)
+    assert load_cohort(path).n_episodes == 0
+    _refuse_cohort_parse(monkeypatch)
+    again = load_cohort(path)
+    assert again.n_episodes == 0 and again.feature_names == default_feature_names()
