@@ -127,8 +127,12 @@ class DqnConfig:
             raise ValueError("epsilon must decay: epsilon_end > epsilon_start")
         if self.epsilon_decay_steps < 1 or self.target_sync < 1:
             raise ValueError("epsilon_decay_steps and target_sync must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch_size cannot exceed buffer_capacity")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
     def epsilon_at(self, step: int) -> float:
         frac = min(step / self.epsilon_decay_steps, 1.0)

@@ -46,9 +46,6 @@ from .heads import BinaryHead, train_heads
 from .nn import TrainSchedule
 from .vae import load_encoder, train_ae, train_vae
 
-STAGES = ("synth-data", "train-vae", "train-state", "train-heads", "rollout",
-          "train-agent", "eval", "ntm")
-
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration; reported as a usage error."""
@@ -109,6 +106,19 @@ def _count(cfg: dict, key: str, default: int, pool: int | None = None) -> int:
     return n
 
 
+def _float(cfg: dict, key: str, default: float, rule: str, ok) -> float:
+    """cfg[key] as a float, default when the key is absent; a value for
+    which ok(value) is false is a config error that states `rule`."""
+    value = float(cfg.get(key, default))
+    if not ok(value):
+        raise ConfigError(f"{key} must be {rule}, got {value}")
+    return value
+
+
+def _fraction(cfg: dict, key: str, default: float) -> float:
+    return _float(cfg, key, default, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
 def _canonical_sha256(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -122,25 +132,26 @@ def _write_json(path: Path, obj) -> None:
 def _prepared(cfg: dict, seed: int):
     """Load the raw cohort and derive (train, val, stats) deterministically."""
     data_path = _require_file(cfg.get("data"), "data")
-    cohort = load_cohort(data_path)
-    fraction = float(cfg.get("split_fraction", 0.8))
-    train, val, stats = prepare_cohorts(cohort, fraction=fraction, seed=seed)
+    fraction = _fraction(cfg, "split_fraction", 0.8)
+    train, val, stats = prepare_cohorts(load_cohort(data_path),
+                                        fraction=fraction, seed=seed)
     return data_path, train, val, stats
 
 
-def _schedule(cfg: dict, seed: int, default_epochs: int) -> TrainSchedule:
-    """Epoch schedule from a training section; an absent patience never
-    stops early, and out-of-range values (patience 0 included) are config
-    errors."""
-    epochs = int(cfg.get("epochs", default_epochs))
+def _schedule(cfg: dict, seed: int) -> tuple[TrainSchedule, float]:
+    """Epoch schedule and learning rate from a training section; an absent
+    patience never stops early, and out-of-range values (patience 0
+    included) are config errors."""
+    epochs = int(cfg.get("epochs", 20))
     patience = cfg.get("patience")
     try:
-        return TrainSchedule(max_epochs=epochs,
-                             patience=epochs if patience is None else int(patience),
-                             batch_size=int(cfg.get("batch_size", 64)),
-                             seed=seed)
+        schedule = TrainSchedule(max_epochs=epochs,
+                                 patience=epochs if patience is None else int(patience),
+                                 batch_size=int(cfg.get("batch_size", 64)),
+                                 seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    return schedule, _float(cfg, "learning_rate", 1e-3, "> 0", lambda v: v > 0)
 
 
 @dataclass
@@ -179,12 +190,12 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
         raise ConfigError(f"kind must be 'vae' or 'ae', got {kind!r}")
     if kind == "ae" and "beta" in cfg:
         raise ConfigError("beta applies to kind 'vae' only; an 'ae' has no KL term")
+    beta = _float(cfg, "beta", 0.0, ">= 0", lambda v: v >= 0)
+    schedule, learning_rate = _schedule(cfg, seed)
     data_path, train, val, stats = _prepared(cfg, seed)
-    schedule = _schedule(cfg, seed, default_epochs=20)
-    learning_rate = float(cfg.get("learning_rate", 1e-3))
     if kind == "vae":
         model, history = train_vae(train.all_states(), val.all_states(), schedule,
-                                   learning_rate, float(cfg.get("beta", 0.0)))
+                                   learning_rate, beta)
     else:
         model, history = train_ae(train.all_states(), val.all_states(), schedule,
                                   learning_rate)
@@ -214,24 +225,26 @@ def _load_optional_encoder(cfg: dict, inputs: dict):
 
 def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
     variant = cfg.get("variant", "vae_mdn_rnn")
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    try:
+        model_cfg = StateModelConfig(variant=variant,
+                                     window=int(cfg.get("window", DEFAULT_WINDOW)),
+                                     rnn_hidden=int(cfg.get("rnn_hidden", 64)),
+                                     n_mixtures=int(cfg.get("n_mixtures", 5)))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    has_encoder = cfg.get("encoder") is not None
+    if model_cfg.uses_encoder and not has_encoder:
+        raise ConfigError(f"variant {variant!r} needs an encoder checkpoint")
+    if not model_cfg.uses_encoder and has_encoder:
+        raise ConfigError(f"variant {variant!r} does not take an encoder")
+    schedule, learning_rate = _schedule(cfg, seed)
+    val_fraction = _fraction(cfg, "val_fraction", 0.1)
     data_path, train, _, _ = _prepared(cfg, seed)
     inputs = {"data": data_path}
     encoder = _load_optional_encoder(cfg, inputs)
-    model_cfg = StateModelConfig(variant=variant,
-                                 window=int(cfg.get("window", DEFAULT_WINDOW)),
-                                 rnn_hidden=int(cfg.get("rnn_hidden", 64)),
-                                 n_mixtures=int(cfg.get("n_mixtures", 5)))
-    if model_cfg.uses_encoder and encoder is None:
-        raise ConfigError(f"variant {variant!r} needs an encoder checkpoint")
-    if not model_cfg.uses_encoder and encoder is not None:
-        raise ConfigError(f"variant {variant!r} does not take an encoder")
-    schedule = _schedule(cfg, seed, default_epochs=20)
-    model, history = train_state_model(
-        model_cfg, train, schedule, encoder=encoder,
-        val_fraction=float(cfg.get("val_fraction", 0.1)),
-        learning_rate=float(cfg.get("learning_rate", 1e-3)))
+    model, history = train_state_model(model_cfg, train, schedule, encoder=encoder,
+                                       val_fraction=val_fraction,
+                                       learning_rate=learning_rate)
     path = out / f"state_{variant}.json"
     enc_sha = file_sha256(inputs["encoder"]) if "encoder" in inputs else None
     model.save(path, encoder_sha256=enc_sha)
@@ -242,14 +255,14 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
+    schedule, learning_rate = _schedule(cfg, seed)
+    step_norm = _float(cfg, "step_norm", 50.0, "> 0", lambda v: v > 0)
+    val_fraction = _fraction(cfg, "val_fraction", 0.1)
     data_path, train, _, _ = _prepared(cfg, seed)
     inputs = {"data": data_path}
     encoder = _load_optional_encoder(cfg, inputs)
-    schedule = _schedule(cfg, seed, default_epochs=20)
-    result = train_heads(train, schedule, encoder=encoder,
-                         step_norm=float(cfg.get("step_norm", 50.0)),
-                         val_fraction=float(cfg.get("val_fraction", 0.1)),
-                         learning_rate=float(cfg.get("learning_rate", 1e-3)))
+    result = train_heads(train, schedule, encoder=encoder, step_norm=step_norm,
+                         val_fraction=val_fraction, learning_rate=learning_rate)
     suffix = cfg.get("suffix", "")
     term_path = out / f"termination{suffix}.json"
     outcome_path = out / f"outcome{suffix}.json"
@@ -270,16 +283,20 @@ def _sim_config(cfg: dict, seed: int) -> SimConfig:
         raise ConfigError("missing config key: checkpoints")
     for name, path in checkpoints.items():
         _require_file(path, f"checkpoints.{name}")
+    reward = cfg.get("reward", {})
+    if not isinstance(reward, dict):
+        raise ConfigError(f"reward must be a JSON object, got {reward!r}")
     try:
         return SimConfig(variant=cfg.get("variant", "vae_mdn_rnn"),
                          checkpoints=dict(checkpoints),
                          temperature=float(cfg.get("temperature", 1.0)),
-                         reward=RewardSpec.from_json_dict(cfg.get("reward", {})),
+                         reward=RewardSpec(**reward),
                          max_steps=int(cfg.get("max_steps", 50)),
                          termination_mode=cfg.get("termination_mode",
                                                   "bernoulli"),
                          seed=seed)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        # an unknown reward key is a TypeError that names it
         raise ConfigError(str(exc))
 
 
@@ -356,8 +373,8 @@ def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
 
 
 def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
-    data_path, train, val, stats = _prepared(cfg, seed)
     sim = _sim_config(cfg, seed)
+    data_path, train, val, stats = _prepared(cfg, seed)
     inputs = {"data": data_path,
               **{k: Path(v) for k, v in sim.checkpoints.items()}}
     source, pool = _pool(cfg, train, val)
@@ -407,20 +424,20 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _stage_train_agent(cfg: dict, out: Path, seed: int) -> StageResult:
-    data_path, train, val, stats = _prepared(cfg, seed)
     sim = _sim_config(cfg, seed)
-    inputs = {"data": data_path,
-              **{k: Path(v) for k, v in sim.checkpoints.items()}}
-    cfg_pool = dict(cfg)
-    cfg_pool.setdefault("pool_split", "train")
-    _, pool = _pool(cfg_pool, train, val)
-    env = _build_env(sim, pool, stats)
     dqn_keys = dict(cfg.get("dqn", {}))
     dqn_keys["seed"] = seed
     try:
         dqn = DqnConfig(**dqn_keys)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dqn config: {exc}")
+    data_path, train, val, stats = _prepared(cfg, seed)
+    inputs = {"data": data_path,
+              **{k: Path(v) for k, v in sim.checkpoints.items()}}
+    cfg_pool = dict(cfg)
+    cfg_pool.setdefault("pool_split", "train")
+    _, pool = _pool(cfg_pool, train, val)
+    env = _build_env(sim, pool, stats)
     result = train_agent(env, dqn)
     qnet_path = out / "qnet.json"
     result.qnet.save(qnet_path)
@@ -436,7 +453,9 @@ def _stage_train_agent(cfg: dict, out: Path, seed: int) -> StageResult:
                                          "reward_curve.csv": curve_path})
 
 
-def _eval_variants(cfg: dict) -> list[dict]:
+def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
+    """One simulator per `variants` entry, which names its variant and
+    lists its checkpoints."""
     variants = cfg.get("variants")
     if not isinstance(variants, list) or not variants:
         raise ConfigError("eval needs a non-empty 'variants' list")
@@ -449,7 +468,10 @@ def _eval_variants(cfg: dict) -> list[dict]:
         if entry["name"] in seen:
             raise ConfigError(f"duplicate variant {entry['name']!r}")
         seen.add(entry["name"])
-    return variants
+    return [_sim_config({**cfg, "variant": entry["name"],
+                         "checkpoints": {k: v for k, v in entry.items()
+                                         if k != "name"}}, seed)
+            for entry in variants]
 
 
 def _tf_series(report, episodes: int):
@@ -461,9 +483,9 @@ def _tf_series(report, episodes: int):
 
 
 def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
+    sims = _eval_sims(cfg, seed)
     data_path, train, val, stats = _prepared(cfg, seed)
     inputs = {"data": data_path}
-    variants = _eval_variants(cfg)
     n_eval = _count(cfg, "eval_episodes", val.n_episodes, pool=val.n_episodes)
     eval_cohort = Cohort(val.episodes[:n_eval], val.feature_names,
                          val.normalization)
@@ -473,13 +495,13 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     ntm_mode = cfg.get("ntm_mode", "sumsq")
     net = None
     if cfg.get("qnet") is not None:
-        agent_variant = cfg.get("agent_variant", variants[0]["name"])
-        if agent_variant not in {entry["name"] for entry in variants}:
+        agent_variant = cfg.get("agent_variant", sims[0].variant)
+        if agent_variant not in {sim.variant for sim in sims}:
             raise ConfigError(f"agent_variant {agent_variant!r} not in variants")
         policy_episodes = _count(cfg, "policy_episodes", 100)
         inputs["qnet"] = _require_file(cfg["qnet"], "qnet")
         net = QNetwork.load(inputs["qnet"])
-    seeds = iter(np.random.SeedSequence(seed).spawn(len(variants)))
+    seeds = iter(np.random.SeedSequence(seed).spawn(len(sims)))
 
     metrics: dict = {}
     outputs: dict = {}
@@ -488,12 +510,9 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     # each variant's models are loaded once; every pass over them starts
     # from a fresh env (env.fresh()) so its generator begins at sim.seed
     envs: dict[str, PatientEnv] = {}
-    for entry in variants:
-        name = entry["name"]
-        checkpoints = {k: v for k, v in entry.items() if k != "name"}
-        sim = _sim_config({**cfg, "variant": name, "checkpoints": checkpoints},
-                          seed)
-        inputs.update({f"{name}.{k}": Path(v) for k, v in checkpoints.items()})
+    for sim in sims:
+        name = sim.variant
+        inputs.update({f"{name}.{k}": Path(v) for k, v in sim.checkpoints.items()})
         env = _build_env(sim, eval_cohort.initial_states(), stats)
         envs[name] = env
 
@@ -612,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepsim",
         description="Patient-trajectory world model: train, simulate, evaluate.")
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
+    for stage in _STAGE_FUNCS:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--out", required=True, help="output directory")

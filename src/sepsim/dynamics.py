@@ -217,8 +217,9 @@ class StateModel(Module):
         """Unroll the cell over a batch of windows; returns raw head output."""
         return self.head(self.cell.unroll(window_states, window_actions))
 
-    def split_head(self, out: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """MDN head output -> (logits, means, log_stds) graph nodes."""
+    def split_head(self, out):
+        """MDN head output, a Tensor or an array of rows, -> (logits, means,
+        log_stds) of the same type: [logits K | means K*d | log-stds K*d]."""
         k, d = self.config.n_mixtures, self.state_dim
         batch = out.shape[0]
         logits = out[:, :k]
@@ -227,11 +228,8 @@ class StateModel(Module):
         return logits, means, log_stds
 
     def _mixture_from_row(self, row: np.ndarray) -> MixtureParams:
-        k, d = self.config.n_mixtures, self.state_dim
-        logits = row[:k]
+        logits, means, log_stds = (a[0] for a in self.split_head(row[None]))
         weights = np.exp(logits - logsumexp_np(logits))
-        means = row[k:k + k * d].reshape(k, d)
-        log_stds = row[k + k * d:].reshape(k, d)
         stds = np.exp(log_stds)
         if not stds.all():
             raise ValueError(

@@ -19,9 +19,7 @@ same history.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +33,7 @@ from .data import (
     action_intensity,
     decode_action,
 )
-from .dynamics import VARIANTS, RollingWindow, StateModel, sample_next
+from .dynamics import RollingWindow, StateModel, StateModelConfig, sample_next
 from .heads import BinaryHead
 
 REWARD_FORMULATIONS = ("terminal_only", "terminal_minus_intensity",
@@ -82,13 +80,6 @@ class RewardSpec:
                     raise ValueError(f"{name} must be a feature index in "
                                      f"[0, {N_FEATURES - 1}], got {idx}")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RewardSpec":
-        return cls(**d)
-
 
 def shaped_reward(prev_state: np.ndarray, next_state: np.ndarray,
                   spec: RewardSpec) -> float:
@@ -121,7 +112,7 @@ class StepResult(NamedTuple):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """JSON-able description of a full simulator: checkpoints + knobs."""
+    """Description of a full simulator: checkpoints + knobs."""
 
     variant: str
     checkpoints: dict
@@ -132,8 +123,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # refuses an unknown variant, with the message StateModelConfig gives
+        latent = StateModelConfig(variant=self.variant).uses_encoder
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.max_steps < 1:
@@ -141,7 +132,6 @@ class SimConfig:
         if self.termination_mode not in TERMINATION_MODES:
             raise ValueError(f"termination_mode must be one of {TERMINATION_MODES}")
         required = {"state", "termination", "outcome"}
-        latent = self.variant in ("ae_rnn", "vae_rnn", "vae_mdn_rnn")
         if latent:
             required.add("encoder")
         missing = required - set(self.checkpoints)
@@ -149,20 +139,6 @@ class SimConfig:
             raise ValueError(f"missing checkpoints for {sorted(missing)}")
         if not latent and "encoder" in self.checkpoints:
             raise ValueError(f"variant {self.variant!r} does not take an encoder")
-
-    def to_json(self, path) -> None:
-        doc = {"variant": self.variant, "checkpoints": dict(self.checkpoints),
-               "temperature": self.temperature,
-               "reward": self.reward.to_json_dict(),
-               "max_steps": self.max_steps,
-               "termination_mode": self.termination_mode, "seed": self.seed}
-        Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path) -> "SimConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        doc["reward"] = RewardSpec.from_json_dict(doc["reward"])
-        return cls(**doc)
 
 
 class PatientEnv:

@@ -5,7 +5,7 @@ policy-distribution comparisons between recorded and learned behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,9 +13,8 @@ import numpy as np
 from .checkpoint import float_cells, write_table
 from .data import (ACTION_COUNT, Cohort, NormalizationStats, Outcome,
                    PatientEpisode, action_intensity)
-from .dynamics import StateModel, build_training_sequences, sample_next
+from .dynamics import build_training_sequences, sample_next
 from .env import PatientEnv, RewardSpec, replay_physician
-from .nn import MixtureParams
 
 NTM_MODES = ("sumsq", "rms")
 
@@ -144,10 +143,6 @@ class TeacherForcedReport:
     targets: np.ndarray               # (n, d)
     subjects: tuple[str, ...]
     steps: np.ndarray                 # (n,) target's step index in its episode
-
-    @property
-    def per_feature_mse(self) -> np.ndarray:
-        return np.mean((self.predictions - self.targets) ** 2, axis=0)
 
     @property
     def mse(self) -> float:

@@ -1,25 +1,22 @@
 """Minimal reverse-mode autodiff stack: tensors, layers, losses, optimizers,
 a batch training loop, and a finite-difference gradient checker."""
-from .gradcheck import GradCheckReport, GradProbe, check_gradients
+from .gradcheck import check_gradients
 from .layers import (
     ACTIVATIONS,
     MLP,
     Dense,
     LSTMCell,
     Module,
-    init_weight,
 )
 from .losses import (
-    LOG_2PI,
     MixtureParams,
     bce_with_logits,
-    component_log_likelihoods,
     gaussian_kl,
     mdn_loss_graph,
     mdn_nll,
     mse,
 )
-from .optim import SGD, Adam, Momentum, Optimizer
+from .optim import SGD, Adam, Optimizer
 from .tensor import (
     Parameter,
     Tensor,
@@ -33,22 +30,17 @@ from .tensor import (
     softmax,
     tanh,
 )
-from .training import EpochRecord, History, TrainSchedule, fit
+from .training import History, TrainSchedule, fit
 
 __all__ = [
     "ACTIVATIONS",
     "Adam",
     "Dense",
-    "EpochRecord",
-    "GradCheckReport",
-    "GradProbe",
     "History",
-    "LOG_2PI",
     "LSTMCell",
     "MixtureParams",
     "MLP",
     "Module",
-    "Momentum",
     "Optimizer",
     "Parameter",
     "SGD",
@@ -56,11 +48,9 @@ __all__ = [
     "TrainSchedule",
     "bce_with_logits",
     "check_gradients",
-    "component_log_likelihoods",
     "exp",
     "fit",
     "gaussian_kl",
-    "init_weight",
     "log",
     "log_softmax",
     "logsumexp",

@@ -67,22 +67,6 @@ class SGD(Optimizer):
         data -= self.lr * grad
 
 
-class Momentum(Optimizer):
-    def __init__(self, params, lr: float, beta: float = 0.9):
-        super().__init__(params, lr)
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"momentum beta must be in [0, 1), got {beta}")
-        self.beta = float(beta)
-        self._velocity = np.zeros_like(self._data)
-
-    def step(self) -> None:
-        data, grad = self._buffers()
-        v = self._velocity
-        v *= self.beta
-        v += grad
-        data -= self.lr * v
-
-
 class Adam(Optimizer):
     def __init__(self, params, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):

@@ -50,10 +50,6 @@ class History:
     stopped_early: bool = False
 
     @property
-    def val_losses(self) -> list[float]:
-        return [r.val_loss for r in self.records]
-
-    @property
     def n_epochs(self) -> int:
         return len(self.records)
 

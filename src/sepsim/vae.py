@@ -190,16 +190,6 @@ def vae_loss_graph(model: VaeModel, batch: np.ndarray, eps: np.ndarray
     return recon + kl * model.beta, recon, kl
 
 
-def vae_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator
-             ) -> tuple[float, float, float]:
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    eps = rng.normal(size=(batch.shape[0], LATENT_DIM))
-    total, recon, kl = vae_loss_graph(model, batch, eps)
-    return total.item(), recon.item(), kl.item()
-
-
 def ae_loss_graph(model: AeModel, batch: np.ndarray) -> Tensor:
     x = Tensor(np.asarray(batch, dtype=np.float64))
     return mse(model.decode_graph(model.encode_graph(x)), batch)

@@ -72,6 +72,15 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             DqnConfig(batch_size=100, buffer_capacity=50)
 
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -1),
+                                            ("learning_rate", 0.0),
+                                            ("learning_rate", -1e-3),
+                                            ("learning_rate", float("nan"))])
+    def test_refuses_empty_batches_and_non_positive_learning_rates(self, key,
+                                                                    value):
+        with pytest.raises(ValueError, match=key):
+            DqnConfig(**{key: value})
+
 
 class TestActionSelection:
     def test_greedy_takes_argmax(self, rng):

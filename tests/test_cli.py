@@ -223,6 +223,56 @@ def _checkpoints(sim_dir, state_variant):
             "outcome": str(sim_dir / "outcome.json")}
 
 
+# ---- out-of-range values and bad reward sections are config errors
+
+_REWARD_CASES = [({"reward": {"formulaton": "terminal_only"}}, "formulaton"),
+                 ({"reward": "terminal_only"}, "reward")]
+
+
+@pytest.mark.parametrize("stage, extra, key", [
+    ("train-state", {"window": 0}, "window"),
+    ("train-state", {"rnn_hidden": 0}, "rnn_hidden"),
+    ("train-state", {"variant": "mdn_rnn", "n_mixtures": 0}, "n_mixtures"),
+    ("train-state", {"learning_rate": 0}, "learning_rate"),
+    ("train-state", {"val_fraction": 1.5}, "val_fraction"),
+    ("train-heads", {"step_norm": 0}, "step_norm"),
+    ("train-heads", {"val_fraction": 1.5}, "val_fraction"),
+    ("train-vae", {"beta": -1}, "beta"),
+    ("train-agent", {"dqn": {"total_steps": 10, "batch_size": 0}}, "batch_size"),
+    *[(stage, {"split_fraction": 1.5}, "split_fraction")
+      for stage in ("train-vae", "train-state", "train-heads", "rollout",
+                    "train-agent", "eval")],
+    *[(stage, extra, key) for stage in ("rollout", "train-agent", "eval")
+      for extra, key in _REWARD_CASES],
+])
+def test_bad_value_is_config_error_before_any_file_is_read(
+        tmp_path, data_dir, sim_dir, monkeypatch, capsys, stage, extra, key):
+    from sepsim import checkpoint, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(cli, "load_cohort", refuse)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    section = {"data": str(data_dir / "cohort.csv")}
+    if stage in ("train-vae", "train-state", "train-heads"):
+        section["epochs"] = 1
+    if stage in ("train-state", "rollout", "train-agent"):
+        section["variant"] = "rnn"
+    if stage in ("rollout", "train-agent"):
+        section["checkpoints"] = _checkpoints(sim_dir, "rnn")
+    if stage == "train-agent":
+        section["dqn"] = {"total_steps": 10}
+    if stage == "eval":
+        section["variants"] = [{"name": "rnn", **_checkpoints(sim_dir, "rnn")}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({stage.replace("-", "_"): {**section, **extra}}))
+    code = main([stage, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def _eval_cfg(tmp_path, data_dir, variants, **extra):
     cfg = tmp_path / "eval.json"
     cfg.write_text(json.dumps({"eval": {

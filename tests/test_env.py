@@ -49,10 +49,6 @@ class TestRewardSpec:
         with pytest.raises(ValueError, match="lactate_index"):
             RewardSpec("sofa_lactate_shaped", sofa_index=0, lactate_index=99)
 
-    def test_json_round_trip(self):
-        spec = RewardSpec("sofa_lactate_shaped", sofa_index=3, lactate_index=7)
-        assert RewardSpec.from_json_dict(spec.to_json_dict()) == spec
-
 
 class TestShapedReward:
     SPEC = RewardSpec("sofa_lactate_shaped", sofa_index=0, lactate_index=1)
@@ -288,13 +284,6 @@ class TestSimConfig:
             SimConfig(variant="rnn", checkpoints=dict(self.CKPTS), temperature=0.0)
         with pytest.raises(ValueError):
             SimConfig(variant="rnn", checkpoints=dict(self.CKPTS), max_steps=0)
-
-    def test_json_round_trip(self, tmp_path):
-        config = SimConfig(variant="rnn", checkpoints=dict(self.CKPTS),
-                           temperature=0.7, max_steps=20, seed=4)
-        path = tmp_path / "sim.json"
-        config.to_json(path)
-        assert SimConfig.from_json(path) == config
 
 
 class TestReplay:

@@ -156,12 +156,6 @@ class TestTeacherForced:
         report = teacher_forced_eval(model, cohort, window=3)
         assert report.steps.tolist() == [1, 2, 3, 1, 2, 3]
 
-    def test_per_feature_mse_shape(self):
-        cohort = _tiny_cohort(episodes=2, length=3)
-        report = teacher_forced_eval(_ConstantModel(np.zeros(N_FEATURES)),
-                                     cohort, window=2)
-        assert report.per_feature_mse.shape == (N_FEATURES,)
-
 
 class TestClosedLoop:
     def test_equals_physician_replay_on_a_fresh_env(self):

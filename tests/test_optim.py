@@ -3,7 +3,7 @@ and the parameter views they hand out."""
 import numpy as np
 import pytest
 
-from sepsim.nn import (MLP, SGD, Adam, Dense, Momentum, Parameter, Tensor,
+from sepsim.nn import (MLP, SGD, Adam, Dense, Parameter, Tensor,
                        TrainSchedule, check_gradients, fit, mse)
 
 SHAPES = [(4, 3), (3,), (2, 2, 5), (), (1, 7)]
@@ -13,17 +13,6 @@ def reference_sgd(lr):
     def step(datas, grads, state):
         for d, g in zip(datas, grads):
             d -= lr * g
-    return step
-
-
-def reference_momentum(lr, beta):
-    def step(datas, grads, state):
-        if not state:
-            state["v"] = [np.zeros_like(d) for d in datas]
-        for d, g, v in zip(datas, grads, state["v"]):
-            v *= beta
-            v += g
-            d -= lr * v
     return step
 
 
@@ -48,8 +37,6 @@ def reference_adam(lr, betas, eps):
 
 CASES = {
     "sgd": (lambda ps: SGD(ps, lr=0.05), reference_sgd(0.05)),
-    "momentum": (lambda ps: Momentum(ps, lr=0.05, beta=0.7),
-                 reference_momentum(0.05, 0.7)),
     "adam": (lambda ps: Adam(ps, lr=0.01, betas=(0.8, 0.99), eps=1e-6),
              reference_adam(0.01, (0.8, 0.99), 1e-6)),
 }
@@ -189,7 +176,7 @@ def test_stale_optimizer_raises_after_repack(rng, case):
 
 def test_rebound_data_detaches(rng):
     params = random_params(rng)
-    optimizer = Momentum(params, lr=0.1)
+    optimizer = SGD(params, lr=0.1)
     params[0].data = params[0].data.copy()
     with pytest.raises(RuntimeError, match="no longer views"):
         optimizer.step()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sepsim.nn import (Adam, Dense, Momentum, Parameter, SGD, Tensor,
+from sepsim.nn import (Adam, Dense, Parameter, SGD, Tensor,
                        TrainSchedule, fit, mse)
 
 
@@ -36,17 +36,6 @@ def test_sgd_step_is_plain_descent():
     (p * p).sum().backward()
     opt.step()
     np.testing.assert_allclose(p.data, np.array([1.0 - 0.1 * 2.0]))
-
-
-def test_momentum_accumulates_velocity():
-    p = Parameter(np.array([1.0]))
-    opt = Momentum([p], lr=0.1, beta=0.5)
-    for _ in range(2):
-        opt.zero_grad()
-        (p * 1.0).sum().backward()  # constant gradient of 1
-        opt.step()
-    # v1 = 1, v2 = 1.5; total step = 0.1 * (1 + 1.5)
-    np.testing.assert_allclose(p.data, np.array([1.0 - 0.25]))
 
 
 def test_adam_first_step_size():
@@ -134,7 +123,7 @@ def test_fit_deterministic_under_seed(rng):
         hist = fit(m, Adam(m.parameters(), lr=0.01), sched, train_size=64,
                    batch_loss=lambda idx: mse(m.layer(Tensor(X[idx])), y[idx]),
                    val_loss=lambda: float(np.mean((m.layer.forward_np(X) - y) ** 2)))
-        return hist.val_losses, m.state_arrays()
+        return [r.val_loss for r in hist.records], m.state_arrays()
 
     losses_a, state_a = run()
     losses_b, state_b = run()
