@@ -125,10 +125,9 @@ class DqnConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon must decay: epsilon_end > epsilon_start")
-        if self.epsilon_decay_steps < 1 or self.target_sync < 1:
-            raise ValueError("epsilon_decay_steps and target_sync must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epsilon_decay_steps", "target_sync", "batch_size", "total_steps"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch_size cannot exceed buffer_capacity")
         if not self.learning_rate > 0:

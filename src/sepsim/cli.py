@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +37,13 @@ from .checkpoint import file_sha256, float_cells, write_table
 from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
                    export_cohort, generate_synthetic_cohort, load_cohort,
                    prepare_cohorts, SyntheticDynamicsSpec, write_stats_json)
-from .dynamics import (DEFAULT_WINDOW, StateModel, StateModelConfig, VARIANTS,
+from .dynamics import (StateModel, StateModelConfig, VARIANTS,
                        train_state_model)
 from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
-                  replay_physician, rollout)
+                  TERMINATION_MODES, replay_physician, rollout)
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          normalized_trajectory_mean, ntm_rows, NTM_HEADER,
-                         teacher_forced_eval, trajectory_matrices,
+                         NTM_MODES, teacher_forced_eval, trajectory_matrices,
                          write_histograms_csv, write_ntm_csv, write_series_csv)
 from .heads import BinaryHead, train_heads
 from .nn import TrainSchedule
@@ -61,7 +64,7 @@ def _read_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to read
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -79,44 +82,135 @@ def _section(config: dict, name: str, overrides: list[str] | None) -> dict:
         key, raw = pair.split("=", 1)
         try:
             merged[key.strip()] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             merged[key.strip()] = raw
     return merged
 
 
-def _require_file(value, what: str) -> Path:
-    if not value:
-        raise ConfigError(f"missing config key: {what}")
-    p = Path(value)
-    if not p.is_file():
-        raise ConfigError(f"{what} does not exist: {p}")
-    return p
+# ------------------------------------------------------------------ schema
+
+STAGE = None  # a default the stage decides, from the data or other keys
 
 
-def _count(cfg: dict, key: str, default: int, pool: int | None = None) -> int:
-    """cfg[key], which must be at least 1, and at most `pool` (the number of
-    episodes to draw from) when given; default when the key is absent."""
-    if key not in cfg:
-        return default
-    n = int(cfg[key])
-    if n < 1:
-        raise ConfigError(f"{key} must be >= 1, got {n}")
-    if pool is not None and n > pool:
-        raise ConfigError(f"{key} is {n}, but the pool holds {pool} episodes")
-    return n
+class Key(typing.NamedTuple):
+    """A config key: its type (int, float, str, the tuple of strings it may
+    be, a dict of the Keys of a JSON object, or a list of one such dict),
+    its default, its rule (a key of _RULES), and what its object builds."""
+    kind: object
+    default: object = STAGE
+    rule: str = ""
+    build: type | None = None
 
 
-def _float(cfg: dict, key: str, default: float, rule: str, ok) -> float:
-    """cfg[key] as a float, default when the key is absent; a value for
-    which ok(value) is false is a config error that states `rule`."""
-    value = float(cfg.get(key, default))
-    if not ok(value):
-        raise ConfigError(f"{key} must be {rule}, got {value}")
-    return value
+# a value breaks a rule when `not rule(value)`, so NaN breaks all but ""
+_RULES = {"": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
+          ">= 1": lambda v: v >= 1, "in (0, 1)": lambda v: 0 < v < 1,
+          "an existing file": lambda v: Path(v).is_file(),
+          "a file-name fragment": lambda v: re.fullmatch(r"[\w.-]*", v, re.ASCII)}
+_WANT = {int: "an integer", float: "a finite number", str: "a string",
+         dict: "a JSON object", list: "a JSON list"}
 
 
-def _fraction(cfg: dict, key: str, default: float) -> float:
-    return _float(cfg, key, default, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+def _rows(fn, rules, **defaults) -> dict:
+    """Keys that feed `fn`: each key's type and default are its parameter's,
+    unless `defaults` names the default. `rules` maps each key to its rule,
+    or to the strings it may be; a string of keys leaves the rules to `fn`."""
+    if isinstance(rules, str):
+        rules = dict.fromkeys(rules.split(), "")
+    params = inspect.signature(fn, eval_str=True).parameters
+    rows = {}
+    for key, rule in rules.items():
+        p, enum = params[key], isinstance(rule, tuple)
+        kind = rule if enum else (typing.get_args(p.annotation) or (p.annotation,))[0]
+        rows[key] = Key(kind, defaults.get(key, p.default), "" if enum else rule)
+    return rows
+
+
+def _value(stage: str, key: str, row: Key, value):
+    """`value` as row's type, meeting its rule; anything else is a
+    ConfigError that names the stage and the key."""
+    kind = row.kind
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if kind is float and type(value) is int and value.bit_length() < 1024:
+        value = float(value)
+    if isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(kind)
+    else:
+        base = kind if isinstance(kind, type) else type(kind)
+        ok = type(value) is base and (base is not float or math.isfinite(value))
+        want = _WANT[base]
+    if not ok or not _RULES[row.rule](value):
+        raise ConfigError(f"{stage}: {key} must be {row.rule if ok else want}, "
+                          f"got {value!r}")
+    if isinstance(kind, list):
+        return [_value(stage, f"{key}[{i}]", Key(kind[0]), item)
+                for i, item in enumerate(value)]
+    if isinstance(kind, dict):
+        value = _typed(stage, value, kind, f"{key}.")
+    try:
+        return value if row.build is None else row.build(**value)
+    except ValueError as exc:
+        raise ConfigError(f"{stage}: {key}: {exc}")
+
+
+def _typed(stage: str, section: dict, rows: dict, prefix: str = "") -> dict:
+    """The keys `section` gives, as typed values; a key `rows` lacks is a
+    ConfigError, and a null stands for an absent key whose default is STAGE."""
+    unknown = sorted(set(section) - set(rows))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {stage}: "
+                          + ", ".join(prefix + k for k in unknown))
+    return {k: _value(stage, prefix + k, rows[k], v) for k, v in section.items()
+            if not (v is None and rows[k].default is STAGE)}
+
+
+# The keys of each stage's section; run_stage refuses any other key, so a
+# misspelt key is an error instead of a silent default. eval sets each
+# variant's `variant` and `checkpoints` itself, so it takes neither.
+_FILE = Key(str, STAGE, "an existing file")
+_SPLIT = {"data": _FILE, "split_fraction": Key(float, 0.8, "in (0, 1)")}
+_SCHEDULE = _rows(TrainSchedule, {"max_epochs": ">= 1", "patience": ">= 1",
+                                  "batch_size": ">= 1"}, max_epochs=20, patience=STAGE)
+_TRAIN = {**_SPLIT, "epochs": _SCHEDULE.pop("max_epochs"), **_SCHEDULE,
+          "learning_rate": Key(float, 1e-3, "> 0")}
+_SIM = {**_SPLIT, **_rows(SimConfig, {"temperature": "> 0", "max_steps": ">= 1",
+                                      "termination_mode": TERMINATION_MODES}),
+        "reward": Key(_rows(RewardSpec, "formulation terminal_magnitude c0 c1 c2 "
+                                        "sofa_index lactate_index"),
+                      RewardSpec(), build=RewardSpec)}
+_CHECKPOINTS = dict.fromkeys(("state", "termination", "outcome", "encoder"), _FILE)
+_SIMULATOR = {**_SIM, **_rows(StateModelConfig, {"variant": VARIANTS}),
+              "checkpoints": Key(_CHECKPOINTS)}
+_POOL = ("train", "val", "all")
+_SCHEMA = {
+    "synth-data": {"episodes": Key(int, 200, ">= 1"), "generator": Key({
+        **_rows(SyntheticDynamicsSpec.default, "latent_dim drift_strength "
+                "action_scale noise_scale treatment_pull"),
+        **_rows(SyntheticDynamicsSpec, "step_bias obs_noise_scale init_scale max_len")},
+        {})},
+    "train-vae": {**_TRAIN, "kind": Key(("vae", "ae"), "vae"),
+                  "beta": Key(float, STAGE, ">= 0")},
+    "train-state": {**_TRAIN, **_rows(StateModelConfig, {
+                        "variant": VARIANTS, "window": ">= 1", "rnn_hidden": ">= 1",
+                        "n_mixtures": ">= 1"}),
+                    "encoder": _FILE, "val_fraction": Key(float, 0.1, "in (0, 1)")},
+    "train-heads": {**_TRAIN, "encoder": _FILE, "step_norm": Key(float, 50.0, "> 0"),
+                    "val_fraction": Key(float, 0.1, "in (0, 1)"),
+                    "suffix": Key(str, "", "a file-name fragment")},
+    "rollout": {**_SIMULATOR, "pool_split": Key(_POOL, "val"),
+                "policy": Key(("physician", "random"), "physician"),
+                "episodes": Key(int, STAGE, ">= 1")},
+    "train-agent": {**_SIMULATOR, "pool_split": Key(_POOL, "train"), "dqn": Key(
+        _rows(DqnConfig, "gamma epsilon_start epsilon_end epsilon_decay_steps "
+              "target_sync buffer_capacity batch_size total_steps learning_rate"),
+        DqnConfig(), build=DqnConfig)},
+    "eval": {**_SIM, "variants": Key([{"name": Key(VARIANTS), **_CHECKPOINTS}]),
+             "eval_episodes": Key(int, STAGE, ">= 1"), "plot_episodes": Key(int, 3, ">= 1"),
+             "ntm_mode": Key(NTM_MODES, "sumsq"), "qnet": _FILE,
+             "agent_variant": Key(VARIANTS), "policy_episodes": Key(int, 100, ">= 1")},
+    "ntm": {"real": _FILE, "sim": _FILE, "ntm_mode": Key(NTM_MODES, "sumsq")},
+}
 
 
 def _canonical_sha256(obj) -> str:
@@ -130,28 +224,29 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _prepared(cfg: dict, seed: int):
-    """Load the raw cohort and derive (train, val, stats) deterministically."""
-    data_path = _require_file(cfg.get("data"), "data")
-    fraction = _fraction(cfg, "split_fraction", 0.8)
-    train, val, stats = prepare_cohorts(load_cohort(data_path),
-                                        fraction=fraction, seed=seed)
-    return data_path, train, val, stats
+    """The stage's inputs so far, {"data": path}, and (train, val, stats),
+    derived from the raw cohort deterministically."""
+    if "data" not in cfg:
+        raise ConfigError("missing config key: data")
+    inputs = {"data": Path(cfg["data"])}
+    train, val, stats = prepare_cohorts(load_cohort(inputs["data"]),
+                                        fraction=cfg["split_fraction"], seed=seed)
+    return inputs, train, val, stats
 
 
-def _schedule(cfg: dict, seed: int) -> tuple[TrainSchedule, float]:
-    """Epoch schedule and learning rate from a training section; an absent
-    patience never stops early, and out-of-range values (patience 0
-    included) are config errors."""
-    epochs = int(cfg.get("epochs", 20))
-    patience = cfg.get("patience")
-    try:
-        schedule = TrainSchedule(max_epochs=epochs,
-                                 patience=epochs if patience is None else int(patience),
-                                 batch_size=int(cfg.get("batch_size", 64)),
-                                 seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return schedule, _float(cfg, "learning_rate", 1e-3, "> 0", lambda v: v > 0)
+def _schedule(cfg: dict, seed: int) -> TrainSchedule:
+    """A training section's epochs; an absent patience never stops early."""
+    return TrainSchedule(max_epochs=cfg["epochs"],
+                         patience=cfg.get("patience", cfg["epochs"]),
+                         batch_size=cfg["batch_size"], seed=seed)
+
+
+def _take(stage: str, cfg: dict, key: str, pool: int) -> int:
+    """How many episodes of a pool of `pool` to use: cfg[key], or all."""
+    n = cfg.get(key, pool)
+    if n > pool:
+        raise ConfigError(f"{stage}: {key} is {n}, but the pool holds {pool} episodes")
+    return n
 
 
 @dataclass
@@ -164,15 +259,11 @@ class StageResult:
 # ------------------------------------------------------------------ stages
 
 def _stage_synth_data(cfg: dict, out: Path, seed: int) -> StageResult:
-    episodes = _count(cfg, "episodes", 200)
-    gen = dict(cfg.get("generator", {}))
-    if not isinstance(gen, dict):
-        raise ConfigError("generator must be a JSON object of keyword overrides")
     try:
-        spec = SyntheticDynamicsSpec.default(seed=seed, **gen)
-    except TypeError as exc:
-        raise ConfigError(f"bad generator override: {exc}")
-    cohort = generate_synthetic_cohort(spec, episodes)
+        spec = SyntheticDynamicsSpec.default(seed=seed, **cfg["generator"])
+    except ValueError as exc:
+        raise ConfigError(f"synth-data: generator: {exc}")
+    cohort = generate_synthetic_cohort(spec, cfg["episodes"])
     path = out / "cohort.csv"
     export_cohort(cohort, path)
     lengths = [e.length for e in cohort.episodes]
@@ -185,20 +276,17 @@ def _stage_synth_data(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
-    kind = cfg.get("kind", "vae")
-    if kind not in ("vae", "ae"):
-        raise ConfigError(f"kind must be 'vae' or 'ae', got {kind!r}")
+    kind = cfg["kind"]
     if kind == "ae" and "beta" in cfg:
-        raise ConfigError("beta applies to kind 'vae' only; an 'ae' has no KL term")
-    beta = _float(cfg, "beta", 0.0, ">= 0", lambda v: v >= 0)
-    schedule, learning_rate = _schedule(cfg, seed)
-    data_path, train, val, stats = _prepared(cfg, seed)
+        raise ConfigError("train-vae: beta is for kind 'vae'; an 'ae' has no KL term")
+    schedule = _schedule(cfg, seed)
+    inputs, train, val, stats = _prepared(cfg, seed)
     if kind == "vae":
         model, history = train_vae(train.all_states(), val.all_states(), schedule,
-                                   learning_rate, beta)
+                                   cfg["learning_rate"], cfg.get("beta", 0.0))
     else:
         model, history = train_ae(train.all_states(), val.all_states(), schedule,
-                                  learning_rate)
+                                  cfg["learning_rate"])
     model_path = out / f"{kind}.json"
     model.save(model_path)
     stats_path = out / "stats.json"
@@ -209,42 +297,32 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
                "n_epochs": history.n_epochs,
                "val_loss": history.best_val_loss,
                "heldout_recon_mse": mse}
-    return StageResult(metrics, inputs={"data": data_path},
+    return StageResult(metrics, inputs,
                        outputs={f"{kind}.json": model_path,
                                 "stats.json": stats_path})
 
 
 def _load_optional_encoder(cfg: dict, inputs: dict):
-    enc_path = cfg.get("encoder")
-    if enc_path is None:
+    if "encoder" not in cfg:
         return None
-    p = _require_file(enc_path, "encoder")
-    inputs["encoder"] = p
-    return load_encoder(p)
+    inputs["encoder"] = Path(cfg["encoder"])
+    return load_encoder(inputs["encoder"])
 
 
 def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
-    variant = cfg.get("variant", "vae_mdn_rnn")
-    try:
-        model_cfg = StateModelConfig(variant=variant,
-                                     window=int(cfg.get("window", DEFAULT_WINDOW)),
-                                     rnn_hidden=int(cfg.get("rnn_hidden", 64)),
-                                     n_mixtures=int(cfg.get("n_mixtures", 5)))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    has_encoder = cfg.get("encoder") is not None
-    if model_cfg.uses_encoder and not has_encoder:
-        raise ConfigError(f"variant {variant!r} needs an encoder checkpoint")
-    if not model_cfg.uses_encoder and has_encoder:
-        raise ConfigError(f"variant {variant!r} does not take an encoder")
-    schedule, learning_rate = _schedule(cfg, seed)
-    val_fraction = _fraction(cfg, "val_fraction", 0.1)
-    data_path, train, _, _ = _prepared(cfg, seed)
-    inputs = {"data": data_path}
+    variant = cfg["variant"]
+    model_cfg = StateModelConfig(variant=variant, window=cfg["window"],
+                                 rnn_hidden=cfg["rnn_hidden"],
+                                 n_mixtures=cfg["n_mixtures"])
+    if model_cfg.uses_encoder != ("encoder" in cfg):
+        need = "needs" if model_cfg.uses_encoder else "does not take"
+        raise ConfigError(f"train-state: variant {variant!r} {need} an encoder")
+    schedule = _schedule(cfg, seed)
+    inputs, train, _, _ = _prepared(cfg, seed)
     encoder = _load_optional_encoder(cfg, inputs)
     model, history = train_state_model(model_cfg, train, schedule, encoder=encoder,
-                                       val_fraction=val_fraction,
-                                       learning_rate=learning_rate)
+                                       val_fraction=cfg["val_fraction"],
+                                       learning_rate=cfg["learning_rate"])
     path = out / f"state_{variant}.json"
     enc_sha = file_sha256(inputs["encoder"]) if "encoder" in inputs else None
     model.save(path, encoder_sha256=enc_sha)
@@ -255,15 +333,14 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
-    schedule, learning_rate = _schedule(cfg, seed)
-    step_norm = _float(cfg, "step_norm", 50.0, "> 0", lambda v: v > 0)
-    val_fraction = _fraction(cfg, "val_fraction", 0.1)
-    data_path, train, _, _ = _prepared(cfg, seed)
-    inputs = {"data": data_path}
+    schedule = _schedule(cfg, seed)
+    inputs, train, _, _ = _prepared(cfg, seed)
     encoder = _load_optional_encoder(cfg, inputs)
-    result = train_heads(train, schedule, encoder=encoder, step_norm=step_norm,
-                         val_fraction=val_fraction, learning_rate=learning_rate)
-    suffix = cfg.get("suffix", "")
+    result = train_heads(train, schedule, encoder=encoder,
+                         step_norm=cfg["step_norm"],
+                         val_fraction=cfg["val_fraction"],
+                         learning_rate=cfg["learning_rate"])
+    suffix = cfg["suffix"]
     term_path = out / f"termination{suffix}.json"
     outcome_path = out / f"outcome{suffix}.json"
     result.termination.save(term_path)
@@ -277,27 +354,15 @@ def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
                         f"outcome{suffix}.json": outcome_path})
 
 
-def _sim_config(cfg: dict, seed: int) -> SimConfig:
-    checkpoints = cfg.get("checkpoints")
-    if not isinstance(checkpoints, dict) or not checkpoints:
-        raise ConfigError("missing config key: checkpoints")
-    for name, path in checkpoints.items():
-        _require_file(path, f"checkpoints.{name}")
-    reward = cfg.get("reward", {})
-    if not isinstance(reward, dict):
-        raise ConfigError(f"reward must be a JSON object, got {reward!r}")
+def _sim_config(cfg: dict, seed: int, where: str = "checkpoints") -> SimConfig:
+    """The simulator cfg describes; `where` names its checkpoints in errors."""
     try:
-        return SimConfig(variant=cfg.get("variant", "vae_mdn_rnn"),
-                         checkpoints=dict(checkpoints),
-                         temperature=float(cfg.get("temperature", 1.0)),
-                         reward=RewardSpec(**reward),
-                         max_steps=int(cfg.get("max_steps", 50)),
-                         termination_mode=cfg.get("termination_mode",
-                                                  "bernoulli"),
-                         seed=seed)
-    except (TypeError, ValueError) as exc:
-        # an unknown reward key is a TypeError that names it
-        raise ConfigError(str(exc))
+        return SimConfig(variant=cfg["variant"], checkpoints=cfg.get("checkpoints", {}),
+                         temperature=cfg["temperature"], reward=cfg["reward"],
+                         max_steps=cfg["max_steps"],
+                         termination_mode=cfg["termination_mode"], seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _build_env(sim: SimConfig, pool: np.ndarray,
@@ -326,17 +391,10 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
                       termination_mode=sim.termination_mode, seed=sim.seed)
 
 
-def _pool(cfg: dict, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
-    split = cfg.get("pool_split", "val")
-    if split == "train":
-        source = train
-    elif split == "val":
-        source = val
-    elif split == "all":
-        source = Cohort(train.episodes + val.episodes, train.feature_names,
-                        train.normalization)
-    else:
-        raise ConfigError(f"pool_split must be train/val/all, got {split!r}")
+def _pool(split: str, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
+    source = (Cohort(train.episodes + val.episodes, train.feature_names,
+                     train.normalization)
+              if split == "all" else {"train": train, "val": val}[split])
     return source, source.initial_states()
 
 
@@ -374,26 +432,19 @@ def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
 
 def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
     sim = _sim_config(cfg, seed)
-    data_path, train, val, stats = _prepared(cfg, seed)
-    inputs = {"data": data_path,
-              **{k: Path(v) for k, v in sim.checkpoints.items()}}
-    source, pool = _pool(cfg, train, val)
-    policy = cfg.get("policy", "physician")
-    if policy == "physician":
-        picks = source.episodes[:_count(cfg, "episodes", source.n_episodes,
-                                        pool=source.n_episodes)]
-        if not picks:
-            raise ConfigError("no episodes available to replay")
-        env = _build_env(sim, pool, stats)
-        trajectories = [replay_physician(env, episode) for episode in picks]
-    elif policy == "random":
-        n = _count(cfg, "episodes", 100)
-        env = _build_env(sim, pool, stats)
+    inputs, train, val, stats = _prepared(cfg, seed)
+    inputs.update((k, Path(v)) for k, v in sim.checkpoints.items())
+    source, pool = _pool(cfg["pool_split"], train, val)
+    physician = cfg["policy"] == "physician"
+    n = (_take("rollout", cfg, "episodes", source.n_episodes) if physician
+         else cfg.get("episodes", 100))
+    env = _build_env(sim, pool, stats)
+    if physician:
+        trajectories = [replay_physician(env, e) for e in source.episodes[:n]]
+    else:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         uniform = lambda obs, t: int(rng.integers(env.action_count))
         trajectories = [rollout(env, uniform) for _ in range(n)]
-    else:
-        raise ConfigError(f"policy must be physician or random, got {policy!r}")
 
     episodes, returns, lengths = [], [], []
     for traj in trajectories:
@@ -425,18 +476,10 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
 
 def _stage_train_agent(cfg: dict, out: Path, seed: int) -> StageResult:
     sim = _sim_config(cfg, seed)
-    dqn_keys = dict(cfg.get("dqn", {}))
-    dqn_keys["seed"] = seed
-    try:
-        dqn = DqnConfig(**dqn_keys)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dqn config: {exc}")
-    data_path, train, val, stats = _prepared(cfg, seed)
-    inputs = {"data": data_path,
-              **{k: Path(v) for k, v in sim.checkpoints.items()}}
-    cfg_pool = dict(cfg)
-    cfg_pool.setdefault("pool_split", "train")
-    _, pool = _pool(cfg_pool, train, val)
+    dqn = replace(cfg["dqn"], seed=seed)
+    inputs, train, val, stats = _prepared(cfg, seed)
+    inputs.update((k, Path(v)) for k, v in sim.checkpoints.items())
+    _, pool = _pool(cfg["pool_split"], train, val)
     env = _build_env(sim, pool, stats)
     result = train_agent(env, dqn)
     qnet_path = out / "qnet.json"
@@ -457,21 +500,15 @@ def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
     """One simulator per `variants` entry, which names its variant and
     lists its checkpoints."""
     variants = cfg.get("variants")
-    if not isinstance(variants, list) or not variants:
+    if not variants:
         raise ConfigError("eval needs a non-empty 'variants' list")
-    seen = set()
-    for entry in variants:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("each variants entry needs at least a 'name'")
-        if entry["name"] not in VARIANTS:
-            raise ConfigError(f"unknown variant {entry['name']!r}")
-        if entry["name"] in seen:
-            raise ConfigError(f"duplicate variant {entry['name']!r}")
-        seen.add(entry["name"])
+    names = [entry.get("name") for entry in variants]
+    if None in names or len(set(names)) < len(names):
+        raise ConfigError(f"each variants entry needs a name of its own, got {names}")
     return [_sim_config({**cfg, "variant": entry["name"],
                          "checkpoints": {k: v for k, v in entry.items()
-                                         if k != "name"}}, seed)
-            for entry in variants]
+                                         if k != "name"}}, seed, f"variants[{i}]")
+            for i, entry in enumerate(variants)]
 
 
 def _tf_series(report, episodes: int):
@@ -484,23 +521,17 @@ def _tf_series(report, episodes: int):
 
 def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     sims = _eval_sims(cfg, seed)
-    data_path, train, val, stats = _prepared(cfg, seed)
-    inputs = {"data": data_path}
-    n_eval = _count(cfg, "eval_episodes", val.n_episodes, pool=val.n_episodes)
+    agent_variant = cfg.get("agent_variant", sims[0].variant)
+    if agent_variant not in {sim.variant for sim in sims}:
+        raise ConfigError(f"eval: agent_variant {agent_variant!r} not in variants")
+    inputs, train, val, stats = _prepared(cfg, seed)
+    n_eval = _take("eval", cfg, "eval_episodes", val.n_episodes)
     eval_cohort = Cohort(val.episodes[:n_eval], val.feature_names,
                          val.normalization)
-    if eval_cohort.n_episodes == 0:
-        raise ConfigError("eval_episodes leaves no validation episodes")
-    plot_episodes = _count(cfg, "plot_episodes", 3)
-    ntm_mode = cfg.get("ntm_mode", "sumsq")
-    net = None
-    if cfg.get("qnet") is not None:
-        agent_variant = cfg.get("agent_variant", sims[0].variant)
-        if agent_variant not in {sim.variant for sim in sims}:
-            raise ConfigError(f"agent_variant {agent_variant!r} not in variants")
-        policy_episodes = _count(cfg, "policy_episodes", 100)
-        inputs["qnet"] = _require_file(cfg["qnet"], "qnet")
-        net = QNetwork.load(inputs["qnet"])
+    plot_episodes = cfg["plot_episodes"]
+    if "qnet" in cfg:
+        inputs["qnet"] = Path(cfg["qnet"])
+    net = QNetwork.load(inputs["qnet"]) if "qnet" in inputs else None
     seeds = iter(np.random.SeedSequence(seed).spawn(len(sims)))
 
     metrics: dict = {}
@@ -535,7 +566,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         sim_trajs = closed_loop_trajectories(env, eval_cohort)
         real_trajs = [e.states for e in eval_cohort.episodes]
         real_m, sim_m = trajectory_matrices(real_trajs, sim_trajs)
-        ntm = normalized_trajectory_mean(real_m, sim_m, mode=ntm_mode)
+        ntm = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
         metrics[f"ntm_gap_{name}"] = ntm.mean_gap
         ntm_table += ([name, *row] for row in ntm_rows(ntm, train.feature_names))
         cl_path = out / f"closed_loop_{name}.csv"
@@ -557,7 +588,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
 
     if net is not None:
         env = envs[agent_variant].fresh()
-        rollouts = policy_histogram(net, env, policy_episodes)
+        rollouts = policy_histogram(net, env, cfg["policy_episodes"])
         comparison = compare_policy_distributions(eval_cohort, rollouts,
                                                   reward_spec=env.reward_spec,
                                                   stats=stats)
@@ -571,48 +602,22 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _stage_ntm(cfg: dict, out: Path, seed: int) -> StageResult:
-    real_path = _require_file(cfg.get("real"), "real")
-    sim_path = _require_file(cfg.get("sim"), "sim")
-    real = load_cohort(real_path)
-    sim = load_cohort(sim_path)
+    inputs = {k: Path(cfg[k]) for k in ("real", "sim") if k in cfg}
+    if len(inputs) < 2:
+        raise ConfigError("ntm needs both 'real' and 'sim' cohorts")
+    real, sim = load_cohort(inputs["real"]), load_cohort(inputs["sim"])
     if real.feature_names != sim.feature_names:
         raise ConfigError("real and sim cohorts disagree on features")
     real_m, sim_m = trajectory_matrices([e.states for e in real.episodes],
                                         [e.states for e in sim.episodes])
-    report = normalized_trajectory_mean(real_m, sim_m,
-                                        mode=cfg.get("ntm_mode", "sumsq"))
+    report = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
     path = out / "ntm.csv"
     write_ntm_csv(report, real.feature_names, path)
     metrics = {"mean_gap": report.mean_gap,
                "n_degenerate": int(report.degenerate.sum()),
                "horizon": real_m.horizon}
-    return StageResult(metrics, {"real": real_path, "sim": sim_path},
-                       {"ntm.csv": path})
+    return StageResult(metrics, inputs, {"ntm.csv": path})
 
-
-# The section keys each stage reads; run_stage refuses any other key, so a
-# misspelt key is an error instead of a silent default. eval sets each
-# variant's `variant` and `checkpoints` itself, so it takes neither.
-_SPLIT = {"data", "split_fraction"}
-_SCHEDULE = {"epochs", "patience", "batch_size", "learning_rate"}
-_SIM = {"temperature", "reward", "max_steps", "termination_mode"}
-_STAGE_KEYS = {
-    "synth-data": {"episodes", "generator"},
-    "train-vae": _SPLIT | _SCHEDULE | {"kind", "beta"},
-    "train-state": _SPLIT | _SCHEDULE | {"variant", "encoder", "window",
-                                         "rnn_hidden", "n_mixtures",
-                                         "val_fraction"},
-    "train-heads": _SPLIT | _SCHEDULE | {"encoder", "step_norm", "val_fraction",
-                                         "suffix"},
-    "rollout": _SPLIT | _SIM | {"variant", "checkpoints", "pool_split",
-                                "policy", "episodes"},
-    "train-agent": _SPLIT | _SIM | {"variant", "checkpoints", "pool_split",
-                                    "dqn"},
-    "eval": _SPLIT | _SIM | {"variants", "eval_episodes", "plot_episodes",
-                             "ntm_mode", "qnet", "agent_variant",
-                             "policy_episodes"},
-    "ntm": {"real", "sim", "ntm_mode"},
-}
 
 _STAGE_FUNCS = {"synth-data": _stage_synth_data,
                 "train-vae": _stage_train_vae,
@@ -635,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=json.loads, help="override the config seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        dest="overrides",
                        help="override a stage config key (JSON value)")
@@ -645,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run_stage(stage: str, config: dict, out: Path, seed: int,
               overrides: list[str] | None = None) -> dict:
     """Run one stage; returns its metrics. Raises ConfigError on bad input."""
-    cfg = _section(config, stage.replace("-", "_"), overrides)
-    unknown = sorted(set(cfg) - _STAGE_KEYS[stage])
-    if unknown:
-        raise ConfigError(f"unknown config keys for {stage}: {', '.join(unknown)}")
+    raw = _section(config, stage.replace("-", "_"), overrides)
+    rows = _SCHEMA[stage]
+    cfg = {**{k: row.default for k, row in rows.items() if row.default is not STAGE},
+           **_typed(stage, raw, rows)}
     out.mkdir(parents=True, exist_ok=True)
     result = _STAGE_FUNCS[stage](cfg, out, seed)
     bad = [k for k, v in result.metrics.items()
@@ -659,7 +664,7 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
     _write_json(metrics_path, result.metrics)
     manifest = {"command": stage,
                 "seed": seed,
-                "config_sha256": _canonical_sha256(cfg),
+                "config_sha256": _canonical_sha256(raw),
                 "inputs": {k: file_sha256(p)
                            for k, p in sorted(result.inputs.items())},
                 "outputs": {k: file_sha256(p)
@@ -675,7 +680,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _read_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = _value(args.stage, "seed", Key(int, 0, ">= 0"),
+                      config.get("seed", 0) if args.seed is None else args.seed)
         metrics = run_stage(args.stage, config, Path(args.out), seed,
                             args.overrides)
     except ConfigError as exc:

@@ -394,9 +394,9 @@ class SyntheticDynamicsSpec:
         radius = float(np.abs(np.linalg.eigvals(self.drift_matrix)).max())
         if radius >= 1.0:
             raise ValueError(f"drift_matrix spectral radius must be < 1, got {radius:.4f}")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ValueError("noise_scale must be >= 0")
-        if self.max_len < 1:
+        if not self.max_len >= 1:
             raise ValueError("max_len must be >= 1")
 
     @classmethod
@@ -410,6 +410,8 @@ class SyntheticDynamicsSpec:
         latent coordinate (the "severity" axis that drives the hazard and
         death probability) downward, so treatment genuinely helps.
         """
+        if not latent_dim >= 1:
+            raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
         rng = np.random.default_rng(seed)
         drift = rng.normal(size=(latent_dim, latent_dim))
         drift *= drift_strength / np.abs(np.linalg.eigvals(drift)).max()

@@ -58,13 +58,13 @@ class StateModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.window < 1:
+        if not self.window >= 1:
             raise ValueError("window must be >= 1")
-        if self.rnn_hidden < 1:
+        if not self.rnn_hidden >= 1:
             raise ValueError("rnn_hidden must be >= 1")
-        if self.uses_mdn and self.n_mixtures < 1:
+        if self.uses_mdn and not self.n_mixtures >= 1:
             raise ValueError("MDN variants need n_mixtures >= 1")
-        if self.state_dim is not None and self.state_dim < 1:
+        if self.state_dim is not None and not self.state_dim >= 1:
             raise ValueError("state_dim must be >= 1")
 
     @property
@@ -343,7 +343,7 @@ def sample_next(params: MixtureParams, temperature: float,
     tau = 1 reproduces the mixture exactly; tau -> 0 collapses onto the
     dominant component's mean.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     with np.errstate(divide="ignore"):
         scaled = np.log(params.weights) / temperature

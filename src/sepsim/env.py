@@ -71,7 +71,7 @@ class RewardSpec:
         if self.terminal_magnitude is None:
             default = 1000.0 if self.formulation == "terminal_minus_intensity" else 15.0
             object.__setattr__(self, "terminal_magnitude", default)
-        if self.terminal_magnitude <= 0:
+        if not self.terminal_magnitude > 0:
             raise ValueError("terminal_magnitude must be positive")
         if self.formulation == "sofa_lactate_shaped":
             for name, idx in (("sofa_index", self.sofa_index),
@@ -125,18 +125,10 @@ class SimConfig:
     def __post_init__(self):
         # refuses an unknown variant, with the message StateModelConfig gives
         latent = StateModelConfig(variant=self.variant).uses_encoder
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.termination_mode not in TERMINATION_MODES:
-            raise ValueError(f"termination_mode must be one of {TERMINATION_MODES}")
-        required = {"state", "termination", "outcome"}
-        if latent:
-            required.add("encoder")
+        required = {"state", "termination", "outcome"} | ({"encoder"} if latent else set())
         missing = required - set(self.checkpoints)
         if missing:
-            raise ValueError(f"missing checkpoints for {sorted(missing)}")
+            raise ValueError(f"variant {self.variant!r} lacks checkpoints {sorted(missing)}")
         if not latent and "encoder" in self.checkpoints:
             raise ValueError(f"variant {self.variant!r} does not take an encoder")
 
@@ -155,10 +147,10 @@ class PatientEnv:
                  stats: NormalizationStats | None = None,
                  temperature: float = 1.0, max_steps: int = DEFAULT_MAX_STEPS,
                  termination_mode: str = "bernoulli", seed: int = 0):
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not temperature > 0:
+            raise ValueError(f"temperature must be > 0, got {temperature}")
+        if not max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         if termination_mode not in TERMINATION_MODES:
             raise ValueError(f"termination_mode must be one of {TERMINATION_MODES}")
         initial_pool = np.atleast_2d(np.asarray(initial_pool, dtype=np.float64))

@@ -30,7 +30,7 @@ class BinaryHead(Module):
                  rng: np.random.Generator | None = None):
         if kind not in HEAD_KINDS:
             raise ValueError(f"kind must be one of {HEAD_KINDS}, got {kind!r}")
-        if step_norm <= 0:
+        if not step_norm > 0:
             raise ValueError("step_norm must be positive")
         self.kind = kind
         self.state_dim = int(state_dim)

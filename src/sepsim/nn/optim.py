@@ -28,7 +28,7 @@ class Optimizer:
             raise ValueError("optimizer got the same parameter more than once")
         if any(p.grad is None for p in self.params):
             raise ValueError("optimizer parameters must require gradients")
-        if lr <= 0:
+        if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
         size = sum(p.data.size for p in self.params)

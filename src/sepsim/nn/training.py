@@ -27,11 +27,11 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
+        if not self.patience >= 1:
             raise ValueError("patience must be >= 1")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
 
 

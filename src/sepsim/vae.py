@@ -49,7 +49,7 @@ class VaeModel(Module):
     model_kind = "vae"
 
     def __init__(self, beta: float = 0.0, rng: np.random.Generator | None = None):
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError(f"kl weight must be >= 0, got {beta}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.beta = float(beta)

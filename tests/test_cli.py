@@ -4,10 +4,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sepsim import cli
 from sepsim.agent import QNetwork
 from sepsim.cli import main
 
@@ -442,6 +446,176 @@ def test_bad_counts_and_agent_settings_fail_before_any_checkpoint_loads(
                  "--seed", "0"])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+# ---- one schema: every config value is typed and checked before any input
+
+class InputsReached(Exception):
+    """Raised where a stage would read its first input."""
+
+
+def _refuse_inputs(monkeypatch):
+    from sepsim import checkpoint
+
+    def reached(*args, **kwargs):
+        raise InputsReached
+
+    monkeypatch.setattr(cli, "load_cohort", reached)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", reached)
+    monkeypatch.setattr(cli, "SyntheticDynamicsSpec", SimpleNamespace(default=reached))
+
+
+def _valid_section(stage, data_dir, sim_dir):
+    """A section on which `stage` runs until it reads its first input."""
+    data = str(data_dir / "cohort.csv")
+    simulator = {"data": data, "variant": "rnn",
+                 "checkpoints": _checkpoints(sim_dir, "rnn")}
+    return {"synth-data": {}, "train-vae": {"data": data},
+            "train-state": {"data": data, "variant": "rnn"},
+            "train-heads": {"data": data}, "rollout": simulator,
+            "train-agent": simulator,
+            "eval": {"data": data,
+                     "variants": [{"name": "rnn", **_checkpoints(sim_dir, "rnn")}]},
+            "ntm": {"real": data, "sim": data}}[stage]
+
+
+def _run_section(tmp_path, stage, section, *argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({stage.replace("-", "_"): section}))
+    return main([stage, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0", *argv])
+
+
+@pytest.mark.parametrize("stage, override, key", [
+    ("train-vae", "learning_rate=abc", "learning_rate"),
+    ("ntm", "ntm_mode=foo", "ntm_mode"),
+    ("synth-data", "generator=5", "generator"),
+    ("train-vae", "epochs=2.7", "epochs"),
+    ("train-heads", "batch_size=true", "batch_size"),
+    ("synth-data", "episodes=2.5", "episodes"),
+    ("train-heads", "suffix=[1]", "suffix"),
+    ("train-heads", "suffix=../x", "suffix"),
+    ("train-state", "learning_rate=inf", "learning_rate"),
+    ("train-state", "learning_rate=Infinity", "learning_rate"),
+    ("rollout", "temperature=nan", "temperature"),
+    ("rollout", "temperature=NaN", "temperature"),
+    ("rollout", "temperature=0", "temperature"),
+    ("rollout", "max_steps=2.7", "max_steps"),
+    ("rollout", "max_steps=0", "max_steps"),
+    ("train-agent", 'dqn={"total_steps": 2.5}', "dqn.total_steps"),
+    ("train-agent", 'dqn={"total_steps": 0}', "total_steps"),
+    ("eval", "ntm_mode=foo", "ntm_mode"),
+])
+def test_bad_value_exits_2_naming_stage_and_key(
+        tmp_path, data_dir, sim_dir, monkeypatch, capsys, stage, override, key):
+    _refuse_inputs(monkeypatch)
+    code = _run_section(tmp_path, stage, _valid_section(stage, data_dir, sim_dir),
+                        "--set", override)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: {stage}: " in err and key in err
+
+
+@pytest.mark.parametrize("config_seed, argv", [
+    ("abc", []), (-1, []), (2.7, []), (True, []), (0, ["--seed", "-3"])],
+    ids=["abc", "negative", "fraction", "bool", "flag-negative"])
+def test_bad_root_seed_exits_2_naming_seed(tmp_path, monkeypatch, capsys,
+                                           config_seed, argv):
+    _refuse_inputs(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": config_seed, "synth_data": {"episodes": 5}}))
+    code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 *argv])
+    assert code == 2
+    assert "seed must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"variants": [{"name": "vae_rnn", "state": "s", "termination": "t",
+                    "outcome": "o"}]}, "encoder"),
+    ({"variants": [{"name": "rnn", "state": "s", "termination": "t",
+                    "outcome": "o", "encoder": "e"}]}, "does not take"),
+    ({"variants": [{"name": "rnn", "state": "s", "termination": "t"}]}, "outcome"),
+])
+def test_simulator_checkpoint_set_is_config_error(tmp_path, monkeypatch, capsys,
+                                                  extra, message):
+    """A variant's checkpoints must be exactly the set its simulator loads."""
+    _refuse_inputs(monkeypatch)
+    for name in ("s", "t", "o", "e", "cohort.csv"):
+        (tmp_path / name).write_text("")
+    monkeypatch.chdir(tmp_path)
+    code = _run_section(tmp_path, "eval", {"data": "cohort.csv", **extra})
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "variants[0]" in err and message in err
+
+
+def _flat_keys(rows, prefix=""):
+    """Each key of a schema table, an object's keys as `key.sub` and a list
+    entry's keys as `key[].sub`, mapped to its row."""
+    flat = {}
+    for name, row in rows.items():
+        flat[prefix + name] = row
+        if isinstance(row.kind, list):
+            flat.update(_flat_keys(row.kind[0], f"{prefix}{name}[]."))
+        elif isinstance(row.kind, dict):
+            flat.update(_flat_keys(row.kind, f"{prefix}{name}."))
+    return flat
+
+
+_STAGE_KEY_PAIRS = [(stage, key) for stage, rows in cli._SCHEMA.items() for key in rows]
+_NAMES = sorted({key.rsplit(".", 1)[-1] for rows in cli._SCHEMA.values()
+                 for key in _flat_keys(rows)})
+_CHOICES = sorted({choice for rows in cli._SCHEMA.values()
+                   for row in _flat_keys(rows).values()
+                   if isinstance(row.kind, tuple) for choice in row.kind})
+
+
+def _json_values(paths):
+    """JSON values: numbers (NaN and infinities included), bools, null,
+    strings (the schema's choices and some existing files among them),
+    lists and objects (keyed mostly by the schema's key names)."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=8) | st.sampled_from(_CHOICES + paths))
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=4), inner,
+                          max_size=4)), max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_value_exits_2_naming_its_key_or_reaches_the_inputs(
+        tmp_path, data_dir, sim_dir, monkeypatch, capsys, data):
+    _refuse_inputs(monkeypatch)
+    stage, key = data.draw(st.sampled_from(_STAGE_KEY_PAIRS), label="stage, key")
+    paths = [str(data_dir / "cohort.csv"), *_checkpoints(sim_dir, "rnn").values()]
+    value = data.draw(_json_values(paths), label="value")
+    section = {**_valid_section(stage, data_dir, sim_dir), key: value}
+    code = _run_section(tmp_path, stage, section)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert key in err, err
+    else:
+        assert code == 1 and "InputsReached" in err, err
+
+
+def _readme_keys():
+    """{stage: keys} from the README's table of config keys."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | stages | type | default | rule |")[1].split("\n\n")[0]
+    keys: dict = {}
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for stage in cells[1].split(", "):
+            keys.setdefault(stage, set()).add(cells[0].strip("`"))
+    return keys
+
+
+def test_readme_key_table_lists_each_stage_keys():
+    assert _readme_keys() == {stage: set(_flat_keys(rows))
+                              for stage, rows in cli._SCHEMA.items()}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

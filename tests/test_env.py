@@ -279,11 +279,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="outcome"):
             SimConfig(variant="rnn", checkpoints={"state": "s", "termination": "t"})
 
-    def test_bad_knobs(self):
-        with pytest.raises(ValueError):
-            SimConfig(variant="rnn", checkpoints=dict(self.CKPTS), temperature=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(variant="rnn", checkpoints=dict(self.CKPTS), max_steps=0)
+
+@pytest.mark.parametrize("key, value", [("temperature", float("nan")),
+                                        ("temperature", 0.0),
+                                        ("max_steps", float("nan")),
+                                        ("max_steps", 0)])
+def test_env_refuses_bad_knobs(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        _env(**{key: value})
 
 
 class TestReplay:

@@ -158,6 +158,12 @@ def test_sample_next_rejects_bad_temperature(rng):
         sample_next(params, 0.0, rng)
 
 
+def test_sample_next_rejects_nan_temperature(rng):
+    params = MixtureParams(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="temperature"):
+        sample_next(params, float("nan"), rng)
+
+
 def test_mdn_beats_point_rnn_on_bimodal_toy(rng):
     """Alternating +/-1 sequences: the point model averages to ~0, the
     mixture model can commit to either branch."""
