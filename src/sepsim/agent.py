@@ -44,8 +44,8 @@ class QNetwork(Module):
         twin.load_state_arrays(self.state_arrays())
         return twin
 
-    def save(self, path, **extra) -> None:
-        hyper = {"obs_dim": self.obs_dim, "n_actions": self.n_actions, **extra}
+    def save(self, path) -> None:
+        hyper = {"obs_dim": self.obs_dim, "n_actions": self.n_actions}
         checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
 
     @classmethod
@@ -209,7 +209,8 @@ def train_agent(env, config: DqnConfig | None = None) -> AgentResult:
     rng = np.random.default_rng(seeds[0])
     net = QNetwork(rng=np.random.default_rng(seeds[1]))
     target = net.clone()
-    buffer = ReplayBuffer(config.buffer_capacity, net.obs_dim)
+    # the loop pushes total_steps rows, so rows past that are never written
+    buffer = ReplayBuffer(min(config.buffer_capacity, config.total_steps), net.obs_dim)
     optimizer = Adam(net.parameters(), lr=config.learning_rate)
 
     episodes: list[EpisodeRecord] = []

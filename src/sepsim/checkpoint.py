@@ -56,8 +56,10 @@ def save_checkpoint(path, model_kind: str, hyperparams: dict,
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def load_checkpoint(path, expect_kind: str | None = None
+def load_checkpoint(path, expect_kind: str | tuple[str, ...] | None = None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, hyperparams, arrays) of a checkpoint whose kind is `expect_kind`,
+    or one of them when it is a tuple; None accepts any kind."""
     meta, arrays = load_parsed(path, lambda data: _parse_checkpoint(data, expect_kind),
                                ["load_checkpoint"])
     # a parse checks the kind before the tensors; a sidecar hit checks it here
@@ -65,12 +67,14 @@ def load_checkpoint(path, expect_kind: str | None = None
     return meta["kind"], meta["hyperparams"], dict(zip(meta["names"], arrays))
 
 
-def _check_kind(kind, expect_kind: str | None) -> None:
-    if expect_kind is not None and kind != expect_kind:
-        raise ValueError(f"checkpoint holds a {kind!r} model, expected {expect_kind!r}")
+def _check_kind(kind, expect_kind: str | tuple[str, ...] | None) -> None:
+    kinds = (expect_kind,) if isinstance(expect_kind, str) else expect_kind
+    if kinds is not None and kind not in kinds:
+        want = " or ".join(map(repr, kinds))
+        raise ValueError(f"checkpoint holds a {kind!r} model, expected {want}")
 
 
-def _parse_checkpoint(data: bytes, expect_kind: str | None) -> tuple[dict, list]:
+def _parse_checkpoint(data: bytes, expect_kind) -> tuple[dict, list]:
     # decoded as Path.read_text decodes it, newline translation included
     doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     version = doc.get("format_version")

@@ -223,14 +223,22 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8")
 
 
-def _prepared(cfg: dict, seed: int):
+def _prepared(cfg: dict, seed: int, resplit: bool = False):
     """The stage's inputs so far, {"data": path}, and (train, val, stats),
-    derived from the raw cohort deterministically."""
+    derived from the raw cohort deterministically. A stage that splits the
+    training half again for its own validation passes `resplit`."""
     if "data" not in cfg:
         raise ConfigError("missing config key: data")
     inputs = {"data": Path(cfg["data"])}
-    train, val, stats = prepare_cohorts(load_cohort(inputs["data"]),
-                                        fraction=cfg["split_fraction"], seed=seed)
+    cohort = load_cohort(inputs["data"])
+    if cohort.n_episodes < 2:
+        raise ConfigError(f"data: {inputs['data']} holds {cohort.n_episodes} "
+                          "episode(s), and a train/validation split needs 2")
+    train, val, stats = prepare_cohorts(cohort, fraction=cfg["split_fraction"],
+                                        seed=seed)
+    if resplit and train.n_episodes < 2:
+        raise ConfigError(f"data: the training split of {inputs['data']} holds "
+                          "1 episode, and this stage splits it again, which needs 2")
     return inputs, train, val, stats
 
 
@@ -318,7 +326,7 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
         need = "needs" if model_cfg.uses_encoder else "does not take"
         raise ConfigError(f"train-state: variant {variant!r} {need} an encoder")
     schedule = _schedule(cfg, seed)
-    inputs, train, _, _ = _prepared(cfg, seed)
+    inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
     encoder = _load_optional_encoder(cfg, inputs)
     model, history = train_state_model(model_cfg, train, schedule, encoder=encoder,
                                        val_fraction=cfg["val_fraction"],
@@ -334,7 +342,7 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
 
 def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
     schedule = _schedule(cfg, seed)
-    inputs, train, _, _ = _prepared(cfg, seed)
+    inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
     encoder = _load_optional_encoder(cfg, inputs)
     result = train_heads(train, schedule, encoder=encoder,
                          step_norm=cfg["step_norm"],
@@ -365,12 +373,21 @@ def _sim_config(cfg: dict, seed: int, where: str = "checkpoints") -> SimConfig:
         raise ConfigError(f"{where}: {exc}")
 
 
+def _checkpoint(sim: SimConfig, key: str, load, *args):
+    """sim's `key` checkpoint, read by `load`; a file that `load` refuses,
+    one of another kind for instance, is a config error naming the key."""
+    try:
+        return load(sim.checkpoints[key], *args)
+    except ValueError as exc:
+        raise ConfigError(f"{key} checkpoint {sim.checkpoints[key]}: {exc}")
+
+
 def _build_env(sim: SimConfig, pool: np.ndarray,
                stats: NormalizationStats) -> PatientEnv:
-    state_model = StateModel.load(sim.checkpoints["state"])
+    state_model = _checkpoint(sim, "state", StateModel.load)
     if state_model.config.variant != sim.variant:
         raise ConfigError(
-            f"state checkpoint {sim.checkpoints['state']} holds a "
+            f"state checkpoint {sim.checkpoints['state']} is a "
             f"{state_model.config.variant!r} model, but the simulator is "
             f"configured as {sim.variant!r}")
     recorded = state_model.encoder_sha256
@@ -380,12 +397,17 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             f"encoder checkpoint {sim.checkpoints['encoder']} is not the one "
             f"state checkpoint {sim.checkpoints['state']} was trained with "
             f"(sha256 {recorded})")
-    termination = BinaryHead.load(sim.checkpoints["termination"])
-    outcome = BinaryHead.load(sim.checkpoints["outcome"])
+    heads = {kind: _checkpoint(sim, kind, BinaryHead.load, kind)
+             for kind in ("termination", "outcome")}
+    for kind, head in heads.items():
+        if head.state_dim != state_model.state_dim:
+            raise ConfigError(
+                f"{kind} checkpoint {sim.checkpoints[kind]} takes {head.state_dim} "
+                f"state features, but the state model gives {state_model.state_dim}")
     encoder = None
     if "encoder" in sim.checkpoints:
-        encoder = load_encoder(sim.checkpoints["encoder"])
-    return PatientEnv(state_model, termination, outcome, pool,
+        encoder = _checkpoint(sim, "encoder", load_encoder)
+    return PatientEnv(state_model, heads["termination"], heads["outcome"], pool,
                       reward_spec=sim.reward, encoder=encoder, stats=stats,
                       temperature=sim.temperature, max_steps=sim.max_steps,
                       termination_mode=sim.termination_mode, seed=sim.seed)

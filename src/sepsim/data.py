@@ -203,10 +203,12 @@ def _cohort_arrays(cohort: Cohort) -> tuple[dict, list[np.ndarray]]:
 
 
 def _parse_cohort(data: bytes, schema: CsvSchema) -> Cohort:
-    # decoded as open(newline="", encoding="utf-8") decodes the file
+    # decoded as open(newline="", encoding="utf-8") decodes the file; a
+    # repeated column name reads its last column, blank lines are skipped,
+    # and the cells a short row lacks read as None
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
         claimed = {schema.subject_id, schema.step, schema.action,
                    schema.terminal, schema.outcome}
         for col in sorted(claimed):
@@ -222,59 +224,37 @@ def _parse_cohort(data: bytes, schema: CsvSchema) -> Cohort:
         if len(feature_cols) != N_FEATURES:
             raise ValueError(f"schema error: expected {N_FEATURES} feature columns, "
                              f"found {len(feature_cols)}")
-        # as in csv.DictReader: a repeated name reads its last column, blank
-        # lines are skipped, and the cells a short row lacks read as None
-        index = {name: j for j, name in enumerate(header)}
-        sid_j, step_j, action_j, terminal_j, outcome_j = (
-            index[schema.subject_id], index[schema.step], index[schema.action],
-            index[schema.terminal], index[schema.outcome])
-        feature_js = [index[c] for c in feature_cols]
-        width = len(header)
 
-        # subject -> list of (step, features, action, terminal, outcome_cell)
+        columns = [(schema.step, int), *((c, float) for c in feature_cols),
+                   (schema.action, int), (schema.terminal, int)]
+        # subject -> list of (step, features, action, terminal, outcome)
         groups: dict[str, list] = {}
-        for i, row in enumerate(r for r in reader if r):
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            sid = row[sid_j]
-            step = _parse_number(row[step_j], schema.step, i, int)
-            cells = [row[j] for j in feature_js]
-            try:
-                feats = np.array(list(map(float, cells)))
-            except (TypeError, ValueError):
-                # slow path, only to name the offending column in the error
-                feats = np.array([_parse_number(cell, c, i, float)
-                                  for cell, c in zip(cells, feature_cols)])
-            action = _parse_number(row[action_j], schema.action, i, int)
-            terminal = _parse_number(row[terminal_j], schema.terminal, i, int)
+        for i, row in enumerate(reader):
+            step, *feats, action, terminal = [_parse_number(row[c], c, i, caster)
+                                              for c, caster in columns]
             if terminal not in (0, 1):
                 raise ValueError(f"terminal flag must be 0 or 1 at data row {i}")
-            outcome_cell = (row[outcome_j] or "").strip()
+            outcome_cell = (row[schema.outcome] or "").strip()
             outcome = None
             if outcome_cell != "":
                 outcome = _parse_number(outcome_cell, schema.outcome, i, int)
-            groups.setdefault(sid, []).append((step, feats, action, terminal, outcome))
+            groups.setdefault(row[schema.subject_id], []).append(
+                (step, np.array(feats), action, terminal, outcome))
 
     episodes = []
     for sid, rows in groups.items():
         rows.sort(key=lambda r: r[0])
-        steps = [r[0] for r in rows]
+        steps, states, actions, terminals, outcomes = zip(*rows)
         if len(set(steps)) != len(steps):
             raise ValueError(f"duplicate step values for subject {sid!r}")
-        terminals = [r[3] for r in rows]
         if sum(terminals) != 1 or terminals[-1] != 1:
             raise ValueError(f"subject {sid!r} must have exactly one terminal row, "
                              "at the final step")
-        outcomes = [r[4] for r in rows]
         if any(o is not None for o in outcomes[:-1]) or outcomes[-1] is None:
             raise ValueError(f"subject {sid!r} must carry the outcome on the "
                              "terminal row only")
-        episodes.append(PatientEpisode(
-            subject_id=sid,
-            states=np.stack([r[1] for r in rows]),
-            actions=np.array([r[2] for r in rows]),
-            outcome=Outcome(outcomes[-1]),
-        ))
+        episodes.append(PatientEpisode(sid, np.stack(states), np.array(actions),
+                                       Outcome(outcomes[-1])))
     return Cohort(tuple(episodes), feature_cols)
 
 

@@ -17,7 +17,7 @@ every prediction still unrolls its whole window from the zero state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -248,37 +248,24 @@ class StateModel(Module):
         return self.predict_batch(window.states[None], window.actions[None])[0]
 
     def predict_batch(self, window_states: np.ndarray, window_actions: np.ndarray):
-        """`predict` for each window of a batch, through the unroll that
-        training uses, with no tape recorded."""
+        """`predict` for each window of a batch, through `forward_graph` as
+        training runs it, with no tape recorded."""
         with no_grad():
-            h = self.cell.unroll(window_states, window_actions).data
-        out = self.head.forward_np(h)
+            out = self.forward_graph(window_states, window_actions).data
         if self.config.uses_mdn:
             return [self._mixture_from_row(row) for row in out]
         return out
 
-    def save(self, path, encoder_sha256: str | None = None, **extra) -> None:
-        hyper = {
-            "variant": self.config.variant,
-            "window": self.config.window,
-            "rnn_hidden": self.config.rnn_hidden,
-            "n_mixtures": self.config.n_mixtures,
-            "state_dim": self.state_dim,
-            "encoder_sha256": encoder_sha256,
-            **extra,
-        }
+    def save(self, path, encoder_sha256: str | None = None) -> None:
+        hyper = {**asdict(self.config), "state_dim": self.state_dim,
+                 "encoder_sha256": encoder_sha256}
         checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
 
     @classmethod
     def load(cls, path) -> "StateModel":
-        kind, hyper, arrays = checkpoint.load_checkpoint(path)
-        if kind not in ("state_rnn", "state_mdn"):
-            raise ValueError(f"checkpoint holds a {kind!r} model, expected a state model")
-        config = StateModelConfig(variant=hyper["variant"], window=int(hyper["window"]),
-                                  rnn_hidden=int(hyper["rnn_hidden"]),
-                                  n_mixtures=int(hyper["n_mixtures"]),
-                                  state_dim=int(hyper["state_dim"]))
-        model = cls(config)
+        _, hyper, arrays = checkpoint.load_checkpoint(path, ("state_rnn", "state_mdn"))
+        model = cls(StateModelConfig(**{f.name: hyper[f.name]
+                                        for f in fields(StateModelConfig)}))
         model.load_state_arrays(arrays)
         model.encoder_sha256 = hyper.get("encoder_sha256")
         return model

@@ -66,24 +66,20 @@ class BinaryHead(Module):
         return self.net(Tensor(features))
 
     def predict_proba(self, state, action, step) -> float:
-        x = self._features(state, action, step)
-        return float(expit(self.net.forward_np(x))[0, 0])
+        return float(self.predict_proba_batch(state, action, step)[0])
 
     def predict_proba_batch(self, states, actions, steps) -> np.ndarray:
         x = self._features(states, actions, steps)
         return expit(self.net.forward_np(x))[:, 0]
 
-    def save(self, path, **extra) -> None:
-        hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm, **extra}
+    def save(self, path) -> None:
+        hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm}
         checkpoint.save_checkpoint(path, self.kind, hyper, self.state_arrays())
 
     @classmethod
     def load(cls, path, expect_kind: str | None = None) -> "BinaryHead":
-        kind, hyper, arrays = checkpoint.load_checkpoint(path)
-        if kind not in HEAD_KINDS:
-            raise ValueError(f"checkpoint holds a {kind!r} model, expected a head")
-        if expect_kind is not None and kind != expect_kind:
-            raise ValueError(f"checkpoint holds a {kind!r} head, expected {expect_kind!r}")
+        """A head of kind `expect_kind`, or of either kind when it is None."""
+        kind, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind or HEAD_KINDS)
         model = cls(kind, int(hyper["state_dim"]), float(hyper["step_norm"]))
         model.load_state_arrays(arrays)
         return model

@@ -7,8 +7,8 @@ linear output. The VAE's KL weight defaults to 0 (reconstruction-only
 training); sampling still goes through the reparameterized z = mu + sigma * eps
 path so the weight can be raised without code changes.
 
-Simulation pipelines encode states deterministically via encode_mean; the
-stochastic encode is for training and diagnostics.
+Simulation pipelines encode states deterministically via encode_mean, a
+numpy path; training samples z inside `vae_loss_graph`.
 """
 from __future__ import annotations
 
@@ -33,16 +33,19 @@ ENC_HIDDEN = (40, 35)
 LATENT_DIM = 30
 
 
-def _as_batch(s: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(s, dtype=np.float64)
-    single = arr.ndim == 1
+def _forward_np(layers, s: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """`s`, one row of `dim` entries or a batch, through `layers` in numpy."""
+    x = np.asarray(s, dtype=np.float64)
+    single = x.ndim == 1
     if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} must have {dim} entries, got shape {np.shape(s)}")
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"non-finite values in {what}")
-    return arr, single
+    for layer in layers:
+        x = layer.forward_np(x)
+    return x[0] if single else x
 
 
 class VaeModel(Module):
@@ -73,41 +76,23 @@ class VaeModel(Module):
 
     # numpy paths (inference)
 
-    def encode_params(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mu and sigma for one state or a batch."""
-        x, single = _as_batch(s, N_FEATURES, "state")
-        h = self.enc2.forward_np(self.enc1.forward_np(x))
-        mu = self.mu_head.forward_np(h)
-        sigma = np.exp(self.log_sigma_head.forward_np(h))
-        if single:
-            return mu[0], sigma[0]
-        return mu, sigma
-
-    def encode(self, s: np.ndarray, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reparameterized sample: z = mu + sigma * eps, eps ~ N(0, I)."""
-        mu, sigma = self.encode_params(s)
-        eps = rng.normal(size=mu.shape)
-        return mu + sigma * eps, mu, sigma
-
     def encode_mean(self, s: np.ndarray) -> np.ndarray:
-        return self.encode_params(s)[0]
+        """mu, the eps = 0 code, for one state or a batch."""
+        return _forward_np((self.enc1, self.enc2, self.mu_head), s, N_FEATURES, "state")
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        z, single = _as_batch(z, LATENT_DIM, "latent")
-        out = self.dec_out.forward_np(self.dec2.forward_np(self.dec1.forward_np(z)))
-        return out[0] if single else out
+        return _forward_np((self.dec1, self.dec2, self.dec_out), z, LATENT_DIM, "latent")
 
     def reconstruct(self, s: np.ndarray) -> np.ndarray:
         return self.decode(self.encode_mean(s))
 
-    def save(self, path, **extra_hyperparams) -> None:
-        hyper = {"beta": self.beta, "latent_dim": LATENT_DIM, **extra_hyperparams}
+    def save(self, path) -> None:
+        hyper = {"beta": self.beta, "latent_dim": LATENT_DIM}
         checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
 
     @classmethod
     def load(cls, path) -> "VaeModel":
-        return _load(path, expect_kind=cls.model_kind)
+        return load_encoder(path, cls.model_kind)
 
 
 class AeModel(Module):
@@ -132,48 +117,31 @@ class AeModel(Module):
         return self.dec_out(self.dec2(self.dec1(z)))
 
     def encode_mean(self, s: np.ndarray) -> np.ndarray:
-        x, single = _as_batch(s, N_FEATURES, "state")
-        z = self.bottleneck.forward_np(self.enc2.forward_np(self.enc1.forward_np(x)))
-        return z[0] if single else z
-
-    # the deterministic bottleneck ignores the rng; signature kept uniform
-    def encode(self, s: np.ndarray, rng=None):
-        mu = self.encode_mean(s)
-        return mu, mu, np.zeros_like(mu)
+        return _forward_np((self.enc1, self.enc2, self.bottleneck), s, N_FEATURES,
+                           "state")
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        z, single = _as_batch(z, LATENT_DIM, "latent")
-        out = self.dec_out.forward_np(self.dec2.forward_np(self.dec1.forward_np(z)))
-        return out[0] if single else out
+        return _forward_np((self.dec1, self.dec2, self.dec_out), z, LATENT_DIM, "latent")
 
     def reconstruct(self, s: np.ndarray) -> np.ndarray:
         return self.decode(self.encode_mean(s))
 
-    def save(self, path, **extra_hyperparams) -> None:
-        hyper = {"latent_dim": LATENT_DIM, **extra_hyperparams}
+    def save(self, path) -> None:
+        hyper = {"latent_dim": LATENT_DIM}
         checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
 
     @classmethod
     def load(cls, path) -> "AeModel":
-        return _load(path, expect_kind=cls.model_kind)
+        return load_encoder(path, cls.model_kind)
 
 
-def _load(path, expect_kind: str | None = None):
-    kind, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind=expect_kind)
-    if kind == VaeModel.model_kind:
-        model = VaeModel(beta=float(hyper.get("beta", 0.0)))
-    elif kind == AeModel.model_kind:
-        model = AeModel()
-    else:
-        raise ValueError(f"checkpoint holds a {kind!r} model, expected an autoencoder")
+def load_encoder(path, kinds=(VaeModel.model_kind, AeModel.model_kind)):
+    """Load an autoencoder of one of `kinds` (by default either) from a
+    checkpoint, keyed by model_kind; the file is parsed once."""
+    kind, hyper, arrays = checkpoint.load_checkpoint(path, kinds)
+    model = VaeModel(beta=hyper["beta"]) if kind == VaeModel.model_kind else AeModel()
     model.load_state_arrays(arrays)
     return model
-
-
-def load_encoder(path):
-    """Load either autoencoder kind from a checkpoint, keyed by model_kind;
-    the file is parsed once."""
-    return _load(path)
 
 
 # ---- losses -----------------------------------------------------------------

@@ -72,6 +72,19 @@ def test_kind_mismatch_rejected(tmp_path):
         load_checkpoint(path, expect_kind="qnet")
 
 
+def test_tuple_of_kinds_accepts_each_and_names_them(tmp_path):
+    path = tmp_path / "m.json"
+    for kind in ("state_rnn", "state_mdn"):
+        save_checkpoint(path, kind, {}, {"w": np.zeros(2)})
+        assert load_checkpoint(path, ("state_rnn", "state_mdn"))[0] == kind
+    save_checkpoint(path, "termination", {}, {"w": np.zeros(2)})
+    for _ in ("parse", "sidecar hit"):
+        with pytest.raises(ValueError, match="holds a 'termination' model, "
+                                             "expected 'state_rnn' or 'state_mdn'"):
+            load_checkpoint(path, ("state_rnn", "state_mdn"))
+        load_checkpoint(path)
+
+
 def test_future_format_rejected(tmp_path):
     path = tmp_path / "m.json"
     save_checkpoint(path, "demo", {}, {"w": np.zeros(1)})

@@ -414,6 +414,111 @@ class TestEncoderHash:
         assert _rollout(tmp_path, data_dir, checkpoints) == 0
 
 
+def _simulator_section(stage, data_dir, variant, checkpoints):
+    """A rollout, train-agent or eval section over one simulator."""
+    section = {"data": str(data_dir / "cohort.csv"), "max_steps": 4,
+               "termination_mode": "threshold"}
+    if stage == "eval":
+        return {**section, "variants": [{"name": variant, **checkpoints}],
+                "eval_episodes": 2}
+    section.update(variant=variant, checkpoints=checkpoints)
+    section.update({"rollout": {"episodes": 2},
+                    "train-agent": {"dqn": {"total_steps": 10}}}[stage])
+    return section
+
+
+_SIMULATOR_STAGES = ("rollout", "train-agent", "eval")
+
+
+class TestCheckpointFit:
+    """Checkpoints that do not fit the simulator are config errors that name
+    their checkpoint key, raised as the simulator is built."""
+
+    @pytest.mark.parametrize("key, other", [("termination", "outcome"),
+                                            ("outcome", "termination"),
+                                            ("state", "termination")])
+    @pytest.mark.parametrize("stage", _SIMULATOR_STAGES)
+    def test_checkpoint_of_other_kind(self, tmp_path, data_dir, sim_dir, capsys,
+                                      stage, key, other):
+        checkpoints = {**_checkpoints(sim_dir, "rnn"),
+                       key: str(sim_dir / f"{other}.json")}
+        code = _run_section(tmp_path, stage, _simulator_section(
+            stage, data_dir, "rnn", checkpoints))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{key} checkpoint" in err
+        assert f"holds a '{other}' model, expected '{key}" in err
+
+    @pytest.mark.parametrize("stage", _SIMULATOR_STAGES)
+    def test_encoder_of_other_kind(self, tmp_path, data_dir, sim_dir, latent_dir,
+                                   capsys, stage):
+        checkpoints = _latent_checkpoints(latent_dir, 0, state="state_nohash.json")
+        checkpoints["encoder"] = str(sim_dir / "termination.json")
+        code = _run_section(tmp_path, stage, _simulator_section(
+            stage, data_dir, "vae_rnn", checkpoints))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "encoder checkpoint" in err
+        assert "holds a 'termination' model, expected 'vae' or 'ae'" in err
+
+    @pytest.mark.parametrize("stage", _SIMULATOR_STAGES)
+    def test_heads_of_other_width(self, tmp_path, data_dir, sim_dir, latent_dir,
+                                  capsys, stage):
+        """Heads trained on the 46 raw features under a 30-dim vae_rnn."""
+        checkpoints = {**_latent_checkpoints(latent_dir, 0),
+                       "termination": str(sim_dir / "termination.json"),
+                       "outcome": str(sim_dir / "outcome.json")}
+        code = _run_section(tmp_path, stage, _simulator_section(
+            stage, data_dir, "vae_rnn", checkpoints))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "termination checkpoint" in err
+        assert "takes 46 state features, but the state model gives 30" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    """Cohorts of one and of two episodes, in subdirectories 1 and 2."""
+    out = tmp_path_factory.mktemp("tiny")
+    for n in (1, 2):
+        assert main(["synth-data", "--out", str(out / str(n)), "--seed", "5",
+                     "--set", f"episodes={n}"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage, episodes", [
+    *[(stage, 1) for stage in ("train-vae", "train-state", "train-heads",
+                               "rollout", "train-agent", "eval")],
+    ("train-state", 2), ("train-heads", 2)])
+def test_cohort_too_small_to_split_exits_2_naming_data(
+        tmp_path, data_dir, sim_dir, tiny_dir, capsys, stage, episodes):
+    """Every stage splits its cohort; train-state and train-heads split the
+    training half again, so two episodes are too few for them."""
+    section = {**_valid_section(stage, data_dir, sim_dir),
+               "data": str(tiny_dir / str(episodes) / "cohort.csv")}
+    code = _run_section(tmp_path, stage, section)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "data: " in err and "needs 2" in err
+
+
+def test_buffer_capacity_above_total_steps_changes_nothing(tmp_path, data_dir,
+                                                           sim_dir):
+    """The buffer holds at most total_steps rows, so a capacity of 10**12
+    trains the same Q-net as a capacity of total_steps."""
+    qnets = []
+    for capacity in (10, 10 ** 12):
+        run = tmp_path / str(capacity)
+        run.mkdir()
+        section = {**_simulator_section("train-agent", data_dir, "rnn",
+                                        _checkpoints(sim_dir, "rnn")),
+                   "dqn": {"total_steps": 10, "batch_size": 4,
+                           "buffer_capacity": capacity}}
+        assert _run_section(run, "train-agent", section) == 0
+        qnets.append((run / "out" / "qnet.json").read_bytes())
+    assert qnets[0] == qnets[1]
+
+
 @pytest.mark.parametrize("stage, extra, key", [
     ("rollout", {"policy": "random", "episodes": 0}, "episodes"),
     ("rollout", {"policy": "physician", "episodes": -3}, "episodes"),
