@@ -19,9 +19,9 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .checkpoint import float_cells, load_parsed, write_table
+from .nn.tensor import sigmoid_np
 
 N_FEATURES = 46
 N_DOSE_BINS = 5
@@ -436,12 +436,12 @@ def generate_synthetic_cohort(spec: SyntheticDynamicsSpec, n_episodes: int,
                 a = int(policy(rng, h, t))
             states.append(s)
             actions.append(a)
-            p_term = float(expit(spec.hazard_coeffs @ h + spec.step_bias))
+            p_term = float(sigmoid_np(spec.hazard_coeffs @ h + spec.step_bias))
             if t == spec.max_len - 1 or rng.random() < p_term:
                 break
             h = np.tanh(spec.drift_matrix @ h + spec.action_effects[a]
                         + spec.noise_scale * rng.normal(size=spec.latent_dim))
-        p_death = float(expit(spec.outcome_coeffs @ h))
+        p_death = float(sigmoid_np(spec.outcome_coeffs @ h))
         outcome = Outcome.DEATH if rng.random() < p_death else Outcome.RELEASE
         episodes.append(PatientEpisode(f"synth-{i:05d}", np.stack(states),
                                        np.array(actions), outcome))

@@ -336,7 +336,15 @@ def sample_next(params: MixtureParams, temperature: float,
         scaled = np.log(params.weights) / temperature
     probs = np.exp(scaled - logsumexp_np(scaled))
     probs = probs / probs.sum()
-    k = int(rng.choice(params.n_components, p=probs))
+    # min propagates NaN, so this refuses NaN as well as negative entries
+    if not probs.min() >= 0:
+        raise ValueError(f"mixture probabilities at temperature {temperature} "
+                         f"are NaN or negative: {probs}")
+    # Generator.choice(K, p=probs)'s own steps: the same index from the
+    # same single uniform draw, without its per-call checks
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    k = int(cdf.searchsorted(rng.random(), side="right"))
     noise = rng.normal(size=params.dim)
     return params.means[k] + params.stds[k] * np.sqrt(temperature) * noise
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import checkpoint
 from .data import ACTION_COUNT, Cohort, Outcome
 from .nn import Adam, History, MLP, Module, TrainSchedule, Tensor, bce_with_logits, fit
+from .nn.tensor import sigmoid_np
 
 HEAD_HIDDEN = (64, 32)
 DEFAULT_STEP_NORM = 50.0
@@ -70,7 +70,7 @@ class BinaryHead(Module):
 
     def predict_proba_batch(self, states, actions, steps) -> np.ndarray:
         x = self._features(states, actions, steps)
-        return expit(self.net.forward_np(x))[:, 0]
+        return sigmoid_np(self.net.forward_np(x))[:, 0]
 
     def save(self, path) -> None:
         hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm}

@@ -13,9 +13,8 @@ the fused unroll is tested against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
-from .tensor import Parameter, Tensor, grad_enabled, sigmoid, tanh
+from .tensor import Parameter, Tensor, grad_enabled, sigmoid, sigmoid_np, tanh
 
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 
@@ -75,7 +74,7 @@ def _apply_activation_np(x: np.ndarray, activation: str) -> np.ndarray:
     if activation == "tanh":
         return np.tanh(x)
     if activation == "sigmoid":
-        return expit(x)
+        return sigmoid_np(x)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -221,10 +220,10 @@ class LSTMCell(Module):
                 raise ValueError(
                     f"matmul expects 2-d operands, got {x.shape} @ {Wx.shape}")
             z = x @ Wx.data + h @ Wh.data + b.data
-            i = expit(z[:, :n])
-            f = expit(z[:, n:2 * n])
+            # one sigmoid over all four gates; the cell gate's share is unused
+            s = sigmoid_np(z)
+            i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
             g = np.tanh(z[:, 2 * n:3 * n])
-            o = expit(z[:, 3 * n:])
             c_next = f * c + i * g
             tc = np.tanh(c_next)
             if record:
@@ -279,10 +278,9 @@ class LSTMCell(Module):
         """
         n = self.hidden_size
         z = xw + h @ self.Wh.data + self.b.data
-        i = expit(z[..., :n])
-        f = expit(z[..., n:2 * n])
+        s = sigmoid_np(z)
+        i, f, o = s[..., :n], s[..., n:2 * n], s[..., 3 * n:]
         g = np.tanh(z[..., 2 * n:3 * n])
-        o = expit(z[..., 3 * n:])
         c_next = f * c + i * g
         h_next = o * np.tanh(c_next)
         return h_next, c_next

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -85,6 +84,25 @@ def logsumexp_np(a, axis=None, keepdims: bool = False):
     if not keepdims:
         out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
+
+
+_NEG_X_MAX = np.array(709.0)
+
+
+def sigmoid_np(x):
+    """1 / (1 + exp(-x)), elementwise, in float64.
+
+    The bits are numpy's: exp follows numpy's SIMD dispatch, as np.tanh
+    does, and each element's result does not depend on the array's shape,
+    so row i of a batch equals a call on that row alone. -x is clamped at
+    709, so exp never overflows and numpy warns of nothing: for
+    x below -709 (and -inf) the result is sigmoid_np(-709), about 1.2e-308,
+    where the exact value is smaller still. +inf gives 1.0 and NaN stays
+    NaN. A 0-d input gives a numpy scalar, as ufuncs do.
+    """
+    t = np.exp(np.minimum(np.negative(x), _NEG_X_MAX))
+    t += 1.0
+    return 1.0 / t
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -376,7 +394,7 @@ def tanh(t: Tensor) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     t = _coerce(t)
-    out = expit(t.data)
+    out = sigmoid_np(t.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)

@@ -9,6 +9,7 @@ from sepsim.dynamics import (HistoryWindow, StateModel, StateModelConfig,
                              VARIANTS, build_training_sequences, one_hot_actions,
                              sample_next, train_on_sequences)
 from sepsim.nn import MixtureParams, TrainSchedule
+from sepsim.nn.tensor import logsumexp_np
 
 
 def test_variant_catalog():
@@ -150,6 +151,42 @@ def test_sample_next_tiny_temperature_collapses(rng):
     draws = np.array([sample_next(params, 1e-9, np.random.default_rng(i))[0]
                       for i in range(50)])
     np.testing.assert_allclose(draws, 5.0, atol=1e-3)
+
+
+def sample_next_through_choice(params, temperature, rng):
+    """sample_next with the component drawn by Generator.choice."""
+    with np.errstate(divide="ignore"):
+        scaled = np.log(params.weights) / temperature
+    probs = np.exp(scaled - logsumexp_np(scaled))
+    probs = probs / probs.sum()
+    k = int(rng.choice(params.n_components, p=probs))
+    noise = rng.normal(size=params.dim)
+    return params.means[k] + params.stds[k] * np.sqrt(temperature) * noise
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any),
+       st.sampled_from([1.0, 0.5, 2.0, 1e-3]), st.integers(0, 2**32 - 1))
+def test_sample_next_draws_as_generator_choice(counts, temperature, seed):
+    """Zero weights, ties and K=1 included: the same component (each has
+    its own mean), the same noise and the same generator state after."""
+    k = len(counts)
+    params = MixtureParams(np.array(counts) / sum(counts),
+                           10.0 * np.arange(k)[:, None] + np.zeros((k, 2)),
+                           np.ones((k, 2)))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_next(params, temperature, ours)
+    want = sample_next_through_choice(params, temperature, theirs)
+    assert got.tobytes() == want.tobytes()
+    assert ours.random() == theirs.random()
+
+
+def test_sample_next_rejects_nan_probabilities():
+    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
+    # log(0.5) / 1e-320 is -inf for both components, so the softmax is NaN
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="NaN or negative"):
+        sample_next(params, 1e-320, np.random.default_rng(0))
 
 
 def test_sample_next_rejects_bad_temperature(rng):

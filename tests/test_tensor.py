@@ -1,15 +1,18 @@
 """Autodiff core: values match numpy, gradients match finite differences."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit as scipy_expit
 from scipy.special import logsumexp as scipy_logsumexp
 
 import sepsim.nn.tensor as tensor_module
-from sepsim.nn import (MLP, Tensor, Parameter, check_gradients, exp, log,
-                       log_softmax, logsumexp, mse, no_grad, relu, sigmoid,
-                       softmax, tanh)
-from sepsim.nn.tensor import logsumexp_np
+from sepsim.nn import (MLP, Dense, LSTMCell, Tensor, Parameter, check_gradients,
+                       exp, log, log_softmax, logsumexp, mse, no_grad, relu,
+                       sigmoid, softmax, tanh)
+from sepsim.nn.tensor import logsumexp_np, sigmoid_np
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -181,6 +184,79 @@ def test_logsumexp_np_bitwise_equals_scipy(case):
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---- sigmoid_np: numpy's exp, within a few ULP of scipy's expit ------------
+
+
+@pytest.mark.parametrize("draw", [lambda g: g.normal(0.0, 3.0, 200_000),
+                                  lambda g: g.uniform(-700.0, 700.0, 200_000)],
+                         ids=["normal(0,3)", "uniform(-700,700)"])
+def test_sigmoid_np_within_4_ulp_of_scipy_expit(draw):
+    x = draw(np.random.default_rng(0))
+    got, want = sigmoid_np(x), scipy_expit(x)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_sigmoid_np_edge_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor = sigmoid_np(np.array([-709.0]))[0]
+        assert 0.0 < floor < 1.3e-308
+        got = sigmoid_np(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0,
+                                   800.0, -800.0]))
+        zero_d = sigmoid_np(np.array(0.0))
+        empty = [sigmoid_np(np.zeros(shape)) for shape in ((0,), (0, 3))]
+    assert got[0] == 1.0 and got[1] == floor and np.isnan(got[2])
+    assert got[3] == 0.5 and got[4] == 0.5
+    assert got[5] == 1.0 and got[6] == floor
+    assert type(zero_d) is np.float64 and zero_d == 0.5
+    assert [e.shape for e in empty] == [(0,), (0, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=False)))
+def test_sigmoid_np_monotone_and_in_unit_interval(x):
+    y = sigmoid_np(np.sort(x))
+    assert np.all((0.0 <= y) & (y <= 1.0))
+    assert np.all(np.diff(y) >= 0.0)
+
+
+def test_sigmoid_np_rows_equal_single_row_calls():
+    """RollingWindow's bit-for-bit match with StateModel.predict relies on
+    a batch row equalling the call on that row alone."""
+    z = np.random.default_rng(0).normal(0.0, 4.0, size=(64, 256))
+    batch = sigmoid_np(z)
+    for i in range(z.shape[0]):
+        assert batch[i].tobytes() == sigmoid_np(z[i:i + 1])[0].tobytes()
+
+
+def _sigmoid_subjects(rng):
+    """(parameters, scalar loss) for each user of the kernel that has a
+    backward, with pre-activations wide enough to reach the flat tails."""
+    x = Parameter(rng.normal(0.0, 3.0, size=(6, 5)))
+    weights = rng.normal(size=(6, 5))
+    yield [("x", x)], lambda: (sigmoid(x) * weights).sum()
+    layer = Dense(5, 4, activation="sigmoid", rng=rng)
+    layer.b.data[...] = rng.normal(0.0, 3.0, size=4)
+    xd = Parameter(rng.normal(0.0, 3.0, size=(6, 5)))
+    wd = rng.normal(size=(6, 4))
+    yield layer.named_parameters() + [("x", xd)], lambda: (layer(xd) * wd).sum()
+    cell = LSTMCell(5, 4, rng=rng)
+    cell.b.data[...] = rng.normal(0.0, 3.0, size=16)
+    window = rng.normal(0.0, 3.0, size=(5, 6, 5))
+    wu = rng.normal(size=(5, 4))
+    yield cell.named_parameters(), lambda: (cell.unroll(window) * wu).sum()
+
+
+def test_sigmoid_users_pass_criterion_01_gradcheck():
+    """tensor.sigmoid, Dense(sigmoid) and LSTMCell.unroll at criterion 01's
+    probe count, step and bound."""
+    for params, loss in _sigmoid_subjects(np.random.default_rng(3)):
+        report = check_gradients(params, loss, probe_count=50, h=1e-5,
+                                 rng=np.random.default_rng(0))
+        assert report.max_rel_error <= 1e-4, report.worst()
 
 
 # ---- no_grad ----------------------------------------------------------------
