@@ -5,6 +5,13 @@ features per step, and ends each episode through a hazard that rises with
 the severity axis.  Nothing here is learned; this is the ground truth the
 rest of the toolkit trains against.
 """
+import os
+
+# one BLAS thread unless the caller chose: the matmuls here are small, and
+# the default thread count makes them slow on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from sepsim.data import (SyntheticDynamicsSpec, export_cohort,

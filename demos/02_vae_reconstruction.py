@@ -9,6 +9,13 @@ predict-the-mean baseline.  That is why the downstream pipeline defaults to
 beta=0 and treats the stochastic encoder as a regularizer to switch on
 deliberately.
 """
+import os
+
+# one BLAS thread unless the caller chose: the matmuls here are small, and
+# the default thread count makes them slow on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from sepsim.data import (SyntheticDynamicsSpec, generate_synthetic_cohort,

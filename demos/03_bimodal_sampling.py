@@ -7,6 +7,13 @@ point predictor trained on squared error answers with the conditional mean
 learns one component per branch, and sampling with a temperature knob shows
 how the spread widens and narrows.
 """
+import os
+
+# one BLAS thread unless the caller chose: the matmuls here are small, and
+# the default thread count makes them slow on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from sepsim.dynamics import (StateModelConfig, build_training_sequences,

@@ -6,6 +6,13 @@ its own outputs step after step, with only the recorded actions coming from
 outside.  The normalized trajectory-mean gap summarizes how far the
 simulated population drifts from the real one, feature by feature.
 """
+import os
+
+# one BLAS thread unless the caller chose: the matmuls here are small, and
+# the default thread count makes them slow on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from sepsim.data import (SyntheticDynamicsSpec, generate_synthetic_cohort,

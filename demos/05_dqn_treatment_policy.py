@@ -6,6 +6,13 @@ agent only ever interacts with the simulator, never the generator.  If
 everything fits together, greedy returns should clearly beat random dosing,
 and the action histogram should lean toward the high-intensity corner.
 """
+import os
+
+# one BLAS thread unless the caller chose: the matmuls here are small, and
+# the default thread count makes them slow on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from sepsim.agent import DqnConfig, policy_histogram, train_agent

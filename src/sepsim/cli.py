@@ -37,8 +37,8 @@ from .checkpoint import file_sha256, float_cells, write_table
 from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
                    export_cohort, generate_synthetic_cohort, load_cohort,
                    prepare_cohorts, SyntheticDynamicsSpec, write_stats_json)
-from .dynamics import (StateModel, StateModelConfig, VARIANTS,
-                       train_state_model)
+from .dynamics import (MIN_TEMPERATURE, TEMPERATURE_RULE, StateModel,
+                       StateModelConfig, VARIANTS, train_state_model)
 from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
                   TERMINATION_MODES, replay_physician, rollout)
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
@@ -105,6 +105,7 @@ class Key(typing.NamedTuple):
 # a value breaks a rule when `not rule(value)`, so NaN breaks all but ""
 _RULES = {"": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
           ">= 1": lambda v: v >= 1, "in (0, 1)": lambda v: 0 < v < 1,
+          TEMPERATURE_RULE: lambda v: v >= MIN_TEMPERATURE,
           "an existing file": lambda v: Path(v).is_file(),
           "a file-name fragment": lambda v: re.fullmatch(r"[\w.-]*", v, re.ASCII)}
 _WANT = {int: "an integer", float: "a finite number", str: "a string",
@@ -174,7 +175,8 @@ _SCHEDULE = _rows(TrainSchedule, {"max_epochs": ">= 1", "patience": ">= 1",
                                   "batch_size": ">= 1"}, max_epochs=20, patience=STAGE)
 _TRAIN = {**_SPLIT, "epochs": _SCHEDULE.pop("max_epochs"), **_SCHEDULE,
           "learning_rate": Key(float, 1e-3, "> 0")}
-_SIM = {**_SPLIT, **_rows(SimConfig, {"temperature": "> 0", "max_steps": ">= 1",
+_SIM = {**_SPLIT, **_rows(SimConfig, {"temperature": TEMPERATURE_RULE,
+                                      "max_steps": ">= 1",
                                       "termination_mode": TERMINATION_MODES}),
         "reward": Key(_rows(RewardSpec, "formulation terminal_magnitude c0 c1 c2 "
                                         "sofa_index lactate_index"),

@@ -10,13 +10,14 @@ component stddevs (by sqrt(tau)).
 
 Inference is stateless: every prediction re-consumes its window, so rollouts
 can be reset, forked, and serialized freely. Within one episode the
-environment's RollingWindow reuses what the windows of successive steps share
-(each row's input projection, and the LSTM state after the zero padding), but
-every prediction still unrolls its whole window from the zero state.
+environment's RollingWindow projects each row once and advances the W
+overlapping unrolls a row takes part in as stacked lanes, in lockstep, one
+LSTM recurrence per step; each prediction is still its own window unrolled
+from the zero state, bit-identical to StateModel.predict on that window.
 """
 from __future__ import annotations
 
-from collections import deque
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -43,6 +44,17 @@ from .vae import LATENT_DIM
 VARIANTS = ("rnn", "ae_rnn", "vae_rnn", "mdn_rnn", "vae_mdn_rnn")
 
 DEFAULT_WINDOW = 10
+
+# The smallest normal float. Below it, log(weights) / temperature overflows
+# to -inf and the mixture draw has no finite probabilities.
+MIN_TEMPERATURE = sys.float_info.min
+TEMPERATURE_RULE = f">= {MIN_TEMPERATURE!r}"
+
+
+def check_temperature(temperature: float) -> None:
+    """Refuse a sampling temperature below MIN_TEMPERATURE, NaN included."""
+    if not temperature >= MIN_TEMPERATURE:
+        raise ValueError(f"temperature must be {TEMPERATURE_RULE}, got {temperature}")
 
 
 @dataclass(frozen=True)
@@ -272,30 +284,39 @@ class StateModel(Module):
 
 
 class RollingWindow:
-    """One episode's history window, kept as LSTM input projections.
+    """One episode's history window, as W partial unrolls run in lockstep.
 
     `push(state, action)` then `predict()` returns what
     `model.predict(HistoryWindow.from_history(states, actions, window))`
-    returns for the pushed history, bit for bit: the same float operations,
-    in the same order and at the same shapes. Each row's projection
-    `x @ Wx` is computed once, when the row enters, and the LSTM state after
-    k all-zero padding rows once per window, when it is built. Every
-    prediction still unrolls from the zero state; nothing is carried from one
-    prediction to the next. Build one per episode, as the parameters are read
-    at build and push time.
+    returns for the pushed history, bit for bit. Each row takes part in W
+    predictions, so the LSTM states of the next W predictions' unrolls are
+    kept as W lanes, stacked as (W, 1, hidden). Each push projects its row
+    once (`x @ Wx`) and advances every lane with one `recur_np` call; the
+    lane whose window is then complete is copied out for `predict`, and
+    restarts from the zero state to serve the prediction W pushes ahead.
+    At build, lane s starts from the state after the W-1-s zero padding
+    rows that the s-th prediction's window begins with. A stacked
+    (W, 1, k) @ (k, n) product equals the batch-1 product lane by lane,
+    where a 2-D gemm need not, so every prediction is still its own window
+    unrolled from the zero state. Build one per episode, as the parameters
+    are read at build and push time.
     """
 
     def __init__(self, model: StateModel):
         self.model = model
         cell = model.cell
+        window = model.config.window
         h, c = cell.init_state(1)
         padding = np.zeros((1, cell.input_size)) @ cell.Wx.data
-        # _prefix[k]: (h, c) after k padding rows, for k < window
-        self._prefix = [(h, c)]
-        for _ in range(model.config.window - 1):
+        self._h = np.empty((window, 1, cell.hidden_size))
+        self._c = np.empty((window, 1, cell.hidden_size))
+        # lane s: the state after window-1-s padding rows
+        self._h[-1], self._c[-1] = h, c
+        for s in range(window - 2, -1, -1):
             h, c = cell.recur_np(padding, h, c)
-            self._prefix.append((h, c))
-        self._rows: deque[np.ndarray] = deque(maxlen=model.config.window)
+            self._h[s], self._c[s] = h, c
+        self._next = 0                       # the lane the next push completes
+        self._last: np.ndarray | None = None  # (1, hidden) of the last push
 
     def push(self, state: np.ndarray, action: int) -> None:
         """Append the (state, action) pair; the oldest row leaves when full."""
@@ -309,17 +330,19 @@ class RollingWindow:
         x = np.zeros((1, d + ACTION_COUNT))
         x[0, :d] = state
         x[0, d + action] = 1.0
-        self._rows.append(x @ self.model.cell.Wx.data)
+        cell = self.model.cell
+        self._h, self._c = cell.recur_np(x @ cell.Wx.data, self._h, self._c)
+        # a copy: the lane is zeroed next, to serve the step W pushes ahead
+        self._last = self._h[self._next].copy()
+        self._h[self._next] = 0.0
+        self._c[self._next] = 0.0
+        self._next = (self._next + 1) % len(self._h)
 
     def predict(self):
         """MixtureParams for MDN variants, a point estimate otherwise."""
-        if not self._rows:
+        if self._last is None:
             raise ValueError("history must contain at least one step")
-        cell = self.model.cell
-        h, c = self._prefix[self.model.config.window - len(self._rows)]
-        for xw in self._rows:
-            h, c = cell.recur_np(xw, h, c)
-        return self.model._prediction(self.model.head.forward_np(h)[0])
+        return self.model._prediction(self.model.head.forward_np(self._last)[0])
 
 
 def sample_next(params: MixtureParams, temperature: float,
@@ -330,8 +353,7 @@ def sample_next(params: MixtureParams, temperature: float,
     tau = 1 reproduces the mixture exactly; tau -> 0 collapses onto the
     dominant component's mean.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     with np.errstate(divide="ignore"):
         scaled = np.log(params.weights) / temperature
     probs = np.exp(scaled - logsumexp_np(scaled))

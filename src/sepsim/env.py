@@ -11,11 +11,11 @@ variants, raw features otherwise); observations are always decoded back to
 the 46 clinical features.
 
 Each step adds one (state, action) row to the episode's history window.
-Within an episode the env reuses each row's LSTM input projection and the
-LSTM state after the window's zero padding, both made again on reset(); the
-prediction itself stays stateless, unrolling the whole window from the zero
-state, so a step returns exactly what StateModel.predict returns for the
-same history.
+The env's RollingWindow, made again on reset(), projects the row once and
+advances the window's W overlapping unrolls as stacked lanes, in lockstep,
+with one LSTM recurrence per step. The prediction itself stays stateless,
+each window unrolled from the zero state, so a step returns bit for bit
+what StateModel.predict returns for the same history.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ from .data import (
     action_intensity,
     decode_action,
 )
-from .dynamics import RollingWindow, StateModel, StateModelConfig, sample_next
+from .dynamics import (RollingWindow, StateModel, StateModelConfig,
+                       check_temperature, sample_next)
 from .heads import BinaryHead
 
 REWARD_FORMULATIONS = ("terminal_only", "terminal_minus_intensity",
@@ -147,8 +148,7 @@ class PatientEnv:
                  stats: NormalizationStats | None = None,
                  temperature: float = 1.0, max_steps: int = DEFAULT_MAX_STEPS,
                  termination_mode: str = "bernoulli", seed: int = 0):
-        if not temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {temperature}")
+        check_temperature(temperature)
         if not max_steps >= 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         if termination_mode not in TERMINATION_MODES:

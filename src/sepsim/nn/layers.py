@@ -6,9 +6,12 @@ operations in the same order, so trained weights match it bit for bit.
 Dense's backward is `Dense.backward_np`, on bare arrays, which the DQN's
 tape-free `agent.td_update` calls too. Inference runs `unroll` under
 `no_grad`, or `Dense.forward_np` and `LSTMCell.step_np`/`recur_np`, which
-repeat the forward arithmetic on bare arrays (environment stepping);
-`LSTMCell.step` builds the per-op graph of one step and is the reference
-the fused unroll is tested against.
+repeat the forward arithmetic on bare arrays. Environment stepping calls
+`recur_np` once per step on stacked (W, 1, hidden) lanes, the W unrolls of
+the history window advancing in lockstep; a stacked (W, 1, k) @ (k, n)
+product equals the batch-1 product lane by lane, so each lane stays
+bit-identical to its own batch-1 unroll. `LSTMCell.step` builds the per-op
+graph of one step and is the reference the fused unroll is tested against.
 """
 from __future__ import annotations
 
@@ -275,6 +278,8 @@ class LSTMCell(Module):
 
         A caller that feeds the same input rows to several unrolls can
         project each row once; the result is bit-identical to `step_np`.
+        `h` and `c` may be stacked lanes, (lanes, 1, hidden), with `xw`
+        shared by every lane; each lane's result is that of a batch-1 call.
         """
         n = self.hidden_size
         z = xw + h @ self.Wh.data + self.b.data

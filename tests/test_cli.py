@@ -621,6 +621,32 @@ def test_bad_value_exits_2_naming_stage_and_key(
     assert f"error: {stage}: " in err and key in err
 
 
+def _mdn_rollout_section(data_dir, sim_dir):
+    return {"data": str(data_dir / "cohort.csv"), "variant": "mdn_rnn",
+            "checkpoints": _checkpoints(sim_dir, "mdn_rnn"), "episodes": 2,
+            "max_steps": 4}
+
+
+def test_subnormal_temperature_exits_2_before_any_input(
+        tmp_path, data_dir, sim_dir, monkeypatch, capsys):
+    """A subnormal temperature overflows the mixture draw mid-rollout, so
+    the schema refuses it before a checkpoint is read."""
+    _refuse_inputs(monkeypatch)
+    code = _run_section(tmp_path, "rollout", _mdn_rollout_section(data_dir, sim_dir),
+                        "--set", "temperature=1e-320")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert ("error: rollout: temperature must be >= 2.2250738585072014e-308, "
+            "got 1e-320") in err
+
+
+def test_smallest_normal_temperature_runs_an_mdn_rollout(tmp_path, data_dir,
+                                                         sim_dir):
+    code = _run_section(tmp_path, "rollout", _mdn_rollout_section(data_dir, sim_dir),
+                        "--set", f"temperature={sys.float_info.min!r}")
+    assert code == 0
+
+
 @pytest.mark.parametrize("config_seed, argv", [
     ("abc", []), (-1, []), (2.7, []), (True, []), (0, ["--seed", "-3"])],
     ids=["abc", "negative", "fraction", "bool", "flag-negative"])

@@ -1,4 +1,6 @@
 """Simulator environment: rewards, termination, determinism, replay."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,13 @@ class TestSimConfig:
 def test_env_refuses_bad_knobs(key, value):
     with pytest.raises(ValueError, match=f"{key} must be"):
         _env(**{key: value})
+
+
+def test_env_temperature_rule_is_the_schema_rule():
+    with pytest.raises(ValueError, match=r"^temperature must be >= "
+                                         r"2\.2250738585072014e-308, got 1e-320$"):
+        _env(temperature=1e-320)
+    assert _env(temperature=sys.float_info.min).temperature == sys.float_info.min
 
 
 class TestReplay:

@@ -131,3 +131,48 @@ def test_lstm_step_np_is_recur_np_of_projection(rng, batch):
     got_h, got_c = cell.recur_np(x @ cell.Wx.data, h, c)
     assert np.array_equal(got_h, want_h)
     assert np.array_equal(got_c, want_c)
+
+
+WINDOW, HIDDEN = 10, 64
+
+
+@pytest.mark.parametrize("k", [55, 64, 71])
+def test_stacked_matmul_rows_equal_batch1_products(k):
+    """The env's history window advances its W unrolls as W stacked lanes.
+
+    A stacked (W, 1, k) @ (k, n) product runs one batch-1 product per lane,
+    so each lane's bits are those of `X[i:i+1] @ W`; a 2-D (W, k) @ (k, n)
+    gemm may block and sum differently, and its rows can differ from the
+    batch-1 product in the last bits. That is why the lanes are stacked,
+    not 2-D. k covers the input projections from 55 (latent) and 71 (raw)
+    features and the recurrent product from 64 hidden units, n = 4 * 64.
+    """
+    rng = np.random.default_rng(k)
+    weights = rng.normal(size=(k, 4 * HIDDEN)) / np.sqrt(k)
+    rows = rng.normal(size=(WINDOW, k))
+    stacked = rows[:, None, :] @ weights
+    assert stacked.shape == (WINDOW, 1, 4 * HIDDEN)
+    for i in range(WINDOW):
+        assert stacked[i].tobytes() == (rows[i:i + 1] @ weights).tobytes()
+
+
+@pytest.mark.parametrize("input_size", [55, 71])
+def test_recur_np_lanes_equal_batch1_calls(input_size):
+    """`recur_np` over (W, 1, hidden) lanes, with one input projection
+    shared by every lane as the env's window feeds it, equals W separate
+    batch-1 calls byte for byte: the recurrent product, the sigmoid over
+    the gates and both np.tanh calls included."""
+    rng = np.random.default_rng(input_size)
+    cell = LSTMCell(input_size, HIDDEN, rng=rng)
+    cell.b.data[:] = rng.normal(size=4 * HIDDEN)
+    xw = rng.normal(0.0, 3.0, size=(1, input_size)) @ cell.Wx.data
+    # lanes at several scales, so the gates reach their flat tails too
+    scale = np.geomspace(0.01, 10.0, WINDOW)[:, None, None]
+    h = rng.normal(size=(WINDOW, 1, HIDDEN)) * scale
+    c = rng.normal(size=(WINDOW, 1, HIDDEN)) * scale
+    lanes_h, lanes_c = cell.recur_np(xw, h, c)
+    assert lanes_h.shape == lanes_c.shape == (WINDOW, 1, HIDDEN)
+    for i in range(WINDOW):
+        want_h, want_c = cell.recur_np(xw, h[i], c[i])
+        assert lanes_h[i].tobytes() == want_h.tobytes()
+        assert lanes_c[i].tobytes() == want_c.tobytes()

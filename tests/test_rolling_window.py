@@ -1,10 +1,12 @@
 """The env's rolling history window against a full window rebuilt per step.
 
-`PatientEnv.step` keeps each history row's LSTM input projection and the
-LSTM state after the zero padding; these tests hold it to the stateless
+`PatientEnv.step` advances the W unrolls that share each history row as
+stacked lanes, in lockstep; these tests hold it to the stateless
 definition, `StateModel.predict(HistoryWindow.from_history(...))`, bit for
 bit.
 """
+import copy
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ from sepsim.vae import AeModel, LATENT_DIM, VaeModel
 WINDOW = 3
 
 
-def _model(variant: str, seed: int = 0) -> StateModel:
-    config = StateModelConfig(variant=variant, window=WINDOW, rnn_hidden=8,
-                              n_mixtures=2)
+def _model(variant: str, seed: int = 0, window: int = WINDOW,
+           rnn_hidden: int = 8, n_mixtures: int = 2) -> StateModel:
+    config = StateModelConfig(variant=variant, window=window,
+                              rnn_hidden=rnn_hidden, n_mixtures=n_mixtures)
     model = StateModel(config, rng=np.random.default_rng(seed))
     # a fresh cell has zero biases, which leave the zero state unchanged
     # through the padding rows; a trained one does not
@@ -146,18 +149,68 @@ def test_rolling_window_predicts_as_state_model(variant):
         rolling.push(states[t], int(actions[t]))
         want = model.predict(HistoryWindow.from_history(
             states[:t + 1], actions[:t + 1], WINDOW))
+        _assert_same_prediction(rolling.predict(), want)
+
+
+def _assert_same_prediction(got, want) -> None:
+    """Byte equality of two point estimates or two MixtureParams."""
+    names = ("weights", "means", "stds")
+    if hasattr(want, "weights"):
+        got = [getattr(got, name) for name in names]
+        want = [getattr(want, name) for name in names]
+    else:
+        got, want = [got], [want]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# the env's shapes: a 10-step window, 64 hidden units, 5 mixture components
+REAL_WINDOW = 10
+
+
+@pytest.mark.parametrize("window, length", [
+    (REAL_WINDOW, 1), (REAL_WINDOW, REAL_WINDOW - 1), (REAL_WINDOW, REAL_WINDOW),
+    (REAL_WINDOW, 2 * REAL_WINDOW + 3), (1, 5)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rolling_window_at_real_shapes(variant, window, length):
+    """Every prediction of an episode, as each lane completes its window
+    and restarts, equals the full window rebuilt and unrolled."""
+    model = _model(variant, seed=7, window=window, rnn_hidden=64, n_mixtures=5)
+    rng = np.random.default_rng(8)
+    states = rng.normal(size=(length, model.state_dim))
+    actions = rng.integers(0, 25, size=length)
+    rolling = RollingWindow(model)
+    for t in range(length):
+        rolling.push(states[t], int(actions[t]))
+        _assert_same_prediction(rolling.predict(), model.predict(
+            HistoryWindow.from_history(states[:t + 1], actions[:t + 1], window)))
+
+
+@pytest.mark.parametrize("variant", ["rnn", "vae_mdn_rnn"])
+def test_rolling_window_prediction_survives_next_push(variant):
+    """A prediction, and the row it comes from, are copies: the lane it was
+    read from is zeroed and advanced by the next push."""
+    model = _model(variant, seed=9, window=REAL_WINDOW, rnn_hidden=64,
+                   n_mixtures=5)
+    rng = np.random.default_rng(10)
+    rolling = RollingWindow(model)
+    for t in range(2 * REAL_WINDOW + 3):
+        rolling.push(rng.normal(size=model.state_dim), int(rng.integers(25)))
         got = rolling.predict()
-        if model.config.uses_mdn:
-            for name in ("weights", "means", "stds"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-        else:
-            assert np.array_equal(got, want)
+        kept = copy.deepcopy(got)
+        _assert_same_prediction(rolling.predict(), kept)
+        rolling.push(rng.normal(size=model.state_dim), int(rng.integers(25)))
+        _assert_same_prediction(got, kept)
 
 
 def test_rolling_window_checks_its_rows():
     rolling = RollingWindow(_model("vae_rnn"))
     with pytest.raises(ValueError, match="at least one step"):
         rolling.predict()
+    real = RollingWindow(_model("mdn_rnn", window=REAL_WINDOW, rnn_hidden=64,
+                                n_mixtures=5))
+    with pytest.raises(ValueError, match="^history must contain at least one step$"):
+        real.predict()
     with pytest.raises(ValueError, match=f"must have {LATENT_DIM} entries"):
         rolling.push(np.zeros(N_FEATURES), 0)
     with pytest.raises(ValueError, match="out of range"):

@@ -1,4 +1,6 @@
 """Transition model: windowing, mixture head, sampling, training, variants."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,11 +184,28 @@ def test_sample_next_draws_as_generator_choice(counts, temperature, seed):
 
 
 def test_sample_next_rejects_nan_probabilities():
-    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
-    # log(0.5) / 1e-320 is -inf for both components, so the softmax is NaN
+    k = 60
+    params = MixtureParams(np.full(k, 1.0 / k), np.zeros((k, 1)), np.ones((k, 1)))
+    # log(1/60) / sys.float_info.min is below -1.8e308, so -inf for every
+    # component, and the softmax is NaN
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="NaN or negative"):
+        sample_next(params, sys.float_info.min, np.random.default_rng(0))
+
+
+def test_sample_next_refuses_subnormal_temperature():
+    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"^temperature must be >= "
+                                         r"2\.2250738585072014e-308, got 1e-320$"):
         sample_next(params, 1e-320, np.random.default_rng(0))
+
+
+def test_sample_next_accepts_smallest_normal_temperature():
+    """At sys.float_info.min the draw collapses onto the heaviest component."""
+    params = MixtureParams(np.array([0.3, 0.7]), np.array([[-5.0], [5.0]]),
+                           np.ones((2, 1)))
+    draw = sample_next(params, sys.float_info.min, np.random.default_rng(0))
+    assert draw.tolist() == [5.0]
 
 
 def test_sample_next_rejects_bad_temperature(rng):

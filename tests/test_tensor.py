@@ -224,8 +224,9 @@ def test_sigmoid_np_monotone_and_in_unit_interval(x):
 
 
 def test_sigmoid_np_rows_equal_single_row_calls():
-    """RollingWindow's bit-for-bit match with StateModel.predict relies on
-    a batch row equalling the call on that row alone."""
+    """RollingWindow runs one sigmoid over the gates of all W stacked
+    lanes; its bit-for-bit match with StateModel.predict relies on each row
+    of a batch equalling the call on that row alone."""
     z = np.random.default_rng(0).normal(0.0, 4.0, size=(64, 256))
     batch = sigmoid_np(z)
     for i in range(z.shape[0]):
