@@ -17,7 +17,6 @@ from the zero state, bit-identical to StateModel.predict on that window.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -45,9 +44,12 @@ VARIANTS = ("rnn", "ae_rnn", "vae_rnn", "mdn_rnn", "vae_mdn_rnn")
 
 DEFAULT_WINDOW = 10
 
-# The smallest normal float. Below it, log(weights) / temperature overflows
-# to -inf and the mixture draw has no finite probabilities.
-MIN_TEMPERATURE = sys.float_info.min
+# sample_next divides log(weights) by the temperature. The largest weight
+# of a K-component mixture is at least 1/K, and K < 2**63, so its log is at
+# least -43.7 and, at 1e-306 or above, its quotient at least -4.4e307:
+# finite, for any K. Near sys.float_info.min, 55 or more equal weights
+# overflow to -inf and the draw has no finite probability.
+MIN_TEMPERATURE = 1e-306
 TEMPERATURE_RULE = f">= {MIN_TEMPERATURE!r}"
 
 
@@ -294,27 +296,39 @@ class RollingWindow:
     once (`x @ Wx`) and advances every lane with one `recur_np` call; the
     lane whose window is then complete is copied out for `predict`, and
     restarts from the zero state to serve the prediction W pushes ahead.
-    At build, lane s starts from the state after the W-1-s zero padding
-    rows that the s-th prediction's window begins with. A stacked
-    (W, 1, k) @ (k, n) product equals the batch-1 product lane by lane,
-    where a 2-D gemm need not, so every prediction is still its own window
-    unrolled from the zero state. Build one per episode, as the parameters
-    are read at build and push time.
+    `reset()` starts an episode, with lane s at the state after the W-1-s
+    zero padding rows that the s-th prediction's window begins with. Those
+    padding states depend only on the cell's parameters: `reset()` rebuilds
+    them, with W-1 batch-1 calls, when the parameters' bytes differ from the
+    ones they were built from, so a model changed in place between episodes
+    is honored, and otherwise copies them. A stacked (W, 1, k) @ (k, n)
+    product equals the batch-1 product lane by lane, where a 2-D gemm need
+    not, so every prediction is still its own window unrolled from the zero
+    state.
     """
 
     def __init__(self, model: StateModel):
         self.model = model
-        cell = model.cell
-        window = model.config.window
-        h, c = cell.init_state(1)
+        self._built_from: tuple[bytes, bytes, bytes] | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every row: the next push starts a new episode."""
+        cell = self.model.cell
         padding = np.zeros((1, cell.input_size)) @ cell.Wx.data
-        self._h = np.empty((window, 1, cell.hidden_size))
-        self._c = np.empty((window, 1, cell.hidden_size))
-        # lane s: the state after window-1-s padding rows
-        self._h[-1], self._c[-1] = h, c
-        for s in range(window - 2, -1, -1):
-            h, c = cell.recur_np(padding, h, c)
-            self._h[s], self._c[s] = h, c
+        params = (padding.tobytes(), cell.Wh.data.tobytes(), cell.b.data.tobytes())
+        if params != self._built_from:
+            window = self.model.config.window
+            h, c = cell.init_state(1)
+            self._h0 = np.empty((window, 1, cell.hidden_size))
+            self._c0 = np.empty((window, 1, cell.hidden_size))
+            # lane s: the state after window-1-s padding rows
+            self._h0[-1], self._c0[-1] = h, c
+            for s in range(window - 2, -1, -1):
+                h, c = cell.recur_np(padding, h, c)
+                self._h0[s], self._c0[s] = h, c
+            self._built_from = params
+        self._h, self._c = self._h0.copy(), self._c0.copy()
         self._next = 0                       # the lane the next push completes
         self._last: np.ndarray | None = None  # (1, hidden) of the last push
 

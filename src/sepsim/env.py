@@ -11,11 +11,11 @@ variants, raw features otherwise); observations are always decoded back to
 the 46 clinical features.
 
 Each step adds one (state, action) row to the episode's history window.
-The env's RollingWindow, made again on reset(), projects the row once and
-advances the window's W overlapping unrolls as stacked lanes, in lockstep,
-with one LSTM recurrence per step. The prediction itself stays stateless,
-each window unrolled from the zero state, so a step returns bit for bit
-what StateModel.predict returns for the same history.
+The env keeps one RollingWindow, restarted by reset(). It projects the row
+once and advances the window's W overlapping unrolls as stacked lanes, in
+lockstep, with one LSTM recurrence per step. The prediction itself stays
+stateless, each window unrolled from the zero state, so a step returns bit
+for bit what StateModel.predict returns for the same history.
 """
 from __future__ import annotations
 
@@ -180,7 +180,7 @@ class PatientEnv:
         self._step_count = 0
         self._internal: np.ndarray | None = None
         self._last_obs: np.ndarray | None = None
-        self._window: RollingWindow | None = None
+        self._window = RollingWindow(state_model)
 
     def fresh(self) -> "PatientEnv":
         """A new env over the same models and settings, in the state a new
@@ -223,7 +223,7 @@ class PatientEnv:
         self._step_count = 0
         self._internal = self._to_internal(obs)
         self._last_obs = obs
-        self._window = RollingWindow(self.state_model)
+        self._window.reset()
         return obs.copy()
 
     def step(self, action: int) -> StepResult:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sepsim import cli
 from sepsim.agent import QNetwork
 from sepsim.cli import main
+from sepsim.dynamics import MIN_TEMPERATURE
 
 
 def _sha(path):
@@ -627,23 +628,23 @@ def _mdn_rollout_section(data_dir, sim_dir):
             "max_steps": 4}
 
 
-def test_subnormal_temperature_exits_2_before_any_input(
+def test_temperature_below_the_floor_exits_2_before_any_input(
         tmp_path, data_dir, sim_dir, monkeypatch, capsys):
-    """A subnormal temperature overflows the mixture draw mid-rollout, so
-    the schema refuses it before a checkpoint is read."""
+    """Near sys.float_info.min the mixture draw overflows mid-rollout for
+    enough components, so the schema refuses it before a checkpoint is
+    read."""
     _refuse_inputs(monkeypatch)
     code = _run_section(tmp_path, "rollout", _mdn_rollout_section(data_dir, sim_dir),
-                        "--set", "temperature=1e-320")
+                        "--set", f"temperature={sys.float_info.min!r}")
     err = capsys.readouterr().err
     assert code == 2, err
-    assert ("error: rollout: temperature must be >= 2.2250738585072014e-308, "
-            "got 1e-320") in err
+    assert ("error: rollout: temperature must be >= 1e-306, "
+            "got 2.2250738585072014e-308") in err
 
 
-def test_smallest_normal_temperature_runs_an_mdn_rollout(tmp_path, data_dir,
-                                                         sim_dir):
+def test_smallest_temperature_runs_an_mdn_rollout(tmp_path, data_dir, sim_dir):
     code = _run_section(tmp_path, "rollout", _mdn_rollout_section(data_dir, sim_dir),
-                        "--set", f"temperature={sys.float_info.min!r}")
+                        "--set", f"temperature={MIN_TEMPERATURE!r}")
     assert code == 0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sepsim.data import N_FEATURES, Outcome, PatientEpisode
-from sepsim.dynamics import StateModel, StateModelConfig
+from sepsim.dynamics import MIN_TEMPERATURE, StateModel, StateModelConfig
 from sepsim.env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
                         replay_physician, shaped_reward)
 from sepsim.heads import BinaryHead
@@ -292,10 +292,10 @@ def test_env_refuses_bad_knobs(key, value):
 
 
 def test_env_temperature_rule_is_the_schema_rule():
-    with pytest.raises(ValueError, match=r"^temperature must be >= "
-                                         r"2\.2250738585072014e-308, got 1e-320$"):
-        _env(temperature=1e-320)
-    assert _env(temperature=sys.float_info.min).temperature == sys.float_info.min
+    with pytest.raises(ValueError, match=r"^temperature must be >= 1e-306, "
+                                         r"got 2\.2250738585072014e-308$"):
+        _env(temperature=sys.float_info.min)
+    assert _env(temperature=MIN_TEMPERATURE).temperature == MIN_TEMPERATURE
 
 
 class TestReplay:

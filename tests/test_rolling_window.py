@@ -203,6 +203,31 @@ def test_rolling_window_prediction_survives_next_push(variant):
         _assert_same_prediction(got, kept)
 
 
+@pytest.mark.parametrize("change", [None, "Wh", "b"])
+def test_rolling_window_reset_starts_a_new_episode(change):
+    """After reset, predictions are those of the new history alone, with
+    the padding states rebuilt when a parameter they depend on changed in
+    place, and kept otherwise."""
+    model = _model("vae_mdn_rnn", seed=12, window=REAL_WINDOW, rnn_hidden=64,
+                   n_mixtures=5)
+    rng = np.random.default_rng(13)
+    rolling = RollingWindow(model)
+    for _ in range(REAL_WINDOW + 4):
+        rolling.push(rng.normal(size=model.state_dim), int(rng.integers(25)))
+    if change is not None:
+        getattr(model.cell, change).data[:] += 0.05
+    rolling.reset()
+    with pytest.raises(ValueError, match="at least one step"):
+        rolling.predict()
+    states = rng.normal(size=(REAL_WINDOW + 2, model.state_dim))
+    actions = rng.integers(0, 25, size=REAL_WINDOW + 2)
+    for t in range(len(states)):
+        rolling.push(states[t], int(actions[t]))
+        _assert_same_prediction(rolling.predict(), model.predict(
+            HistoryWindow.from_history(states[:t + 1], actions[:t + 1],
+                                       REAL_WINDOW)))
+
+
 def test_rolling_window_checks_its_rows():
     rolling = RollingWindow(_model("vae_rnn"))
     with pytest.raises(ValueError, match="at least one step"):

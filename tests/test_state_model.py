@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sepsim.data import (ACTION_COUNT, Cohort, N_FEATURES, Outcome,
                          PatientEpisode)
-from sepsim.dynamics import (HistoryWindow, StateModel, StateModelConfig,
-                             VARIANTS, build_training_sequences, one_hot_actions,
+from sepsim.dynamics import (MIN_TEMPERATURE, HistoryWindow, StateModel,
+                             StateModelConfig, VARIANTS, build_training_sequences, one_hot_actions,
                              sample_next, train_on_sequences)
 from sepsim.nn import MixtureParams, TrainSchedule
 from sepsim.nn.tensor import logsumexp_np
@@ -184,27 +184,34 @@ def test_sample_next_draws_as_generator_choice(counts, temperature, seed):
 
 
 def test_sample_next_rejects_nan_probabilities():
-    k = 60
-    params = MixtureParams(np.full(k, 1.0 / k), np.zeros((k, 1)), np.ones((k, 1)))
-    # log(1/60) / sys.float_info.min is below -1.8e308, so -inf for every
-    # component, and the softmax is NaN
-    with np.errstate(over="ignore", invalid="ignore"), \
+    params = MixtureParams(np.array([1.0, 0.0]), np.zeros((2, 1)), np.ones((2, 1)))
+    # log(0) / inf is -inf / inf, NaN, so the softmax is NaN. (No temperature
+    # the config schema accepts gets here: it wants a finite number; and at
+    # 1e-306 or above a simplex's log-weights scale to a finite maximum.)
+    with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="NaN or negative"):
+        sample_next(params, np.inf, np.random.default_rng(0))
+
+
+def test_sample_next_refuses_temperature_below_the_floor():
+    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"^temperature must be >= 1e-306, "
+                                         r"got 2\.2250738585072014e-308$"):
         sample_next(params, sys.float_info.min, np.random.default_rng(0))
 
 
-def test_sample_next_refuses_subnormal_temperature():
-    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
-    with pytest.raises(ValueError, match=r"^temperature must be >= "
-                                         r"2\.2250738585072014e-308, got 1e-320$"):
-        sample_next(params, 1e-320, np.random.default_rng(0))
-
-
-def test_sample_next_accepts_smallest_normal_temperature():
-    """At sys.float_info.min the draw collapses onto the heaviest component."""
-    params = MixtureParams(np.array([0.3, 0.7]), np.array([[-5.0], [5.0]]),
-                           np.ones((2, 1)))
-    draw = sample_next(params, sys.float_info.min, np.random.default_rng(0))
+@pytest.mark.parametrize("k", [2, 55, 100_000])
+def test_sample_next_draws_at_the_smallest_temperature(k):
+    """At MIN_TEMPERATURE the draw collapses onto the heaviest component,
+    for mixtures of many components too: at sys.float_info.min, 55 or more
+    equal weights overflow to -inf and the draw raises."""
+    weights = np.full(k, 1.0 / k)
+    weights[-1] += 1e-9
+    weights /= weights.sum()
+    means = np.zeros((k, 1))
+    means[-1] = 5.0
+    params = MixtureParams(weights, means, np.ones((k, 1)))
+    draw = sample_next(params, MIN_TEMPERATURE, np.random.default_rng(0))
     assert draw.tolist() == [5.0]
 
 
