@@ -109,7 +109,10 @@ def load_parsed(path, parse, loader) -> tuple[object, list[np.ndarray]]:
     """
     path = Path(path)
     data = path.read_bytes()
-    key = json.dumps([SIDECAR_VERSION, loader, hashlib.sha256(data).hexdigest()])
+    digest = hashlib.sha256(data).hexdigest()
+    if _read_digests is not None:
+        _read_digests[path.resolve()] = digest
+    key = json.dumps([SIDECAR_VERSION, loader, digest])
     sidecar = sidecar_path(path)
     found = _read_sidecar(sidecar, key)
     if found is not None:
@@ -151,3 +154,30 @@ def _write_sidecar(sidecar: Path, entries: dict[str, np.ndarray]) -> None:
 
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# sha256 of each file load_parsed read, by resolved path, inside
+# _recording_digests(); None outside it
+_read_digests: dict[Path, str] | None = None
+
+
+@contextlib.contextmanager
+def _recording_digests():
+    """Keep the digest of every file load_parsed reads in the block. A CLI
+    stage runs in one, so it hashes each input once."""
+    global _read_digests
+    previous, _read_digests = _read_digests, {}
+    try:
+        yield
+    finally:
+        _read_digests = previous
+
+
+def _sha256_as_read(path) -> str:
+    """sha256 of the file at `path` as load_parsed read it in the current
+    `_recording_digests()` block, or of its bytes now if it did not."""
+    if _read_digests is not None:
+        digest = _read_digests.get(Path(path).resolve())
+        if digest is not None:
+            return digest
+    return file_sha256(path)

@@ -33,7 +33,8 @@ import numpy as np
 
 from .agent import (DqnConfig, QNetwork, policy_histogram, train_agent,
                     write_reward_curve)
-from .checkpoint import file_sha256, float_cells, write_table
+from .checkpoint import (_recording_digests, _sha256_as_read, file_sha256,
+                         float_cells, write_table)
 from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
                    export_cohort, generate_synthetic_cohort, load_cohort,
                    prepare_cohorts, SyntheticDynamicsSpec, write_stats_json)
@@ -334,7 +335,7 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
                                        val_fraction=cfg["val_fraction"],
                                        learning_rate=cfg["learning_rate"])
     path = out / f"state_{variant}.json"
-    enc_sha = file_sha256(inputs["encoder"]) if "encoder" in inputs else None
+    enc_sha = _sha256_as_read(inputs["encoder"]) if "encoder" in inputs else None
     model.save(path, encoder_sha256=enc_sha)
     metrics = {"best_epoch": history.best_epoch,
                "n_epochs": history.n_epochs,
@@ -392,9 +393,13 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             f"state checkpoint {sim.checkpoints['state']} is a "
             f"{state_model.config.variant!r} model, but the simulator is "
             f"configured as {sim.variant!r}")
+    encoder = None
+    if "encoder" in sim.checkpoints:
+        encoder = _checkpoint(sim, "encoder", load_encoder)
     recorded = state_model.encoder_sha256
-    if (recorded is not None and "encoder" in sim.checkpoints
-            and file_sha256(sim.checkpoints["encoder"]) != recorded):
+    # checked after the load, against the digest of the bytes it read
+    if (encoder is not None and recorded is not None
+            and _sha256_as_read(sim.checkpoints["encoder"]) != recorded):
         raise ConfigError(
             f"encoder checkpoint {sim.checkpoints['encoder']} is not the one "
             f"state checkpoint {sim.checkpoints['state']} was trained with "
@@ -406,9 +411,6 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             raise ConfigError(
                 f"{kind} checkpoint {sim.checkpoints[kind]} takes {head.state_dim} "
                 f"state features, but the state model gives {state_model.state_dim}")
-    encoder = None
-    if "encoder" in sim.checkpoints:
-        encoder = _checkpoint(sim, "encoder", load_encoder)
     return PatientEnv(state_model, heads["termination"], heads["outcome"], pool,
                       reward_spec=sim.reward, encoder=encoder, stats=stats,
                       temperature=sim.temperature, max_steps=sim.max_steps,
@@ -679,7 +681,9 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
     cfg = {**{k: row.default for k, row in rows.items() if row.default is not STAGE},
            **_typed(stage, raw, rows)}
     out.mkdir(parents=True, exist_ok=True)
-    result = _STAGE_FUNCS[stage](cfg, out, seed)
+    with _recording_digests():
+        result = _STAGE_FUNCS[stage](cfg, out, seed)
+        inputs = {k: _sha256_as_read(p) for k, p in sorted(result.inputs.items())}
     bad = [k for k, v in result.metrics.items()
            if not isinstance(v, (int, float)) or not math.isfinite(v)]
     if bad:
@@ -689,8 +693,7 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
     manifest = {"command": stage,
                 "seed": seed,
                 "config_sha256": _canonical_sha256(raw),
-                "inputs": {k: file_sha256(p)
-                           for k, p in sorted(result.inputs.items())},
+                "inputs": inputs,
                 "outputs": {k: file_sha256(p)
                             for k, p in sorted(result.outputs.items())},
                 "metrics": result.metrics}

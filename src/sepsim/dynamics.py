@@ -14,9 +14,14 @@ environment's RollingWindow projects each row once and advances the W
 overlapping unrolls a row takes part in as stacked lanes, in lockstep, one
 LSTM recurrence per step; each prediction is still its own window unrolled
 from the zero state, bit-identical to StateModel.predict on that window.
+
+Every MDN prediction, single-row or batch, checks its mixture in
+`StateModel._mixture_from_row`, and `sample_next` checks the temperature and
+the component probabilities it draws from.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -37,6 +42,7 @@ from .nn import (
     mdn_loss_graph,
     mse,
 )
+from .nn.losses import WEIGHT_SUM_TOL
 from .nn.tensor import logsumexp_np, no_grad
 from .vae import LATENT_DIM
 
@@ -242,14 +248,22 @@ class StateModel(Module):
         return logits, means, log_stds
 
     def _mixture_from_row(self, row: np.ndarray) -> MixtureParams:
-        logits, means, log_stds = (a[0] for a in self.split_head(row[None]))
+        logits, means, log_stds = self.split_head(row[None])
+        logits, means, log_stds = logits[0], means[0], log_stds[0]
         weights = np.exp(logits - logsumexp_np(logits))
         stds = np.exp(log_stds)
-        if not stds.all():
-            raise ValueError(
-                f"MDN std underflow: exp(log_std) is 0 in float64 for log_std "
-                f"{log_stds.min():.6g}; the state model's output is out of range")
-        return MixtureParams(weights, means, stds)
+        # exp gives no negative entry, so a std that is 0, NaN or inf, or a
+        # weight sum that is not 1 (NaN weights), is all the checks below
+        # can find; when one is found, they run in full, in their order
+        if not (stds.min() > 0 and stds.max() < np.inf
+                and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
+            if not stds.all():
+                raise ValueError(
+                    f"MDN std underflow: exp(log_std) is 0 in float64 for "
+                    f"log_std {log_stds.min():.6g}; the state model's output "
+                    f"is out of range")
+            return MixtureParams(weights, means, stds)
+        return MixtureParams._checked(weights, means, stds)
 
     def _prediction(self, row: np.ndarray):
         if self.config.uses_mdn:
@@ -345,12 +359,14 @@ class RollingWindow:
         x[0, :d] = state
         x[0, d + action] = 1.0
         cell = self.model.cell
-        self._h, self._c = cell.recur_np(x @ cell.Wx.data, self._h, self._c)
+        h, c = cell.recur_np(x @ cell.Wx.data, self._h, self._c)
+        lane = self._next
         # a copy: the lane is zeroed next, to serve the step W pushes ahead
-        self._last = self._h[self._next].copy()
-        self._h[self._next] = 0.0
-        self._c[self._next] = 0.0
-        self._next = (self._next + 1) % len(self._h)
+        self._last = h[lane].copy()
+        h[lane] = 0.0
+        c[lane] = 0.0
+        self._h, self._c = h, c
+        self._next = (lane + 1) % len(h)
 
     def predict(self):
         """MixtureParams for MDN variants, a point estimate otherwise."""
@@ -371,18 +387,21 @@ def sample_next(params: MixtureParams, temperature: float,
     with np.errstate(divide="ignore"):
         scaled = np.log(params.weights) / temperature
     probs = np.exp(scaled - logsumexp_np(scaled))
-    probs = probs / probs.sum()
-    # min propagates NaN, so this refuses NaN as well as negative entries
-    if not probs.min() >= 0:
-        raise ValueError(f"mixture probabilities at temperature {temperature} "
-                         f"are NaN or negative: {probs}")
+    probs /= probs.sum()
     # Generator.choice(K, p=probs)'s own steps: the same index from the
     # same single uniform draw, without its per-call checks
     cdf = probs.cumsum()
+    # exp and the division by a sum of its results leave no negative
+    # entry, so a NaN is all there is to refuse, and the running sum
+    # carries a NaN to its last entry
+    if not cdf[-1] >= 0:
+        raise ValueError(f"mixture probabilities at temperature {temperature} "
+                         f"are NaN or negative: {probs}")
     cdf /= cdf[-1]
     k = int(cdf.searchsorted(rng.random(), side="right"))
     noise = rng.normal(size=params.dim)
-    return params.means[k] + params.stds[k] * np.sqrt(temperature) * noise
+    # math.sqrt and np.sqrt are both correctly rounded
+    return params.means[k] + params.stds[k] * math.sqrt(temperature) * noise
 
 
 def train_on_sequences(config: StateModelConfig, train_data: SequenceData,

@@ -16,6 +16,14 @@ once and advances the window's W overlapping unrolls as stacked lanes, in
 lockstep, with one LSTM recurrence per step. The prediction itself stays
 stateless, each window unrolled from the zero state, so a step returns bit
 for bit what StateModel.predict returns for the same history.
+
+A step runs each model on one row and checks each input once, where it
+enters: the action in step(), the state row in RollingWindow.push, the
+mixture in the state model's head, the temperature and the component
+probabilities in sample_next, the (state, action, step) row in
+BinaryHead.predict_proba and the latent in the decoder. Each check raises
+what the batch call raises for the same input. Inside a model nothing is
+checked again: each layer's output has the next layer's input width.
 """
 from __future__ import annotations
 
@@ -288,7 +296,7 @@ class PatientEnv:
                 "mixture_entropy": mixture_entropy,
                 "step": self._step_count,
                 "hit_max_steps": hit_cap}
-        if not np.all(np.isfinite(next_obs)):
+        if not np.isfinite(next_obs).all():
             raise FloatingPointError("environment produced a non-finite observation")
         return StepResult(next_obs.copy(), float(reward), done, info)
 

@@ -4,6 +4,11 @@ Both heads consume [state-or-latent features, one-hot action, normalized step
 number] and emit a probability through a small ReLU stack with a sigmoid
 output. The termination head is trained on every step (label: is this the
 final step), the outcome head on terminal steps only (label: death).
+
+`predict_proba` (one row, as the environment asks) and `predict_proba_batch`
+share one arithmetic, `_proba`, and differ only in how they check their
+input: a plain row is checked without the batch's array conversions, and any
+other input is converted, or refused with the batch's message, by `_features`.
 """
 from __future__ import annotations
 
@@ -62,15 +67,34 @@ class BinaryHead(Module):
         x[:, -1] = steps / self.step_norm
         return x
 
+    def _row_features(self, state, action, step) -> np.ndarray:
+        """`_features` of one (state, action, step): built here for a (d,)
+        state, an action code in range and an integer or float64 step >= 0,
+        and by `_features` for anything else."""
+        d = self.state_dim
+        state = np.asarray(state, dtype=np.float64)
+        if (state.shape != (d,) or not isinstance(action, (int, np.integer))
+                or not 0 <= action < ACTION_COUNT
+                or not isinstance(step, (int, float, np.integer)) or step < 0):
+            return self._features(state, action, step)
+        x = np.zeros((1, d + ACTION_COUNT + 1))
+        x[0, :d] = state
+        x[0, d + action] = 1.0
+        x[0, -1] = step / self.step_norm
+        return x
+
+    def _proba(self, x: np.ndarray) -> np.ndarray:
+        return sigmoid_np(self.net.forward_np(x))[:, 0]
+
     def logits_graph(self, features: np.ndarray) -> Tensor:
         return self.net(Tensor(features))
 
     def predict_proba(self, state, action, step) -> float:
-        return float(self.predict_proba_batch(state, action, step)[0])
+        """`predict_proba_batch` of one row, as a float."""
+        return float(self._proba(self._row_features(state, action, step))[0])
 
     def predict_proba_batch(self, states, actions, steps) -> np.ndarray:
-        x = self._features(states, actions, steps)
-        return sigmoid_np(self.net.forward_np(x))[:, 0]
+        return self._proba(self._features(states, actions, steps))
 
     def save(self, path) -> None:
         hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm}

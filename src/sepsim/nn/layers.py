@@ -70,10 +70,11 @@ def init_weight(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarr
 
 
 def _apply_activation_np(x: np.ndarray, activation: str) -> np.ndarray:
+    """The activation of `x`; relu overwrites `x` with it."""
     if activation == "linear":
         return x
     if activation == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if activation == "tanh":
         return np.tanh(x)
     if activation == "sigmoid":
@@ -115,7 +116,13 @@ class Dense(Module):
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._check(x.shape)
-        return _apply_activation_np(x @ self.W.data + self.b.data, self.activation)
+        return self._forward_np(x)
+
+    def _forward_np(self, x: np.ndarray) -> np.ndarray:
+        """`forward_np` of a float64 array whose last axis is `in_dim`."""
+        y = x @ self.W.data
+        y += self.b.data
+        return _apply_activation_np(y, self.activation)
 
     def backward_np(self, x: np.ndarray, out: np.ndarray, g: np.ndarray, *,
                     input_grad: bool = True):
@@ -152,8 +159,10 @@ class MLP(Module):
         return x
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward_np(x)
+        # each layer's output has the next layer's input width
+        x = self.layers[0].forward_np(x)
+        for layer in self.layers[1:]:
+            x = layer._forward_np(x)
         return x
 
 
@@ -282,7 +291,8 @@ class LSTMCell(Module):
         shared by every lane; each lane's result is that of a batch-1 call.
         """
         n = self.hidden_size
-        z = xw + h @ self.Wh.data + self.b.data
+        z = xw + h @ self.Wh.data
+        z += self.b.data
         s = sigmoid_np(z)
         i, f, o = s[..., :n], s[..., n:2 * n], s[..., 3 * n:]
         g = np.tanh(z[..., 2 * n:3 * n])

@@ -49,6 +49,17 @@ class MixtureParams:
                 or not abs(self.weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("mixture weights must be a simplex")
 
+    @classmethod
+    def _checked(cls, weights: np.ndarray, means: np.ndarray,
+                 stds: np.ndarray) -> "MixtureParams":
+        """A mixture of float64 arrays that pass the checks above, which a
+        caller has made sure of; they are not run again."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "weights", weights)
+        object.__setattr__(params, "means", means)
+        object.__setattr__(params, "stds", stds)
+        return params
+
     @property
     def n_components(self) -> int:
         return self.weights.size

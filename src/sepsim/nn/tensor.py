@@ -69,20 +69,26 @@ def logsumexp_np(a, axis=None, keepdims: bool = False):
     a = np.asarray(a, dtype=np.float64)
     axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axes, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=axes, keepdims=True, dtype=np.float64)
-        rest = np.exp(np.where(is_max, -np.inf, a) - a_max)
+        # the ufunc reductions that ndarray.max and ndarray.sum call, without
+        # their Python wrappers
+        a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
+        # a single maximum broadcasts against `a` as a 0-d array, which
+        # numpy does with less overhead; the values compared and subtracted
+        # are the same
+        top = a_max.reshape(()) if a_max.size == 1 else a_max
+        is_max = a == top
+        m = np.add.reduce(is_max, axis=axes, dtype=np.float64, keepdims=True)
+        rest = np.exp(np.where(is_max, -np.inf, a) - top)
         # scipy keeps s where s == 0; s / m is then +0.0 as well, since
         # m >= 1 wherever the max is not NaN
-        s = rest.sum(axis=axes, keepdims=True, dtype=np.float64) / m
+        s = np.add.reduce(rest, axis=axes, keepdims=True) / m
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.exp(a).sum(axis=axes, keepdims=True))
+        if not (finite.item() if finite.size == 1 else finite.all()):
+            direct = np.log(np.add.reduce(np.exp(a), axis=axes, keepdims=True))
             out = np.where(finite, out, direct)
     if not keepdims:
-        out = np.squeeze(out, axis=axes)
+        out = out.squeeze(axis=axes)
     return out[()] if out.ndim == 0 else out
 
 

@@ -41,10 +41,11 @@ def _forward_np(layers, s: np.ndarray, dim: int, what: str) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} must have {dim} entries, got shape {np.shape(s)}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"non-finite values in {what}")
+    # x is checked: float64, `dim` wide, the first layer's input width
     for layer in layers:
-        x = layer.forward_np(x)
+        x = layer._forward_np(x)
     return x[0] if single else x
 
 

@@ -415,6 +415,64 @@ class TestEncoderHash:
         assert _rollout(tmp_path, data_dir, checkpoints) == 0
 
 
+def _hashing_sections(data_dir, sim_dir, latent_dir):
+    data = str(data_dir / "cohort.csv")
+    encoder = str(latent_dir / "vae0" / "vae.json")
+    latent = {"data": data, "variant": "vae_rnn", "max_steps": 4,
+              "termination_mode": "threshold",
+              "checkpoints": _latent_checkpoints(latent_dir, 0)}
+    return {
+        "train-state": {"data": data, "epochs": 1, "window": 3, "rnn_hidden": 8,
+                        "variant": "vae_rnn", "encoder": encoder},
+        "train-heads": {"data": data, "epochs": 1, "encoder": encoder},
+        "rollout": {**latent, "episodes": 2},
+        "train-agent": {**latent, "dqn": {"total_steps": 10}},
+        "eval": {"data": data, "eval_episodes": 2, "max_steps": 4,
+                 "termination_mode": "threshold", "policy_episodes": 2,
+                 "qnet": str(sim_dir / "qnet.json"), "agent_variant": "vae_rnn",
+                 "variants": [{"name": "rnn", **_checkpoints(sim_dir, "rnn")},
+                              {"name": "vae_rnn",
+                               **_latent_checkpoints(latent_dir, 0)}]},
+    }
+
+
+@pytest.mark.parametrize("stage", ["train-state", "train-heads", "rollout",
+                                   "train-agent", "eval"])
+def test_stage_hashes_each_input_file_once(tmp_path, data_dir, sim_dir,
+                                           latent_dir, monkeypatch, stage):
+    """The manifest, the encoder check and the state checkpoint's
+    encoder_sha256 reuse the digest taken as the input was read."""
+    from sepsim import checkpoint
+
+    hashed = []
+
+    def counting_sha256(data=b""):
+        hashed.append(bytes(data))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(checkpoint, "hashlib",
+                        SimpleNamespace(sha256=counting_sha256))
+    section = _hashing_sections(data_dir, sim_dir, latent_dir)[stage]
+    assert _run_section(tmp_path, stage, section) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    paths = {key: section[key] for key in ("data", "encoder", "qnet")
+             if key in section}
+    for key, path in section.get("checkpoints", {}).items():
+        paths[key] = path
+    for variant in section.get("variants", []):
+        paths.update((f"{variant['name']}.{key}", path)
+                     for key, path in variant.items() if key != "name")
+    assert sorted(manifest["inputs"]) == sorted(paths)
+    for key, path in paths.items():
+        data = Path(path).read_bytes()
+        assert hashed.count(data) == 1, key
+        assert manifest["inputs"][key] == hashlib.sha256(data).hexdigest()
+    if stage == "train-state":
+        state = json.loads((tmp_path / "out" / "state_vae_rnn.json").read_text())
+        assert (state["hyperparams"]["encoder_sha256"]
+                == manifest["inputs"]["encoder"])
+
+
 def _simulator_section(stage, data_dir, variant, checkpoints):
     """A rollout, train-agent or eval section over one simulator."""
     section = {"data": str(data_dir / "cohort.csv"), "max_steps": 4,

@@ -240,6 +240,9 @@ def test_mdn_rollout_unchanged_under_scipy_logsumexp(monkeypatch):
 
     import sepsim.dynamics
 
+    calls = []
+    per_step = []
+
     def rollout():
         config = StateModelConfig(variant="vae_mdn_rnn", window=4,
                                   rnn_hidden=8, n_mixtures=5)
@@ -252,15 +255,27 @@ def test_mdn_rollout_unchanged_under_scipy_logsumexp(monkeypatch):
             seed=6)
         actions = np.random.default_rng(7).integers(0, 25, size=30)
         env.reset()
-        steps = [env.step(int(a)) for a in actions]
+        steps = []
+        for a in actions:
+            before = len(calls)
+            steps.append(env.step(int(a)))
+            per_step.append(len(calls) - before)
         # the entropy reads the mixture weights, so it shows any last-bit
         # difference the sampled observations may not
         return (np.stack([r.observation for r in steps]),
                 [r.info["mixture_entropy"] for r in steps])
 
     ours_obs, ours_entropy = rollout()
-    monkeypatch.setattr(sepsim.dynamics, "logsumexp_np", scipy_logsumexp)
+
+    def counting_logsumexp(*args, **kwargs):
+        calls.append(args)
+        return scipy_logsumexp(*args, **kwargs)
+
+    monkeypatch.setattr(sepsim.dynamics, "logsumexp_np", counting_logsumexp)
+    per_step.clear()
     scipy_obs, scipy_entropy = rollout()
+    # every step reached scipy's function, so the comparison is not vacuous
+    assert len(per_step) == 30 and min(per_step) >= 1
     assert np.array_equal(scipy_obs, ours_obs)
     assert scipy_entropy == ours_entropy
 

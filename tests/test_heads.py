@@ -38,6 +38,39 @@ def test_features_reject_bad_actions_and_lengths(rng):
         head._features(np.zeros((3, 2)), 4, [0, 1, 2])
 
 
+_GOOD_STATE = np.linspace(-2.0, 3.0, 4)
+
+
+@pytest.mark.parametrize("state, action, step", [
+    (_GOOD_STATE, -1, 3), (_GOOD_STATE, 25, 3), (_GOOD_STATE, 4, -1),
+    (np.zeros(5), 4, 3), (np.zeros(3), 4, 3)],
+    ids=["action-1", "action25", "step-1", "state5", "state3"])
+def test_single_row_refuses_what_a_batch_of_one_refuses(state, action, step):
+    head = BinaryHead("termination", state_dim=4, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError) as single:
+        head.predict_proba(state, action, step)
+    with pytest.raises(ValueError) as batch:
+        head.predict_proba_batch(state[None], [action], [step])
+    assert str(single.value) == str(batch.value)
+
+
+def test_single_row_equals_a_batch_of_one(rng):
+    head = BinaryHead("outcome", state_dim=4, step_norm=7.0, rng=rng)
+    for p in head.parameters():
+        p.data[:] = rng.normal(size=p.data.shape)
+    for state, action, step in [(rng.normal(size=4), 0, 0),
+                                (rng.normal(size=4), np.int64(24), 40),
+                                (rng.normal(size=4), 13, np.int64(3)),
+                                (rng.normal(size=4), 7, 2.5),
+                                (list(rng.normal(size=4)), 7, np.float64(9.0)),
+                                (rng.normal(size=(1, 4)), [3], [11])]:
+        single = head.predict_proba(state, action, step)
+        batch = head.predict_proba_batch(np.atleast_2d(state), np.atleast_1d(action),
+                                         np.atleast_1d(step))
+        assert type(single) is float and batch.shape == (1,)
+        assert single.hex() == float(batch[0]).hex()
+
+
 def test_zero_network_predicts_half(rng):
     head = BinaryHead("outcome", state_dim=4, rng=rng)
     for p in head.parameters():

@@ -3,18 +3,22 @@
 `PatientEnv.step` advances the W unrolls that share each history row as
 stacked lanes, in lockstep; these tests hold it to the stateless
 definition, `StateModel.predict(HistoryWindow.from_history(...))`, bit for
-bit.
+bit. The whole-env reference reaches the models by other paths than the
+env does (the training graphs, scipy's logsumexp, Generator.choice), so a
+drift in the env's own inference functions shows too.
 """
 import copy
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
-from sepsim.data import N_FEATURES, Outcome
+from sepsim.data import ACTION_COUNT, N_FEATURES, Outcome
 from sepsim.dynamics import (VARIANTS, HistoryWindow, RollingWindow,
-                             StateModel, StateModelConfig, sample_next)
+                             StateModel, StateModelConfig)
 from sepsim.env import TERMINATION_MODES, PatientEnv
 from sepsim.heads import BinaryHead
+from sepsim.nn.tensor import Tensor, no_grad, sigmoid_np
 from sepsim.vae import AeModel, LATENT_DIM, VaeModel
 
 WINDOW = 3
@@ -74,44 +78,86 @@ def _env_rollout(env, episode_actions, between) -> list:
     return steps
 
 
+def _reference_head(head: BinaryHead, state, action: int, step: int) -> float:
+    """The head's probability from features built by hand, through the
+    training graph's logits."""
+    one_hot = np.zeros(ACTION_COUNT)
+    one_hot[action] = 1.0
+    features = np.concatenate([state, one_hot, [step / head.step_norm]])[None]
+    return float(sigmoid_np(head.logits_graph(features).data)[0, 0])
+
+
+def _reference_encode(encoder, observation):
+    with no_grad():
+        code = encoder.encode_graph(Tensor(observation[None]))
+    return (code[0] if isinstance(code, tuple) else code).data[0]
+
+
+def _reference_decode(encoder, internal):
+    with no_grad():
+        return encoder.decode_graph(Tensor(internal[None])).data[0]
+
+
+def _reference_next(model, window, temperature, rng):
+    """(next state, mixture entropy or None) from the training graph's raw
+    output: scipy's logsumexp for the mixture weights, and the component
+    drawn by Generator.choice, whose steps sample_next copies."""
+    with no_grad():
+        out = model.forward_graph(window.states[None], window.actions[None]).data[0]
+    if not model.config.uses_mdn:
+        return out, None
+    k, d = model.config.n_mixtures, model.state_dim
+    logits = out[:k]
+    means = out[k:k + k * d].reshape(k, d)
+    stds = np.exp(out[k + k * d:].reshape(k, d))
+    weights = np.exp(logits - scipy_logsumexp(logits))
+    kept = weights[weights > 0]
+    entropy = float(-(kept * np.log(kept)).sum())
+    with np.errstate(divide="ignore"):
+        scaled = np.log(weights) / temperature
+    probs = np.exp(scaled - scipy_logsumexp(scaled))
+    component = int(rng.choice(k, p=probs / probs.sum()))
+    noise = rng.normal(size=d)
+    return means[component] + stds[component] * np.sqrt(temperature) * noise, entropy
+
+
 def _reference_rollout(env, episode_actions, between) -> list:
-    """PatientEnv.step as specified, rebuilding the whole window every step
-    and drawing from a generator seeded as the env's is."""
+    """PatientEnv.step as specified, rebuilding the whole window every step,
+    drawing from a generator seeded as the env's is, and reaching the models
+    by other paths than the env's: the training graphs, scipy's logsumexp
+    and Generator.choice."""
     model, rng = env.state_model, np.random.default_rng(env.seed)
-    encode = env.encoder.encode_mean if env.encoder else np.asarray
-    decode = env.encoder.decode if env.encoder else np.asarray
+    encoder = env.encoder
     magnitude = env.reward_spec.terminal_magnitude
     bernoulli = env.termination_mode == "bernoulli"
     steps = []
     for n, actions in enumerate(episode_actions):
         if n:
             between(model)
-        internal = encode(env.initial_pool[int(rng.integers(4))].copy())
+        internal = env.initial_pool[int(rng.integers(4))].copy()
+        if encoder is not None:
+            internal = _reference_encode(encoder, internal)
         states, taken = [], []
         for t, action in enumerate(int(a) for a in actions):
             states.append(internal)
             taken.append(action)
-            pred = model.predict(HistoryWindow.from_history(
-                np.stack(states), np.array(taken), WINDOW))
-            entropy = None
-            if model.config.uses_mdn:
-                nxt, entropy = sample_next(pred, env.temperature, rng), pred.entropy()
-            else:
-                nxt = pred
-            p_term = env.termination.predict_proba(internal, action, t)
+            window = HistoryWindow.from_history(np.stack(states), np.array(taken),
+                                                WINDOW)
+            nxt, entropy = _reference_next(model, window, env.temperature, rng)
+            p_term = _reference_head(env.termination, internal, action, t)
             done = bool(rng.random() < p_term) if bernoulli else bool(p_term >= 0.5)
             hit = t + 1 >= env.max_steps
             done = done or hit
             reward, p_death, outcome = 0.0, None, None
             if done:
-                p_death = env.outcome.predict_proba(internal, action, t)
+                p_death = _reference_head(env.outcome, internal, action, t)
                 died = bool(rng.random() < p_death) if bernoulli else bool(p_death >= 0.5)
                 outcome = int(Outcome.DEATH if died else Outcome.RELEASE)
                 reward += -magnitude if died else magnitude
             internal = nxt
-            steps.append((decode(nxt), reward, done, {
-                "p_terminate": float(p_term),
-                "p_death": None if p_death is None else float(p_death),
+            obs = nxt if encoder is None else _reference_decode(encoder, nxt)
+            steps.append((obs, reward, done, {
+                "p_terminate": p_term, "p_death": p_death,
                 "outcome": outcome, "mixture_entropy": entropy,
                 "step": t + 1, "hit_max_steps": hit}))
             if done:

@@ -1,5 +1,6 @@
 """Encoder/decoder stack: shapes, losses, reparameterization, checkpoints."""
 import numpy as np
+import pytest
 
 from sepsim.data import N_FEATURES
 from sepsim.nn import Tensor, TrainSchedule
@@ -108,3 +109,17 @@ def test_train_vae_deterministic(rng):
             == [r.val_loss for r in h2.records])
     for k, v in m1.state_arrays().items():
         np.testing.assert_array_equal(v, m2.state_arrays()[k])
+
+
+@pytest.mark.parametrize("kind", [VaeModel, AeModel])
+def test_decode_of_one_row_is_a_batch_of_one(kind):
+    model = kind(rng=np.random.default_rng(3))
+    z = np.random.default_rng(4).normal(size=LATENT_DIM)
+    assert model.decode(z).tobytes() == model.decode(z[None])[0].tobytes()
+    bad = z.copy()
+    bad[7] = np.nan
+    with pytest.raises(ValueError) as single:
+        model.decode(bad)
+    with pytest.raises(ValueError) as batch:
+        model.decode(bad[None])
+    assert str(single.value) == str(batch.value) == "non-finite values in latent"
