@@ -13,7 +13,7 @@ import numpy as np
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES
 from .env import rollout
-from .nn import MLP, Adam, Module, Optimizer, Tensor
+from .nn import MLP, Adam, Module, Optimizer
 
 Q_HIDDEN = (128, 128)
 
@@ -35,9 +35,6 @@ class QNetwork(Module):
         single = obs.ndim == 1
         out = self.net.forward_np(np.atleast_2d(obs))
         return out[0] if single else out
-
-    def q_graph(self, obs_batch: np.ndarray) -> Tensor:
-        return self.net(Tensor(np.asarray(obs_batch, dtype=np.float64)))
 
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.obs_dim, self.n_actions)
@@ -150,7 +147,7 @@ def td_update(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float,
     Runs on bare arrays, without a tape: each layer's `forward_np`, keeping
     the activations, then the loss gradient back through each layer's
     `backward_np`. The float operations and their order are those of
-    `mse(net.q_graph(s)[rows, a], targets).backward()`, so the loss and the
+    `mse(net.net(Tensor(s))[rows, a], targets).backward()`, so the loss and the
     trained weights equal the tape's bit for bit.
     """
     targets = td_targets(target_net, batch, gamma)
@@ -243,10 +240,6 @@ class PolicyRollouts:
     action_counts: np.ndarray   # (25,)
     lengths: np.ndarray         # (n_episodes,)
     returns: np.ndarray         # (n_episodes,)
-
-    @property
-    def n_episodes(self) -> int:
-        return self.lengths.shape[0]
 
 
 def policy_histogram(net: QNetwork, env, n_episodes: int) -> PolicyRollouts:

@@ -45,7 +45,7 @@ from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          normalized_trajectory_mean, ntm_rows, NTM_HEADER,
                          NTM_MODES, teacher_forced_eval, trajectory_matrices,
-                         write_histograms_csv, write_ntm_csv, write_series_csv)
+                         write_histograms_csv, write_series_csv)
 from .heads import BinaryHead, train_heads
 from .nn import TrainSchedule
 from .vae import load_encoder, train_ae, train_vae
@@ -638,7 +638,7 @@ def _stage_ntm(cfg: dict, out: Path, seed: int) -> StageResult:
                                         [e.states for e in sim.episodes])
     report = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
     path = out / "ntm.csv"
-    write_ntm_csv(report, real.feature_names, path)
+    write_table(path, NTM_HEADER, ntm_rows(report, real.feature_names))
     metrics = {"mean_gap": report.mean_gap,
                "n_degenerate": int(report.degenerate.sum()),
                "horizon": real_m.horizon}

@@ -60,9 +60,11 @@ TEMPERATURE_RULE = f">= {MIN_TEMPERATURE!r}"
 
 
 def check_temperature(temperature: float) -> None:
-    """Refuse a sampling temperature below MIN_TEMPERATURE, NaN included."""
+    """Refuse a temperature below MIN_TEMPERATURE, NaN included, or infinite."""
     if not temperature >= MIN_TEMPERATURE:
         raise ValueError(f"temperature must be {TEMPERATURE_RULE}, got {temperature}")
+    if temperature == math.inf:
+        raise ValueError(f"temperature must be finite, got {temperature}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .dynamics import build_training_sequences, sample_next
 from .env import PatientEnv, RewardSpec, replay_physician
 
 NTM_MODES = ("sumsq", "rms")
+RETURN_BINS = 20   # equal-width bins of the return histograms
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class TrajectoryMatrix:
             raise ValueError(f"unknown source tag {self.source!r}")
         if not np.isfinite(self.values).all():
             raise ValueError("trajectory values must be finite")
-
-    @property
-    def n_rollouts(self) -> int:
-        return self.values.shape[0]
 
     @property
     def horizon(self) -> int:
@@ -142,7 +139,6 @@ class TeacherForcedReport:
     sampled: np.ndarray | None        # (n, d) one draw per row, mixture only
     targets: np.ndarray               # (n, d)
     subjects: tuple[str, ...]
-    steps: np.ndarray                 # (n,) target's step index in its episode
 
     @property
     def mse(self) -> float:
@@ -153,17 +149,6 @@ class TeacherForcedReport:
         if self.sampled is None:
             return None
         return float(np.mean((self.sampled - self.targets) ** 2))
-
-
-def _episode_step_index(subjects: Sequence[str]) -> np.ndarray:
-    """Rows arrive episode-ordered; step index restarts at 1 per subject."""
-    steps = np.zeros(len(subjects), dtype=np.int64)
-    prev, counter = None, 0
-    for i, subj in enumerate(subjects):
-        counter = counter + 1 if subj == prev else 1
-        steps[i] = counter
-        prev = subj
-    return steps
 
 
 def teacher_forced_eval(model, cohort: Cohort, encoder=None,
@@ -186,8 +171,7 @@ def teacher_forced_eval(model, cohort: Cohort, encoder=None,
     else:
         predictions = np.asarray(out, dtype=np.float64)
         sampled = None
-    return TeacherForcedReport(predictions, sampled, data.targets,
-                               data.subjects, _episode_step_index(data.subjects))
+    return TeacherForcedReport(predictions, sampled, data.targets, data.subjects)
 
 
 def closed_loop_trajectories(env: PatientEnv, cohort: Cohort,
@@ -249,8 +233,8 @@ def _collapsed(counts: np.ndarray) -> bool:
 
 def compare_policy_distributions(physician: Cohort, agent_rollouts,
                                  reward_spec: RewardSpec | None = None,
-                                 stats: NormalizationStats | None = None,
-                                 return_bins: int = 20) -> PolicyComparison:
+                                 stats: NormalizationStats | None = None
+                                 ) -> PolicyComparison:
     """Aligned action/length/return histograms, physician vs learned policy.
 
     agent_rollouts needs action_counts, lengths, and returns attributes
@@ -278,7 +262,7 @@ def compare_policy_distributions(physician: Cohort, agent_rollouts,
     hi = max(real_returns.max(), sim_returns.max())
     if math.isclose(lo, hi):
         lo, hi = lo - 0.5, hi + 0.5
-    return_edges = np.linspace(lo, hi, return_bins + 1)
+    return_edges = np.linspace(lo, hi, RETURN_BINS + 1)
     # np.histogram drops values above the last edge unless it is inclusive;
     # widen by a hair so the top return lands inside.
     return_edges[-1] = np.nextafter(return_edges[-1], np.inf)
@@ -301,10 +285,6 @@ def ntm_rows(report: NtmReport, feature_names: Sequence[str]) -> list[list]:
     return [[name, *cells[3 * i:3 * i + 3], int(degenerate)]
             for i, (name, degenerate) in enumerate(zip(feature_names,
                                                        report.degenerate))]
-
-
-def write_ntm_csv(report: NtmReport, feature_names: Sequence[str], path) -> None:
-    write_table(path, NTM_HEADER, ntm_rows(report, feature_names))
 
 
 def write_series_csv(path, variant: str, feature_names: Sequence[str],

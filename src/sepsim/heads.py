@@ -86,9 +86,6 @@ class BinaryHead(Module):
     def _proba(self, x: np.ndarray) -> np.ndarray:
         return sigmoid_np(self.net.forward_np(x))[:, 0]
 
-    def logits_graph(self, features: np.ndarray) -> Tensor:
-        return self.net(Tensor(features))
-
     def predict_proba(self, state, action, step) -> float:
         """`predict_proba_batch` of one row, as a float."""
         return float(self._proba(self._row_features(state, action, step))[0])
@@ -166,7 +163,7 @@ def _train_head(kind: str, train_rows: HeadRows, val_rows: HeadRows,
 
     def loss_on(rows: HeadRows, idx=slice(None)) -> Tensor:
         feats = model._features(rows.states[idx], rows.actions[idx], rows.steps[idx])
-        return bce_with_logits(model.logits_graph(feats), rows.labels[idx][:, None])
+        return bce_with_logits(model.net(Tensor(feats)), rows.labels[idx][:, None])
 
     optimizer = Adam(model.parameters(), lr=learning_rate)
     history = fit(model, optimizer, schedule, train_rows.n_rows,

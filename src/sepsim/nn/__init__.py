@@ -27,7 +27,6 @@ from .tensor import (
     no_grad,
     relu,
     sigmoid,
-    softmax,
     tanh,
 )
 from .training import History, TrainSchedule, fit
@@ -60,6 +59,5 @@ __all__ = [
     "no_grad",
     "relu",
     "sigmoid",
-    "softmax",
     "tanh",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import Parameter, Tensor, grad_enabled, sigmoid, sigmoid_np, tanh
 
-ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
+ACTIVATIONS = ("linear", "relu", "tanh")
 
 
 class Module:
@@ -42,10 +42,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -77,8 +73,6 @@ def _apply_activation_np(x: np.ndarray, activation: str) -> np.ndarray:
         return np.maximum(x, 0.0, out=x)
     if activation == "tanh":
         return np.tanh(x)
-    if activation == "sigmoid":
-        return sigmoid_np(x)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -128,13 +122,11 @@ class Dense(Module):
                     input_grad: bool = True):
         """Gradients (input or None, W, b) of `forward_np(x) == out` given
         the output gradient `g`, in the per-op graph's float order."""
-        # the activation derivative as the per-op relu/tanh/sigmoid take it
+        # the activation derivative as the per-op relu/tanh take it
         if self.activation == "relu":
             g = g * (out > 0)
         elif self.activation == "tanh":
             g = g * (1.0 - out * out)
-        elif self.activation == "sigmoid":
-            g = g * out * (1.0 - out)
         return (g @ self.W.data.T if input_grad else None,
                 x.T @ g, g.sum(axis=0))
 

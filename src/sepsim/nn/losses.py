@@ -1,8 +1,8 @@
 """Training losses and the Gaussian-mixture density machinery.
 
-`mdn_nll` is the reference (plain numpy) mixture negative log-likelihood used
-by tests and evaluation; `mdn_loss_graph` builds the identical quantity inside
-the autodiff tape from raw network outputs (logits, means, log-stddevs).
+`mdn_nll` is the reference (plain numpy) mixture negative log-likelihood,
+which tests use as an oracle; `mdn_loss_graph` builds the identical quantity
+inside the autodiff tape from raw network outputs (logits, means, log-stddevs).
 """
 from __future__ import annotations
 
@@ -59,10 +59,6 @@ class MixtureParams:
         object.__setattr__(params, "means", means)
         object.__setattr__(params, "stds", stds)
         return params
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,6 @@ __all__ = [
     "relu",
     "logsumexp",
     "log_softmax",
-    "softmax",
     "no_grad",
     "grad_enabled",
 ]
@@ -193,9 +192,6 @@ class Tensor:
 
         return Tensor._from_op(data, (a, b), bw)
 
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
     def __mul__(self, other):
         a, b = self, _coerce(other)
         data = a.data * b.data
@@ -209,21 +205,6 @@ class Tensor:
         return Tensor._from_op(data, (a, b), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, _coerce(other)
-        data = a.data / b.data
-
-        def bw(g):
-            return (
-                _unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-            )
-
-        return Tensor._from_op(data, (a, b), bw)
-
-    def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
 
     def __neg__(self):
         a = self
@@ -281,13 +262,9 @@ class Tensor:
 
         return Tensor._from_op(data, (a,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = int(np.prod([self.data.shape[i] for i in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        """The mean of every element, as a 0-d tensor."""
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -433,7 +410,3 @@ def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def log_softmax(t: Tensor, axis: int) -> Tensor:
     return t - logsumexp(t, axis=axis, keepdims=True)
-
-
-def softmax(t: Tensor, axis: int) -> Tensor:
-    return exp(log_softmax(t, axis=axis))

@@ -82,7 +82,7 @@ def test_criterion_01_gradient_fidelity():
         feats = head._features(head_states, head_actions, head_steps)
         checks.append((kind, head,
                        lambda h=head, f=feats:
-                       bce_with_logits(h.logits_graph(f),
+                       bce_with_logits(h.net(Tensor(f)),
                                        head_labels[:, None])))
 
     qnet = QNetwork(obs_dim=6, n_actions=5, rng=np.random.default_rng(7))
@@ -90,7 +90,7 @@ def test_criterion_01_gradient_fidelity():
     qa = rng0.integers(0, 5, size=8)
     qt = rng0.normal(size=8)
     checks.append(("qnet", qnet,
-                   lambda: mse(qnet.q_graph(qs)[np.arange(8), qa], qt)))
+                   lambda: mse(qnet.net(Tensor(qs))[np.arange(8), qa], qt)))
 
     for name, model, loss_fn in checks:
         report = check_gradients(model.parameters(), loss_fn, probe_count=50,

@@ -2,6 +2,8 @@
 import csv
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,51 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "n_episodes: 5" in proc.stdout
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**blas):
+    """This environment without the BLAS thread variables, but for those
+    given, and with the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **blas}
+
+
+@pytest.mark.parametrize("blas, seen", [({}, ["1", "1", "1"]),
+                                        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["unset", "user-set"])
+def test_sepsim_command_pins_blas_threads_unless_set(tmp_path, blas, seen):
+    """The console script's entry point, called as pip's wrapper calls it,
+    sets the variables before numpy is first imported."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = re.search(r'^sepsim = "([\w.]+):(\w+)"$', pyproject.read_text(),
+                      re.MULTILINE)
+    module, function = entry.groups()
+    argv = ["synth-data", "--out", str(tmp_path), "--set", "episodes=3"]
+    code = (f"import os, sys; from {module} import {function}; "
+            f"assert 'numpy' not in sys.modules; "
+            f"assert {function}({argv!r}) == 0; "
+            f"print(*(os.environ[v] for v in {BLAS_THREADS!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(**blas),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == seen
+
+
+def test_python_m_sepsim_writes_the_bytes_of_cli_main(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsim", "synth-data", "--out",
+         str(tmp_path / "module"), "--set", "episodes=3"],
+        env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["synth-data", "--out", str(tmp_path / "main"),
+                 "--set", "episodes=3"]) == 0
+    assert ((tmp_path / "module" / "cohort.csv").read_bytes()
+            == (tmp_path / "main" / "cohort.csv").read_bytes())
 
 
 class TestSynthData:
@@ -201,6 +248,41 @@ def test_patience_zero_is_config_error(tmp_path, data_dir, capsys, stage,
                  "--seed", "0", "--set", "patience=0"])
     assert code == 2
     assert "patience must be >= 1" in capsys.readouterr().err
+
+
+class TestNtmStage:
+    def _run(self, tmp_path, real, sim):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ntm": {"real": str(real), "sim": str(sim)}}))
+        out = tmp_path / "out"
+        assert main(["ntm", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "ntm.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return header, rows, json.loads((out / "metrics.json").read_text())
+
+    def test_two_cohorts(self, tmp_path, data_dir):
+        from sepsim.data import load_cohort
+        from sepsim.evaluation import NTM_HEADER
+
+        other = tmp_path / "other"
+        assert main(["synth-data", "--out", str(other), "--seed", "6",
+                     "--set", "episodes=9"]) == 0
+        real, sim = data_dir / "cohort.csv", other / "cohort.csv"
+        header, rows, metrics = self._run(tmp_path, real, sim)
+        cohorts = load_cohort(real), load_cohort(sim)
+        assert header == list(NTM_HEADER)
+        assert [row[0] for row in rows] == list(cohorts[0].feature_names)
+        gaps = [float(row[3]) for row in rows if row[4] == "0"]
+        assert 0 < len(gaps) and metrics["mean_gap"] == float(np.mean(gaps))
+        assert metrics["n_degenerate"] == len(rows) - len(gaps)
+        assert metrics["horizon"] == max(e.length for c in cohorts
+                                         for e in c.episodes)
+
+    def test_a_cohort_against_itself_has_no_gap(self, tmp_path, data_dir):
+        cohort = data_dir / "cohort.csv"
+        _, rows, metrics = self._run(tmp_path, cohort, cohort)
+        assert [row[3] for row in rows] == ["0.0"] * len(rows)
+        assert metrics["mean_gap"] == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -857,13 +939,14 @@ def _trajectories_csv(tmp_path, rng, request):
 
 
 def _ntm_csv(tmp_path, rng, request):
-    from sepsim.evaluation import NtmReport, write_ntm_csv
+    from sepsim.checkpoint import write_table
+    from sepsim.evaluation import NTM_HEADER, NtmReport, ntm_rows
 
     report = NtmReport(np.array([0.5, np.nan, 1 / 3]), _awkward(rng, 3),
                        _awkward(rng, 3), np.array([False, True, False]),
                        "sumsq")
     path = tmp_path / "ntm.csv"
-    write_ntm_csv(report, ["x", "y", "z"], path)
+    write_table(path, NTM_HEADER, ntm_rows(report, ["x", "y", "z"]))
     expected = [v for row in zip(report.real_ntm, report.sim_ntm, report.gaps)
                 for v in row]
     return [c for row in _data_rows(path) for c in row[1:4]], expected

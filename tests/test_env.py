@@ -313,6 +313,11 @@ def test_env_temperature_rule_is_the_schema_rule():
     assert _env(temperature=MIN_TEMPERATURE).temperature == MIN_TEMPERATURE
 
 
+def test_env_refuses_an_infinite_temperature():
+    with pytest.raises(ValueError, match=r"^temperature must be finite, got inf$"):
+        _env(temperature=np.inf)
+
+
 class TestReplay:
     def _episode(self, length=6):
         rng = np.random.default_rng(3)

@@ -2,16 +2,16 @@
 import numpy as np
 import pytest
 
+from sepsim.checkpoint import write_table
 from sepsim.data import Cohort, N_FEATURES, Outcome, PatientEpisode
 from sepsim.dynamics import StateModel, StateModelConfig
 from sepsim.env import PatientEnv, RewardSpec, replay_physician
-from sepsim.evaluation import (HistogramPair, build_trajectory_matrix,
+from sepsim.evaluation import (NTM_HEADER, HistogramPair, build_trajectory_matrix,
                                closed_loop_trajectories,
                                compare_policy_distributions, episode_return,
-                               normalized_trajectory_mean,
+                               normalized_trajectory_mean, ntm_rows,
                                teacher_forced_eval, trajectory_matrices,
-                               write_histograms_csv, write_ntm_csv,
-                               write_series_csv)
+                               write_histograms_csv, write_series_csv)
 from sepsim.heads import BinaryHead
 
 
@@ -150,12 +150,6 @@ class TestTeacherForced:
                                            rel=1e-12)
         assert report.sample_mse is None
 
-    def test_step_index_restarts_per_subject(self):
-        cohort = _tiny_cohort(episodes=2, length=4)
-        model = _ConstantModel(np.zeros(N_FEATURES))
-        report = teacher_forced_eval(model, cohort, window=3)
-        assert report.steps.tolist() == [1, 2, 3, 1, 2, 3]
-
 
 class TestClosedLoop:
     def test_equals_physician_replay_on_a_fresh_env(self):
@@ -255,7 +249,7 @@ class TestCsvWriters:
         r, s = trajectory_matrices(real, real)
         report = normalized_trajectory_mean(r, s)
         path = tmp_path / "ntm.csv"
-        write_ntm_csv(report, ["hr", "bp"], path)
+        write_table(path, NTM_HEADER, ntm_rows(report, ["hr", "bp"]))
         lines = path.read_text().splitlines()
         assert lines[0] == "feature,real_ntm,sim_ntm,abs_gap,degenerate"
         assert lines[1].startswith("hr,")

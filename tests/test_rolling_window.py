@@ -84,7 +84,7 @@ def _reference_head(head: BinaryHead, state, action: int, step: int) -> float:
     one_hot = np.zeros(ACTION_COUNT)
     one_hot[action] = 1.0
     features = np.concatenate([state, one_hot, [step / head.step_norm]])[None]
-    return float(sigmoid_np(head.logits_graph(features).data)[0, 0])
+    return float(sigmoid_np(head.net(Tensor(features)).data)[0, 0])
 
 
 def _reference_encode(encoder, observation):

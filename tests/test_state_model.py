@@ -161,7 +161,7 @@ def sample_next_through_choice(params, temperature, rng):
         scaled = np.log(params.weights) / temperature
     probs = np.exp(scaled - logsumexp_np(scaled))
     probs = probs / probs.sum()
-    k = int(rng.choice(params.n_components, p=probs))
+    k = int(rng.choice(params.weights.size, p=probs))
     noise = rng.normal(size=params.dim)
     return params.means[k] + params.stds[k] * np.sqrt(temperature) * noise
 
@@ -184,12 +184,19 @@ def test_sample_next_draws_as_generator_choice(counts, temperature, seed):
 
 
 def test_sample_next_rejects_nan_probabilities():
-    params = MixtureParams(np.array([1.0, 0.0]), np.zeros((2, 1)), np.ones((2, 1)))
-    # log(0) / inf is -inf / inf, NaN, so the softmax is NaN. (No temperature
-    # the config schema accepts gets here: it wants a finite number; and at
-    # 1e-306 or above a simplex's log-weights scale to a finite maximum.)
+    # a NaN weight makes the softmax NaN; MixtureParams refuses one, so the
+    # mixture skips its checks. (At any temperature sample_next accepts, a
+    # simplex's log-weights scale to a finite maximum.)
+    params = MixtureParams._checked(np.array([np.nan, 0.5]), np.zeros((2, 1)),
+                                    np.ones((2, 1)))
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="NaN or negative"):
+        sample_next(params, 1.0, np.random.default_rng(0))
+
+
+def test_sample_next_refuses_an_infinite_temperature():
+    params = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"^temperature must be finite, got inf$"):
         sample_next(params, np.inf, np.random.default_rng(0))
 
 
