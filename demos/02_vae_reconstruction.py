@@ -20,7 +20,7 @@ import numpy as np
 
 from sepsim.data import (SyntheticDynamicsSpec, generate_synthetic_cohort,
                          prepare_cohorts)
-from sepsim.nn import TrainSchedule
+from sepsim.nn.training import TrainSchedule
 from sepsim.vae import train_ae, train_vae
 
 spec = SyntheticDynamicsSpec.default(seed=8)

@@ -18,7 +18,7 @@ import numpy as np
 
 from sepsim.dynamics import (StateModelConfig, build_training_sequences,
                              sample_next, train_on_sequences)
-from sepsim.nn import TrainSchedule
+from sepsim.nn.training import TrainSchedule
 
 gen = np.random.default_rng(0)
 episodes = []

@@ -23,7 +23,7 @@ from sepsim.evaluation import (closed_loop_trajectories,
                                normalized_trajectory_mean,
                                teacher_forced_eval, trajectory_matrices)
 from sepsim.heads import train_heads
-from sepsim.nn import TrainSchedule
+from sepsim.nn.training import TrainSchedule
 
 spec = SyntheticDynamicsSpec.default(seed=21)
 cohort = generate_synthetic_cohort(spec, 250)

@@ -21,7 +21,7 @@ from sepsim.data import (SyntheticDynamicsSpec, action_intensity,
 from sepsim.dynamics import StateModelConfig, train_state_model
 from sepsim.env import PatientEnv, RewardSpec, rollout
 from sepsim.heads import train_heads
-from sepsim.nn import TrainSchedule
+from sepsim.nn.training import TrainSchedule
 
 HORIZON = 12
 

@@ -13,7 +13,8 @@ import numpy as np
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES
 from .env import rollout
-from .nn import MLP, Adam, Module, Optimizer
+from .nn.layers import MLP, Module
+from .nn.optim import Adam, Optimizer
 
 Q_HIDDEN = (128, 128)
 

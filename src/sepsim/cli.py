@@ -35,9 +35,10 @@ from .agent import (DqnConfig, QNetwork, policy_histogram, train_agent,
                     write_reward_curve)
 from .checkpoint import (_recording_digests, _sha256_as_read, file_sha256,
                          float_cells, write_table)
-from .data import (Cohort, NormalizationStats, Outcome, PatientEpisode,
-                   export_cohort, generate_synthetic_cohort, load_cohort,
-                   prepare_cohorts, SyntheticDynamicsSpec, write_stats_json)
+from .data import (ACTION_COUNT, N_FEATURES, Cohort, NormalizationStats,
+                   Outcome, PatientEpisode, export_cohort,
+                   generate_synthetic_cohort, load_cohort, prepare_cohorts,
+                   SyntheticDynamicsSpec, write_stats_json)
 from .dynamics import (MIN_TEMPERATURE, TEMPERATURE_RULE, StateModel,
                        StateModelConfig, VARIANTS, train_state_model)
 from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
@@ -47,7 +48,7 @@ from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          NTM_MODES, teacher_forced_eval, trajectory_matrices,
                          write_histograms_csv, write_series_csv)
 from .heads import BinaryHead, train_heads
-from .nn import TrainSchedule
+from .nn.training import TrainSchedule
 from .vae import load_encoder, train_ae, train_vae
 
 
@@ -376,18 +377,19 @@ def _sim_config(cfg: dict, seed: int, where: str = "checkpoints") -> SimConfig:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _checkpoint(sim: SimConfig, key: str, load, *args):
-    """sim's `key` checkpoint, read by `load`; a file that `load` refuses,
-    one of another kind for instance, is a config error naming the key."""
+def _checkpoint(paths: dict, key: str, load, *args):
+    """The `key` checkpoint of `paths`, read by `load`; a file that `load`
+    refuses, one of another kind for instance, is a config error naming the
+    key."""
     try:
-        return load(sim.checkpoints[key], *args)
+        return load(paths[key], *args)
     except ValueError as exc:
-        raise ConfigError(f"{key} checkpoint {sim.checkpoints[key]}: {exc}")
+        raise ConfigError(f"{key} checkpoint {paths[key]}: {exc}")
 
 
 def _build_env(sim: SimConfig, pool: np.ndarray,
                stats: NormalizationStats) -> PatientEnv:
-    state_model = _checkpoint(sim, "state", StateModel.load)
+    state_model = _checkpoint(sim.checkpoints, "state", StateModel.load)
     if state_model.config.variant != sim.variant:
         raise ConfigError(
             f"state checkpoint {sim.checkpoints['state']} is a "
@@ -395,7 +397,7 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             f"configured as {sim.variant!r}")
     encoder = None
     if "encoder" in sim.checkpoints:
-        encoder = _checkpoint(sim, "encoder", load_encoder)
+        encoder = _checkpoint(sim.checkpoints, "encoder", load_encoder)
     recorded = state_model.encoder_sha256
     # checked after the load, against the digest of the bytes it read
     if (encoder is not None and recorded is not None
@@ -404,7 +406,7 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
             f"encoder checkpoint {sim.checkpoints['encoder']} is not the one "
             f"state checkpoint {sim.checkpoints['state']} was trained with "
             f"(sha256 {recorded})")
-    heads = {kind: _checkpoint(sim, kind, BinaryHead.load, kind)
+    heads = {kind: _checkpoint(sim.checkpoints, kind, BinaryHead.load, kind)
              for kind in ("termination", "outcome")}
     for kind, head in heads.items():
         if head.state_dim != state_model.state_dim:
@@ -555,9 +557,15 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     eval_cohort = Cohort(val.episodes[:n_eval], val.feature_names,
                          val.normalization)
     plot_episodes = cfg["plot_episodes"]
+    net = None
     if "qnet" in cfg:
         inputs["qnet"] = Path(cfg["qnet"])
-    net = QNetwork.load(inputs["qnet"]) if "qnet" in inputs else None
+        net = _checkpoint(inputs, "qnet", QNetwork.load)
+        if (net.obs_dim, net.n_actions) != (N_FEATURES, ACTION_COUNT):
+            raise ConfigError(
+                f"qnet checkpoint {inputs['qnet']} takes {net.obs_dim} features "
+                f"and scores {net.n_actions} actions; eval needs {N_FEATURES} "
+                f"and {ACTION_COUNT}")
     seeds = iter(np.random.SeedSequence(seed).spawn(len(sims)))
 
     metrics: dict = {}

@@ -28,22 +28,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint
-from .data import ACTION_COUNT, N_FEATURES, Cohort
-from .nn import (
-    Adam,
-    Dense,
-    History,
-    LSTMCell,
-    MixtureParams,
-    Module,
-    Tensor,
-    TrainSchedule,
-    fit,
-    mdn_loss_graph,
-    mse,
-)
-from .nn.losses import WEIGHT_SUM_TOL
-from .nn.tensor import logsumexp_np, no_grad
+from .data import ACTION_COUNT, N_FEATURES, Cohort, split_cohort
+from .nn.layers import Dense, LSTMCell, Module
+from .nn.losses import WEIGHT_SUM_TOL, MixtureParams, mdn_loss_graph, mse
+from .nn.optim import Adam
+from .nn.tensor import Tensor, logsumexp_np, no_grad
+from .nn.training import History, TrainSchedule, fit
 from .vae import LATENT_DIM
 
 VARIANTS = ("rnn", "ae_rnn", "vae_rnn", "mdn_rnn", "vae_mdn_rnn")
@@ -438,8 +428,6 @@ def train_state_model(config: StateModelConfig, cohort: Cohort,
         raise ValueError(f"variant {config.variant!r} requires an encoder")
     if not config.uses_encoder and encoder is not None:
         raise ValueError(f"variant {config.variant!r} does not take an encoder")
-    from .data import split_cohort
-
     train_cohort, val_cohort = split_cohort(cohort, 1.0 - val_fraction, schedule.seed)
     train_data = build_training_sequences(train_cohort, config.window, encoder)
     val_data = build_training_sequences(val_cohort, config.window, encoder)

@@ -14,7 +14,7 @@ from .checkpoint import float_cells, write_table
 from .data import (ACTION_COUNT, Cohort, NormalizationStats, Outcome,
                    PatientEpisode, action_intensity)
 from .dynamics import build_training_sequences, sample_next
-from .env import PatientEnv, RewardSpec, replay_physician
+from .env import PatientEnv, RewardSpec, replay_physician, shaped_reward
 
 NTM_MODES = ("sumsq", "rms")
 RETURN_BINS = 20   # equal-width bins of the return histograms
@@ -203,7 +203,6 @@ def episode_return(episode: PatientEpisode, spec: RewardSpec,
         states = episode.states
         if stats is not None:
             states = stats.denormalize(states)
-        from .env import shaped_reward
         for t in range(1, states.shape[0]):
             total += shaped_reward(states[t - 1], states[t], spec)
     return total

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .data import ACTION_COUNT, Cohort, Outcome
-from .nn import Adam, History, MLP, Module, TrainSchedule, Tensor, bce_with_logits, fit
-from .nn.tensor import sigmoid_np
+from .data import ACTION_COUNT, Cohort, Outcome, split_cohort
+from .nn.layers import MLP, Module
+from .nn.losses import bce_with_logits
+from .nn.optim import Adam
+from .nn.tensor import Tensor, sigmoid_np
+from .nn.training import History, TrainSchedule, fit
 
 HEAD_HIDDEN = (64, 32)
 DEFAULT_STEP_NORM = 50.0
@@ -186,8 +189,6 @@ def train_heads(cohort: Cohort, schedule: TrainSchedule, encoder=None,
                 val_fraction: float = 0.1,
                 learning_rate: float = 1e-3) -> HeadsResult:
     """Train both heads with an internal episode-level validation split."""
-    from .data import split_cohort
-
     train_cohort, val_cohort = split_cohort(cohort, 1.0 - val_fraction,
                                             schedule.seed)
     term_tr, outc_tr = build_head_rows(train_cohort, encoder)

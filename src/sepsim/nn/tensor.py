@@ -11,20 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Parameter",
-    "exp",
-    "log",
-    "tanh",
-    "sigmoid",
-    "relu",
-    "logsumexp",
-    "log_softmax",
-    "no_grad",
-    "grad_enabled",
-]
-
 # Process-wide switch read by Tensor._from_op; only no_grad() changes it.
 _grad_enabled = True
 

@@ -16,18 +16,11 @@ import numpy as np
 
 from . import checkpoint
 from .data import N_FEATURES
-from .nn import (
-    Adam,
-    Dense,
-    History,
-    Module,
-    Tensor,
-    TrainSchedule,
-    exp,
-    fit,
-    gaussian_kl,
-    mse,
-)
+from .nn.layers import Dense, Module
+from .nn.losses import gaussian_kl, mse
+from .nn.optim import Adam
+from .nn.tensor import Tensor, exp
+from .nn.training import History, TrainSchedule, fit
 
 ENC_HIDDEN = (40, 35)
 LATENT_DIM = 30

@@ -28,9 +28,11 @@ from sepsim.env import PatientEnv, RewardSpec, StepResult, shaped_reward
 from sepsim.evaluation import build_trajectory_matrix, normalized_trajectory_mean
 from sepsim.heads import (BinaryHead, HEAD_KINDS, build_head_rows,
                           train_heads)
-from sepsim.nn import (MixtureParams, Tensor, TrainSchedule, bce_with_logits,
-                       check_gradients, gaussian_kl, mdn_loss_graph, mdn_nll,
-                       mse)
+from sepsim.nn.gradcheck import check_gradients
+from sepsim.nn.losses import (MixtureParams, bce_with_logits, gaussian_kl,
+                              mdn_loss_graph, mdn_nll, mse)
+from sepsim.nn.tensor import Tensor
+from sepsim.nn.training import TrainSchedule
 from sepsim.vae import (LATENT_DIM, AeModel, VaeModel, ae_loss_graph,
                         train_ae, train_vae, vae_loss_graph)
 

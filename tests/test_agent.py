@@ -12,7 +12,7 @@ from sepsim.data import N_FEATURES, NormalizationStats
 from sepsim.dynamics import StateModel, StateModelConfig
 from sepsim.env import PatientEnv, RewardSpec
 from sepsim.heads import BinaryHead
-from sepsim.nn import Adam
+from sepsim.nn.optim import Adam
 
 
 class TestReplayBuffer:

@@ -101,6 +101,21 @@ def test_sepsim_command_pins_blas_threads_unless_set(tmp_path, blas, seen):
     assert proc.stdout.split()[-3:] == seen
 
 
+@pytest.mark.parametrize("package", ["sepsim", "sepsim.nn"])
+def test_package_imports_no_submodule_and_exports_nothing(package):
+    """The package root and sepsim.nn re-export nothing: a fresh import
+    loads no other sepsim module and binds no public name."""
+    code = (f"import importlib, json, sys; "
+            f"pkg = importlib.import_module({package!r}); "
+            f"print(json.dumps([sorted(m for m in sys.modules "
+            f"if m.startswith('sepsim.') and m != {package!r}), "
+            f"sorted(n for n in vars(pkg) if not n.startswith('_'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
+
+
 def test_python_m_sepsim_writes_the_bytes_of_cli_main(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sepsim", "synth-data", "--out",
@@ -415,6 +430,31 @@ class TestSimulatorAssembly:
         assert built == ["rnn", "mdn_rnn"] * 2
         for name in ("trajectories.csv", "histograms.csv", "metrics.json"):
             assert _sha(tmp_path / "a" / name) == _sha(tmp_path / "b" / name)
+
+
+@pytest.mark.parametrize("shape", [None, {"obs_dim": 40}, {"n_actions": 3}],
+                         ids=["termination", "inputs", "actions"])
+def test_eval_refuses_a_qnet_it_cannot_run(tmp_path, data_dir, sim_dir,
+                                           monkeypatch, capsys, shape):
+    """A qnet of another kind, or one whose input width or action count is
+    not the simulator's, exits 2 naming the key before any variant is built."""
+    def refuse(*args):
+        raise AssertionError("a variant was built")
+
+    monkeypatch.setattr(cli, "_build_env", refuse)
+    path = sim_dir / "termination.json"
+    if shape is not None:
+        path = tmp_path / "qnet.json"
+        QNetwork(rng=np.random.default_rng(0), **shape).save(path)
+    variants = [{"name": "rnn", **_checkpoints(sim_dir, "rnn")}]
+    cfg = _eval_cfg(tmp_path, data_dir, variants, qnet=str(path),
+                    policy_episodes=2)
+    code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "qnet checkpoint" in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,11 @@ from sepsim import agent
 from sepsim.agent import QNetwork, td_targets
 from sepsim.data import ACTION_COUNT, N_FEATURES
 from sepsim.dynamics import StateModel, StateModelConfig
-from sepsim.nn import (ACTIVATIONS, SGD, Adam, Dense, LSTMCell, Optimizer,
-                       Parameter, Tensor, check_gradients, mdn_loss_graph, mse,
-                       no_grad, relu, tanh)
+from sepsim.nn.gradcheck import check_gradients
+from sepsim.nn.layers import ACTIVATIONS, Dense, LSTMCell
+from sepsim.nn.losses import mdn_loss_graph, mse
+from sepsim.nn.optim import SGD, Adam, Optimizer
+from sepsim.nn.tensor import Parameter, Tensor, no_grad, relu, tanh
 from sepsim.vae import VaeModel, vae_loss_graph
 
 PER_OP_ACTIVATION = {"linear": lambda t: t, "relu": relu, "tanh": tanh}

@@ -1,7 +1,10 @@
 """Finite-difference gradient checker, including a sabotage control."""
 import numpy as np
 
-from sepsim.nn import (MLP, Parameter, Tensor, check_gradients, mse, tanh)
+from sepsim.nn.gradcheck import check_gradients
+from sepsim.nn.layers import MLP
+from sepsim.nn.losses import mse
+from sepsim.nn.tensor import Parameter, Tensor, tanh
 
 
 def test_clean_mlp_passes(rng):

@@ -6,7 +6,7 @@ from sepsim.data import Cohort, N_FEATURES, Outcome, PatientEpisode
 from sepsim.dynamics import one_hot_actions
 from sepsim.heads import (BinaryHead, HEAD_KINDS, build_head_rows,
                           train_heads)
-from sepsim.nn import TrainSchedule
+from sepsim.nn.training import TrainSchedule
 from sepsim.vae import AeModel
 
 

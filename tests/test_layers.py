@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sepsim.nn import ACTIVATIONS, Dense, LSTMCell, MLP, Tensor, relu
+from sepsim.nn.layers import ACTIVATIONS, MLP, Dense, LSTMCell
+from sepsim.nn.tensor import Tensor, relu
 
 
 def test_dense_forward_matches_manual(rng):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepsim.nn import (MixtureParams, Tensor, bce_with_logits, gaussian_kl,
-                       mdn_loss_graph, mdn_nll, mse)
+from sepsim.nn.losses import (MixtureParams, bce_with_logits, gaussian_kl,
+                              mdn_loss_graph, mdn_nll, mse)
+from sepsim.nn.tensor import Tensor
 
 
 def brute_force_nll(weights, means, stds, target):
@@ -155,7 +156,7 @@ def test_bce_stable_at_extreme_logits():
 
 
 def test_bce_gradient_sign():
-    from sepsim.nn import Parameter
+    from sepsim.nn.tensor import Parameter
     p = Parameter(np.array([[2.0]]))
     loss = bce_with_logits(p, np.array([[0.0]]))
     loss.backward()

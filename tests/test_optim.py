@@ -3,8 +3,12 @@ and the parameter views they hand out."""
 import numpy as np
 import pytest
 
-from sepsim.nn import (MLP, SGD, Adam, Dense, Parameter, Tensor,
-                       TrainSchedule, check_gradients, fit, mse)
+from sepsim.nn.gradcheck import check_gradients
+from sepsim.nn.layers import MLP, Dense
+from sepsim.nn.losses import mse
+from sepsim.nn.optim import SGD, Adam
+from sepsim.nn.tensor import Parameter, Tensor
+from sepsim.nn.training import TrainSchedule, fit
 
 SHAPES = [(4, 3), (3,), (2, 2, 5), (), (1, 7)]
 

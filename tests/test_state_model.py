@@ -10,8 +10,9 @@ from sepsim.data import (ACTION_COUNT, Cohort, N_FEATURES, Outcome,
 from sepsim.dynamics import (MIN_TEMPERATURE, HistoryWindow, StateModel,
                              StateModelConfig, VARIANTS, build_training_sequences, one_hot_actions,
                              sample_next, train_on_sequences)
-from sepsim.nn import MixtureParams, TrainSchedule
+from sepsim.nn.losses import MixtureParams
 from sepsim.nn.tensor import logsumexp_np
+from sepsim.nn.training import TrainSchedule
 
 
 def test_variant_catalog():

@@ -9,10 +9,12 @@ from scipy.special import expit as scipy_expit
 from scipy.special import logsumexp as scipy_logsumexp
 
 import sepsim.nn.tensor as tensor_module
-from sepsim.nn import (MLP, LSTMCell, Tensor, Parameter, check_gradients,
-                       exp, log, log_softmax, logsumexp, mse, no_grad, relu,
-                       sigmoid, tanh)
-from sepsim.nn.tensor import logsumexp_np, sigmoid_np
+from sepsim.nn.gradcheck import check_gradients
+from sepsim.nn.layers import MLP, LSTMCell
+from sepsim.nn.losses import mse
+from sepsim.nn.tensor import (Parameter, Tensor, exp, log, log_softmax,
+                              logsumexp, logsumexp_np, no_grad, relu, sigmoid,
+                              sigmoid_np, tanh)
 
 
 def numeric_grad(f, x, h=1e-6):

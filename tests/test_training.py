@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 
-from sepsim.nn import (Adam, Dense, Parameter, SGD, Tensor,
-                       TrainSchedule, fit, mse)
+from sepsim.nn.layers import Dense
+from sepsim.nn.losses import mse
+from sepsim.nn.optim import SGD, Adam
+from sepsim.nn.tensor import Parameter, Tensor
+from sepsim.nn.training import TrainSchedule, fit
 
 
 class LinearModel:

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from sepsim.data import N_FEATURES
-from sepsim.nn import Tensor, TrainSchedule
+from sepsim.nn.tensor import Tensor
+from sepsim.nn.training import TrainSchedule
 from sepsim.vae import (AeModel, LATENT_DIM, VaeModel, load_encoder, train_ae,
                         train_vae, vae_loss_graph)
 
