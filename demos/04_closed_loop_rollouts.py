@@ -50,7 +50,8 @@ print(f"teacher-forced MSE: {tf.mse:.4f} "
 
 env = PatientEnv(model, heads.termination, heads.outcome,
                  train_c.initial_states(), stats=stats, max_steps=30, seed=0)
-sim = closed_loop_trajectories(env, val_c)
+replays = closed_loop_trajectories(env, val_c)
+sim = [r.states for r in replays]   # real initial state, then the model's
 real = [ep.states for ep in val_c.episodes]
 real_m, sim_m = trajectory_matrices(real, sim)
 report = normalized_trajectory_mean(real_m, sim_m)

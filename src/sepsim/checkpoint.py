@@ -3,8 +3,9 @@
 `float_cells` is the only place a float becomes text: the repr of a Python
 float, which reads back as the same IEEE double, so every checkpoint,
 `stats.json` and CSV reloads exactly and save -> load -> save is
-bit-identical. `write_table` is the only CSV writer. Every trained model
-serializes to the same JSON document:
+bit-identical. `write_table` is the only CSV writer: it writes the bytes
+`csv.writer` would, joining a row itself when no cell of it needs quoting.
+Every trained model serializes to the same JSON document:
 
     {format_version, model_kind, hyperparams, tensors: [{name, shape, values}]}
 
@@ -22,6 +23,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import zipfile
@@ -39,12 +41,42 @@ def float_cells(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).ravel().tolist()))
 
 
+# cell types whose csv.writer text is str(cell); csv writes None as ""
+_PLAIN_CELLS = frozenset((str, int, float, bool))
+_CHUNK_LINES = 256
+
+
 def write_table(path, header, rows) -> None:
-    """Write one CSV file: the header, then the rows as given."""
+    """Write one CSV file: the header, then the rows as given, each a
+    sequence of cells, in the bytes of csv.writer's default dialect.
+
+    A row is joined with commas directly when csv.writer would write that
+    same text: every cell is a str, int, float or bool, and the line is not
+    empty (csv writes [""] as "") and holds no quote, CR or LF and no comma
+    but the separators. Any other row goes through csv.writer, in its place.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        lines: list[str] = []
+        for row in itertools.chain([header], rows):
+            line = ",".join(map(str, row))
+            if (line and '"' not in line and "\r" not in line
+                    and "\n" not in line and line.count(",") == len(row) - 1
+                    and _PLAIN_CELLS.issuperset(map(type, row))):
+                lines.append(line)
+                if len(lines) == _CHUNK_LINES:
+                    _write_lines(fh, lines)
+            else:
+                _write_lines(fh, lines)
+                writer.writerow(row)
+        _write_lines(fh, lines)
+
+
+def _write_lines(fh, lines: list[str]) -> None:
+    """Write the buffered lines, each ended by CRLF, and empty the buffer."""
+    if lines:
+        fh.write("\r\n".join(lines) + "\r\n")
+        lines.clear()
 
 
 def save_checkpoint(path, model_kind: str, hyperparams: dict,

@@ -433,7 +433,7 @@ def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
         for variant, trajectories in blocks:
             for ep, traj in enumerate(trajectories):
                 width = traj.initial.shape[0]
-                states = float_cells(np.vstack([traj.initial, traj.observations]))
+                states = float_cells(traj.states)
                 rewards = float_cells(np.concatenate(([0.0], traj.rewards)))
                 actions = np.concatenate(([-1], traj.actions)).tolist()
                 dones = np.concatenate(([0], traj.dones)).tolist()
@@ -453,7 +453,7 @@ def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
     """
     if traj.n_steps == 0 or not traj.dones[-1]:
         return None
-    states = np.vstack([traj.initial, traj.observations[:-1]])
+    states = traj.states[:-1]
     outcome = Outcome(int(traj.infos[-1]["outcome"]))
     return PatientEpisode("sim", states, traj.actions, outcome)
 
@@ -542,7 +542,8 @@ def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
 def _tf_series(report, episodes: int):
     """First-N-episode (targets, predictions) pairs for plot export."""
     subjects = np.array(report.subjects)
-    rows = [subjects == subj for subj in dict.fromkeys(report.subjects)][:episodes]
+    rows = [subjects == subj
+            for subj in list(dict.fromkeys(report.subjects))[:episodes]]
     return ([report.targets[r] for r in rows],
             [report.predictions[r] for r in rows])
 
@@ -572,8 +573,9 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     outputs: dict = {}
     ntm_table: list[list] = []
     blocks = []
-    # each variant's models are loaded once; every pass over them starts
-    # from a fresh env (env.fresh()) so its generator begins at sim.seed
+    # each variant's models are loaded once; closed-loop replay runs on the
+    # built env and the policy rollouts on env.fresh(), so each pass's
+    # generator begins at sim.seed
     envs: dict[str, PatientEnv] = {}
     for sim in sims:
         name = sim.variant
@@ -596,8 +598,11 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         write_series_csv(tf_path, name, names, real_rows, sim_rows)
         outputs[f"teacher_forced_{name}.csv"] = tf_path
 
-        # closed-loop replay: model consumes only its own states
-        sim_trajs = closed_loop_trajectories(env, eval_cohort)
+        # closed-loop replay: model consumes only its own states; the same
+        # replays give the NTM, closed_loop_<name>.csv and trajectories.csv
+        replays = closed_loop_trajectories(env, eval_cohort)
+        blocks.append((name, replays))
+        sim_trajs = [r.states for r in replays]
         real_trajs = [e.states for e in eval_cohort.episodes]
         real_m, sim_m = trajectory_matrices(real_trajs, sim_trajs)
         ntm = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
@@ -607,10 +612,6 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
         write_series_csv(cl_path, name, train.feature_names,
                          real_trajs[:plot_episodes], sim_trajs[:plot_episodes])
         outputs[f"closed_loop_{name}.csv"] = cl_path
-
-        env_replay = env.fresh()
-        blocks.append((name, [replay_physician(env_replay, episode)
-                              for episode in eval_cohort.episodes]))
 
     traj_path = out / "trajectories.csv"
     _write_trajectories_csv(traj_path, train.feature_names, blocks)

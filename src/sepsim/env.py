@@ -320,6 +320,11 @@ class ReplayTrajectory:
     def n_steps(self) -> int:
         return self.rewards.shape[0]
 
+    @property
+    def states(self) -> np.ndarray:
+        """(steps+1, 46): the initial observation, then the observations."""
+        return np.vstack([self.initial, self.observations])
+
 
 def rollout(env: PatientEnv, policy: Callable[[np.ndarray, int], int | None],
             initial_state: np.ndarray | None = None) -> ReplayTrajectory:

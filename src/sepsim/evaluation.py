@@ -14,7 +14,8 @@ from .checkpoint import float_cells, write_table
 from .data import (ACTION_COUNT, Cohort, NormalizationStats, Outcome,
                    PatientEpisode, action_intensity)
 from .dynamics import build_training_sequences, sample_next
-from .env import PatientEnv, RewardSpec, replay_physician, shaped_reward
+from .env import (PatientEnv, ReplayTrajectory, RewardSpec, replay_physician,
+                  shaped_reward)
 
 NTM_MODES = ("sumsq", "rms")
 RETURN_BINS = 20   # equal-width bins of the return histograms
@@ -175,17 +176,14 @@ def teacher_forced_eval(model, cohort: Cohort, encoder=None,
 
 
 def closed_loop_trajectories(env: PatientEnv, cohort: Cohort,
-                             ) -> list[np.ndarray]:
-    """Replay each recorded action sequence through the simulator.
+                             ) -> list[ReplayTrajectory]:
+    """Replay each recorded action sequence through the simulator, in
+    cohort order, on one env.
 
-    Returns one (steps+1, 46) array per episode: the real initial state
+    Each trajectory's `states` is (steps+1, 46): the real initial state
     followed by model-generated observations only.
     """
-    rollouts = []
-    for episode in cohort.episodes:
-        replay = replay_physician(env, episode)
-        rollouts.append(np.vstack([replay.initial, replay.observations]))
-    return rollouts
+    return [replay_physician(env, episode) for episode in cohort.episodes]
 
 
 def episode_return(episode: PatientEpisode, spec: RewardSpec,

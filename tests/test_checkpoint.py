@@ -1,10 +1,13 @@
 """Checkpoint files and the text format: exact float round trips, stable
 layout, hashing, and the binary sidecar that spares a second parse."""
+import csv
+import io
 import json
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, float_cells,
                                load_checkpoint, save_checkpoint, sidecar_path,
@@ -41,6 +44,73 @@ def test_write_table_keeps_csv_defaults(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["a", "b"], iter([["x,y", 1], ['q"', ""]]))
     assert path.read_bytes() == b'a,b\r\n"x,y",1\r\n"q""",\r\n'
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer, default dialect, writes for the same table."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# each row holds a cell csv.writer quotes or converts, or none such
+WRITER_ROWS = {
+    "comma": [["x,y", 1], ["a", ","]],
+    "quote": [['q"', "b"], ['"', 2]],
+    "cr": [["a\rb", 3]],
+    "lf": [["a\nb", 4], ["\r\n", ""]],
+    "leading space": [[" a", "  b"], [" ", 5]],
+    "non-ascii": [["é", "日本", "–"], ["ñ,ü", "ß"]],
+    "lone empty": [[""], ["", ""], [""]],
+    "empty row": [[], ["a"], []],
+    "None": [[None], [None, None], ["a", None, 1]],
+    "bool": [[True, False], [True]],
+    "np.int64": [[np.int64(3), np.int64(-7)]],
+    "np.float64": [[np.float64(0.1), np.float64(-0.0), np.float64(1e300)]],
+    "float repr": [float_cells(AWKWARD), [0.1, 1 / 3, 5e-324, float("nan")]],
+    "plain": [["rnn", 0, "x", 3, "0.5", "-1.25e-07"]] * 3,
+}
+
+
+@pytest.mark.parametrize("case", WRITER_ROWS)
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path, case):
+    header = ["variant", "episode", "feature"]
+    rows = WRITER_ROWS[case]
+    path = tmp_path / "t.csv"
+    write_table(path, header, iter(rows))
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+def test_write_table_keeps_row_order_across_chunks(tmp_path):
+    # plain rows on both sides of rows csv.writer must quote, in runs longer
+    # than one buffered chunk
+    rows = [[i, f"r{i}"] if i % 700 else [i, "a,b"] for i in range(2000)]
+    path = tmp_path / "t.csv"
+    write_table(path, ["i", "s"], rows)
+    assert path.read_bytes() == _csv_writer_bytes(["i", "s"], rows)
+
+
+_CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab ,"\r\né0.-e')), max_size=6),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.integers(-1000, 1000).map(np.int64),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(_CELLS, max_size=4),
+       rows=st.lists(st.lists(_CELLS, max_size=5), max_size=8))
+def test_write_table_equals_csv_writer_on_mixed_rows(tmp_path_factory, header,
+                                                     rows):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, rows)
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
 
 def test_round_trip_bit_exact(tmp_path, rng):

@@ -432,6 +432,64 @@ class TestSimulatorAssembly:
             assert _sha(tmp_path / "a" / name) == _sha(tmp_path / "b" / name)
 
 
+def _two_variant_eval(tmp_path, data_dir, sim_dir, **extra):
+    """Run eval on rnn and mdn_rnn with a Q-net on mdn_rnn; its out dir."""
+    variants = [{"name": v, **_checkpoints(sim_dir, v)}
+                for v in ("rnn", "mdn_rnn")]
+    cfg = _eval_cfg(tmp_path, data_dir, variants,
+                    qnet=str(sim_dir / "qnet.json"), agent_variant="mdn_rnn",
+                    policy_episodes=2, **extra)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(cfg), "--out", str(out),
+                 "--seed", "0"]) == 0
+    return out
+
+
+def test_eval_steps_each_episode_once(tmp_path, data_dir, sim_dir,
+                                      monkeypatch):
+    """Eval steps the env once per closed-loop step and once per policy
+    step: trajectories.csv is written from the closed-loop replay."""
+    from sepsim.env import PatientEnv
+
+    steps = []
+    real_step = PatientEnv.step
+
+    def counting_step(self, action):
+        steps.append(self.state_model.config.variant)
+        return real_step(self, action)
+
+    monkeypatch.setattr(PatientEnv, "step", counting_step)
+    out = _two_variant_eval(tmp_path, data_dir, sim_dir)
+    # one row per state: each episode's initial row, then one per step
+    rows = _data_rows(out / "trajectories.csv")
+    closed_loop = {v: sum(row[0] == v and row[2] != "0" for row in rows)
+                   for v in ("rnn", "mdn_rnn")}
+    metrics = json.loads((out / "metrics.json").read_text())
+    policy = round(metrics["policy_mean_length"] * 2)   # policy_episodes=2
+    assert closed_loop["rnn"] > 0 and policy > 0
+    assert steps.count("rnn") == closed_loop["rnn"]
+    assert steps.count("mdn_rnn") == closed_loop["mdn_rnn"] + policy
+
+
+def test_eval_trajectories_carry_the_closed_loop_series(tmp_path, data_dir,
+                                                        sim_dir):
+    """Each plot episode's rows in trajectories.csv hold the text of the
+    sim column of closed_loop_<name>.csv, cell for cell."""
+    out = _two_variant_eval(tmp_path, data_dir, sim_dir, plot_episodes=2)
+    with open(out / "trajectories.csv", newline="", encoding="utf-8") as fh:
+        header, *traj_rows = csv.reader(fh)
+    features = header[6:]
+    for variant in ("rnn", "mdn_rnn"):
+        # closed_loop columns: variant, episode, feature, t, real, sim
+        series = {(ep, name, t): sim for _, ep, name, t, _, sim
+                  in _data_rows(out / f"closed_loop_{variant}.csv")}
+        from_traj = {(row[1], name, row[2]): cell for row in traj_rows
+                     if row[0] == variant and row[1] in ("0", "1")
+                     for name, cell in zip(features, row[6:], strict=True)}
+        assert {key[0] for key in series} == {"0", "1"}
+        assert series == from_traj
+
+
 @pytest.mark.parametrize("shape", [None, {"obs_dim": 40}, {"n_actions": 3}],
                          ids=["termination", "inputs", "actions"])
 def test_eval_refuses_a_qnet_it_cannot_run(tmp_path, data_dir, sim_dir,

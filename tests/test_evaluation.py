@@ -167,8 +167,11 @@ class TestClosedLoop:
         lengths = set()
         for episode, sim in zip(cohort.episodes, sims, strict=True):
             replay = replay_physician(replay_env, episode)
-            expected = np.vstack([episode.states[0], replay.observations])
-            assert sim.tobytes() == expected.tobytes()
+            assert sim.states.tobytes() == replay.states.tobytes()
+            assert sim.states[0].tobytes() == episode.states[0].tobytes()
+            assert sim.states.shape == (replay.n_steps + 1, N_FEATURES)
+            for field in ("actions", "rewards", "dones"):
+                assert getattr(sim, field).tobytes() == getattr(replay, field).tobytes()
             lengths.add(replay.n_steps)
         assert len(lengths) > 1   # some episodes end before their actions do
 
