@@ -444,7 +444,7 @@ def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
                        *feature_names], rows())
 
 
-def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
+def _rollout_episode(traj: ReplayTrajectory, subject_id: str) -> PatientEpisode | None:
     """Recast a finished rollout as an episode row block for CSV export.
 
     Row t is the state in which action t was chosen; the observation after
@@ -455,7 +455,7 @@ def _rollout_episode(traj: ReplayTrajectory) -> PatientEpisode | None:
         return None
     states = traj.states[:-1]
     outcome = Outcome(int(traj.infos[-1]["outcome"]))
-    return PatientEpisode("sim", states, traj.actions, outcome)
+    return PatientEpisode(subject_id, states, traj.actions, outcome)
 
 
 def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -476,7 +476,7 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
 
     episodes, returns, lengths = [], [], []
     for traj in trajectories:
-        sim_ep = _rollout_episode(traj)
+        sim_ep = _rollout_episode(traj, f"sim-{len(episodes):05d}")
         if sim_ep is not None:
             episodes.append(sim_ep)
         returns.append(float(traj.rewards.sum()))
@@ -487,9 +487,7 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
                             [(sim.variant, trajectories)])
     outputs = {"trajectories.csv": traj_path}
     if episodes:
-        relabeled = [PatientEpisode(f"sim-{i:05d}", e.states, e.actions,
-                                    e.outcome) for i, e in enumerate(episodes)]
-        sim_cohort = Cohort(tuple(relabeled), train.feature_names)
+        sim_cohort = Cohort(tuple(episodes), train.feature_names)
         sim_path = out / "sim_cohort.csv"
         export_cohort(sim_cohort, sim_path)
         outputs["sim_cohort.csv"] = sim_path

@@ -48,6 +48,8 @@ def encode_action(iv_bin: int, vaso_bin: int) -> int:
 
 
 def decode_action(code: int) -> tuple[int, int]:
+    if not isinstance(code, (int, np.integer)) and not float(code).is_integer():
+        raise ValueError(f"action code must be an integer, got {code!r}")
     code = int(code)
     if not 0 <= code < ACTION_COUNT:
         raise ValueError(f"action code must be in [0, {ACTION_COUNT - 1}], got {code}")
@@ -71,7 +73,16 @@ class PatientEpisode:
 
     def __post_init__(self):
         states = np.ascontiguousarray(np.asarray(self.states, dtype=np.float64))
-        actions = np.asarray(self.actions, dtype=np.int64)
+        actions = np.asarray(self.actions)
+        if actions.dtype.kind not in "iu":
+            codes = actions.astype(np.float64)
+            whole = np.isfinite(codes) & (codes == np.trunc(codes))
+            if not whole.all():
+                raise ValueError(f"non-integer action codes in episode "
+                                 f"{self.subject_id!r}: {codes[~whole].tolist()}")
+            # codes out of range stay out of range, without overflowing int64
+            actions = np.clip(codes, -1, ACTION_COUNT)
+        actions = np.asarray(actions, dtype=np.int64)
         if states.ndim != 2 or states.shape[1] != N_FEATURES:
             raise ValueError(f"states must be (length, {N_FEATURES}), got {states.shape}")
         if states.shape[0] < 1:

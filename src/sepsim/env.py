@@ -89,6 +89,25 @@ class RewardSpec:
                     raise ValueError(f"{name} must be a feature index in "
                                      f"[0, {N_FEATURES - 1}], got {idx}")
 
+    def step_reward(self, action, outcome: Outcome | None = None, prev=None,
+                    next_state=None, stats: NormalizationStats | None = None) -> float:
+        """Reward of one step, or of a run of one episode's steps: +/-magnitude
+        when `outcome` is given (minus for death), then minus the intensity of
+        `action` (a run's whole-number intensities summed first, exactly), or
+        the shaped reward of each `prev` -> `next_state` row in order,
+        de-normalized by `stats` when given and skipped without `next_state`."""
+        reward = 0.0
+        if outcome is not None:
+            reward += self.terminal_magnitude * (-1.0 if outcome == Outcome.DEATH else 1.0)
+        if self.formulation == "terminal_minus_intensity":
+            reward -= sum(map(action_intensity, np.ravel(action)))
+        elif self.formulation == "sofa_lactate_shaped" and next_state is not None:
+            if stats is not None:
+                prev, next_state = stats.denormalize(prev), stats.denormalize(next_state)
+            for before, after in zip(np.atleast_2d(prev), np.atleast_2d(next_state)):
+                reward += shaped_reward(before, after, self)
+        return reward
+
 
 def shaped_reward(prev_state: np.ndarray, next_state: np.ndarray,
                   spec: RewardSpec) -> float:
@@ -237,7 +256,7 @@ class PatientEnv:
     def step(self, action: int) -> StepResult:
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        decode_action(action)  # range check
+        decode_action(action)  # integer and range check
         action = int(action)
         t = self._step_count
 
@@ -255,38 +274,20 @@ class PatientEnv:
 
         # (3) termination queried exactly as trained: (state, action, step)
         p_term = self.termination.predict_proba(self._internal, action, t)
-        if self.termination_mode == "bernoulli":
-            done = bool(self._rng.random() < p_term)
-        else:
-            done = bool(p_term >= 0.5)
         self._step_count += 1
         hit_cap = self._step_count >= self.max_steps
-        done = done or hit_cap
+        done = self._decide(p_term) or hit_cap
 
-        # (4) terminal outcome and reward
-        p_death = None
-        outcome = None
-        reward = 0.0
+        # (4) terminal outcome, then the step's reward
+        p_death = outcome = None
         if done:
             p_death = self.outcome.predict_proba(self._internal, action, t)
-            if self.termination_mode == "bernoulli":
-                died = bool(self._rng.random() < p_death)
-            else:
-                died = bool(p_death >= 0.5)
-            outcome = Outcome.DEATH if died else Outcome.RELEASE
-            magnitude = self.reward_spec.terminal_magnitude
-            reward += -magnitude if died else magnitude
-
-        # (5) per-step reward
+            outcome = Outcome.DEATH if self._decide(p_death) else Outcome.RELEASE
         next_obs = self._to_observation(next_internal)
-        if self.reward_spec.formulation == "terminal_minus_intensity":
-            reward -= action_intensity(action)
-        elif self.reward_spec.formulation == "sofa_lactate_shaped":
-            reward += shaped_reward(self.stats.denormalize(self._last_obs),
-                                    self.stats.denormalize(next_obs),
-                                    self.reward_spec)
+        reward = self.reward_spec.step_reward(action, outcome, self._last_obs,
+                                              next_obs, self.stats)
 
-        # (6) advance and emit
+        # (5) advance and emit
         self._internal = next_internal
         self._last_obs = next_obs
         self._done = done
@@ -298,7 +299,14 @@ class PatientEnv:
                 "hit_max_steps": hit_cap}
         if not np.isfinite(next_obs).all():
             raise FloatingPointError("environment produced a non-finite observation")
-        return StepResult(next_obs.copy(), float(reward), done, info)
+        return StepResult(next_obs.copy(), reward, done, info)
+
+    def _decide(self, p: float) -> bool:
+        """A head's yes/no: a Bernoulli draw from the env's generator, or
+        `p >= 0.5` under threshold termination."""
+        if self.termination_mode == "bernoulli":
+            return bool(self._rng.random() < p)
+        return bool(p >= 0.5)
 
     @property
     def done(self) -> bool:

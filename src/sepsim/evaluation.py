@@ -11,11 +11,9 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import float_cells, write_table
-from .data import (ACTION_COUNT, Cohort, NormalizationStats, Outcome,
-                   PatientEpisode, action_intensity)
+from .data import ACTION_COUNT, Cohort, NormalizationStats, PatientEpisode
 from .dynamics import build_training_sequences, sample_next
-from .env import (PatientEnv, ReplayTrajectory, RewardSpec, replay_physician,
-                  shaped_reward)
+from .env import PatientEnv, ReplayTrajectory, RewardSpec, replay_physician
 
 NTM_MODES = ("sumsq", "rms")
 RETURN_BINS = 20   # equal-width bins of the return histograms
@@ -188,22 +186,15 @@ def closed_loop_trajectories(env: PatientEnv, cohort: Cohort,
 
 def episode_return(episode: PatientEpisode, spec: RewardSpec,
                    stats: NormalizationStats | None = None) -> float:
-    """Return the recorded episode earns under a reward formulation.
+    """Return the recorded episode earns under a reward formulation: its
+    steps' `RewardSpec.step_reward` as one run, ended by its outcome.
 
     Shaped rewards score the L-1 recorded transitions (de-normalized when
     stats are given); the intensity penalty charges every recorded action.
     """
-    sign = -1.0 if episode.outcome == Outcome.DEATH else 1.0
-    total = sign * spec.terminal_magnitude
-    if spec.formulation == "terminal_minus_intensity":
-        total += float(sum(-action_intensity(int(a)) for a in episode.actions))
-    elif spec.formulation == "sofa_lactate_shaped":
-        states = episode.states
-        if stats is not None:
-            states = stats.denormalize(states)
-        for t in range(1, states.shape[0]):
-            total += shaped_reward(states[t - 1], states[t], spec)
-    return total
+    states = episode.states
+    return spec.step_reward(episode.actions, episode.outcome, states[:-1],
+                            states[1:], stats)
 
 
 @dataclass(frozen=True)

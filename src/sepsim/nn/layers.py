@@ -5,13 +5,14 @@ with a hand-written backward that repeats the per-op graph's float
 operations in the same order, so trained weights match it bit for bit.
 Dense's backward is `Dense.backward_np`, on bare arrays, which the DQN's
 tape-free `agent.td_update` calls too. Inference runs `unroll` under
-`no_grad`, or `Dense.forward_np` and `LSTMCell.step_np`/`recur_np`, which
-repeat the forward arithmetic on bare arrays. Environment stepping calls
-`recur_np` once per step on stacked (W, 1, hidden) lanes, the W unrolls of
-the history window advancing in lockstep; a stacked (W, 1, k) @ (k, n)
-product equals the batch-1 product lane by lane, so each lane stays
-bit-identical to its own batch-1 unroll. `LSTMCell.step` builds the per-op
-graph of one step and is the reference the fused unroll is tested against.
+`no_grad`, or `Dense.forward_np` and `LSTMCell.step_np`/`recur_np` on bare
+arrays; `unroll`'s forward and `recur_np` share one gate kernel,
+`LSTMCell._gates`. Environment stepping calls `recur_np` once per step on
+stacked (W, 1, hidden) lanes, the W unrolls of the history window advancing
+in lockstep; a stacked (W, 1, k) @ (k, n) product equals the batch-1 product
+lane by lane, so each lane stays bit-identical to its own batch-1 unroll.
+`LSTMCell.step` builds the per-op graph of one step and is the reference
+the fused unroll is tested against.
 """
 from __future__ import annotations
 
@@ -223,13 +224,7 @@ class LSTMCell(Module):
             if x.ndim != 2:
                 raise ValueError(
                     f"matmul expects 2-d operands, got {x.shape} @ {Wx.shape}")
-            z = x @ Wx.data + h @ Wh.data + b.data
-            # one sigmoid over all four gates; the cell gate's share is unused
-            s = sigmoid_np(z)
-            i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
-            g = np.tanh(z[:, 2 * n:3 * n])
-            c_next = f * c + i * g
-            tc = np.tanh(c_next)
+            i, f, g, o, c_next, tc = self._gates(x @ Wx.data + h @ Wh.data, c)
             if record:
                 cache.append((x, h, c, i, f, g, o, tc))
             h, c = o * tc, c_next
@@ -282,12 +277,19 @@ class LSTMCell(Module):
         `h` and `c` may be stacked lanes, (lanes, 1, hidden), with `xw`
         shared by every lane; each lane's result is that of a batch-1 call.
         """
+        _, _, _, o, c_next, tc = self._gates(xw + h @ self.Wh.data, c)
+        return o * tc, c_next
+
+    def _gates(self, z: np.ndarray, c: np.ndarray) -> tuple:
+        """One step's gate kernel given `z = x @ Wx + h @ Wh`: the gates
+        (i, f, g, o), `c_next` and `tanh(c_next)`, in `step`'s float order.
+        Taking the sum, not `x @ Wx`, keeps no projection alive beside `z`,
+        a temporary that the bias is added to in place."""
         n = self.hidden_size
-        z = xw + h @ self.Wh.data
         z += self.b.data
+        # one sigmoid over all four gates; the cell gate's share is unused
         s = sigmoid_np(z)
         i, f, o = s[..., :n], s[..., n:2 * n], s[..., 3 * n:]
         g = np.tanh(z[..., 2 * n:3 * n])
         c_next = f * c + i * g
-        h_next = o * np.tanh(c_next)
-        return h_next, c_next
+        return i, f, g, o, c_next, np.tanh(c_next)

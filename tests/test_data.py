@@ -1,5 +1,7 @@
 """Data layer: action codec, episode containers, CSV round trips,
 normalization, splitting, and the synthetic generator."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,48 @@ def test_encode_action_rejects_out_of_range():
         encode_action(5, 0)
     with pytest.raises(ValueError):
         decode_action(25)
+
+
+@pytest.mark.parametrize("code", [3.7, 0.5, -0.5, float("nan"), float("inf"),
+                                  -float("inf"), np.float64(2.5)])
+def test_decode_action_refuses_a_non_integer_code(code):
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {code!r}")):
+        decode_action(code)
+
+
+@pytest.mark.parametrize("code", [3, 3.0, np.int64(3), np.uint8(3),
+                                  np.float64(3.0)])
+def test_decode_action_takes_integral_codes(code):
+    assert decode_action(code) == (0, 3)
+
+
+@pytest.mark.parametrize("actions, named", [([0.5, 3.9], "[0.5, 3.9]"),
+                                             ([0, 3.9, 2], "[3.9]"),
+                                             ([0.0, np.nan], "[nan]"),
+                                             ([np.inf, 1.0], "[inf]"),
+                                             ([1.0, -np.inf], "[-inf]")])
+def test_episode_refuses_non_integer_action_codes(actions, named):
+    message = f"non-integer action codes in episode 'x': {named}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PatientEpisode("x", np.zeros((len(actions), N_FEATURES)), actions,
+                       Outcome.RELEASE)
+
+
+@pytest.mark.parametrize("actions", [[1, 3], [1.0, 3.0], np.array([1.0, 3.0]),
+                                     np.array([1, 3], dtype=np.uint8),
+                                     np.array([1, 3], dtype=np.int32)])
+def test_episode_takes_integral_action_codes(actions):
+    episode = PatientEpisode("x", np.zeros((2, N_FEATURES)), actions,
+                             Outcome.RELEASE)
+    assert episode.actions.dtype == np.int64
+    assert episode.actions.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("code", [1e300, -1e300, 25.0, -1.0])
+def test_episode_refuses_integral_float_codes_out_of_range(code):
+    with pytest.raises(ValueError, match="action codes out of range"):
+        PatientEpisode("x", np.zeros((2, N_FEATURES)), np.array([code, 0.0]),
+                       Outcome.RELEASE)
 
 
 def make_episode(rng, length=4, subject="p1"):

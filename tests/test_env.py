@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from sepsim.data import N_FEATURES, Outcome, PatientEpisode
+from sepsim.data import (ACTION_COUNT, N_FEATURES, NormalizationStats, Outcome,
+                         PatientEpisode, action_intensity)
 from sepsim.dynamics import MIN_TEMPERATURE, StateModel, StateModelConfig
-from sepsim.env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
+from sepsim.env import (REWARD_FORMULATIONS, TERMINATION_MODES, PatientEnv,
+                        ReplayTrajectory, RewardSpec, SimConfig,
                         replay_physician, shaped_reward)
 from sepsim.heads import BinaryHead
 from sepsim.vae import LATENT_DIM, VaeModel
@@ -112,6 +114,25 @@ class TestStepping:
         with pytest.raises(ValueError):
             env.step(25)
 
+    @pytest.mark.parametrize("action", [3.7, 0.5, float("nan"), float("inf"),
+                                        -float("inf"), np.float64(2.5)])
+    def test_non_integer_action_refused(self, action):
+        env = _env()
+        env.reset()
+        with pytest.raises(ValueError, match="action code must be an integer"):
+            env.step(action)
+        assert env.step(0).info["step"] == 1   # the refused code took no step
+
+    def test_integral_action_codes_step_that_action(self):
+        results = []
+        for action in (3, 3.0, np.int64(3), np.int32(3), np.float64(3.0)):
+            env = _env(reward=RewardSpec("terminal_minus_intensity"))
+            env.reset()
+            results.append(env.step(action))
+        for result in results:
+            assert result.reward == -3.0   # action 3 is iv 0, vaso 3
+            assert result.observation.tobytes() == results[0].observation.tobytes()
+
     def test_max_steps_cap_pays_terminal(self):
         env = _env(max_steps=4)
         env.reset()
@@ -164,6 +185,55 @@ class TestStepping:
         spec = RewardSpec("sofa_lactate_shaped", sofa_index=0, lactate_index=1)
         with pytest.raises(ValueError, match="stats"):
             _env(reward=spec)
+
+
+def _step_reward_as_before(spec, action, outcome, prev, obs, stats):
+    """A step's reward as PatientEnv.step summed it before
+    `RewardSpec.step_reward`."""
+    reward = 0.0
+    if outcome is not None:
+        magnitude = spec.terminal_magnitude
+        reward += -magnitude if outcome == Outcome.DEATH else magnitude
+    if spec.formulation == "terminal_minus_intensity":
+        reward -= action_intensity(action)
+    elif spec.formulation == "sofa_lactate_shaped":
+        reward += shaped_reward(stats.denormalize(prev), stats.denormalize(obs), spec)
+    return reward
+
+
+@pytest.mark.parametrize("termination_mode", TERMINATION_MODES)
+@pytest.mark.parametrize("formulation", REWARD_FORMULATIONS)
+def test_every_step_reward_is_the_reward_spec_step_reward(formulation,
+                                                          termination_mode):
+    rng = np.random.default_rng(5)
+    spec = RewardSpec(formulation, terminal_magnitude=7.77, sofa_index=3,
+                      lactate_index=7)
+    stats = NormalizationStats(rng.normal(size=N_FEATURES),
+                               rng.uniform(0.5, 3.0, size=N_FEATURES))
+    pool = rng.normal(size=(6, N_FEATURES))
+    outcomes, steps = set(), 0
+    for death_logit in (-0.3, 0.3):
+        env = _env(term_logit=-1.5, death_logit=death_logit, reward=spec,
+                   stats=stats, max_steps=12, seed=11, pool=pool,
+                   termination_mode=termination_mode)
+        for _ in range(4):
+            prev = env.reset()
+            while not env.done:
+                action = int(rng.integers(ACTION_COUNT))
+                result = env.step(action)
+                outcome = result.info["outcome"]
+                outcome = None if outcome is None else Outcome(outcome)
+                assert type(result.reward) is float
+                for want in (spec.step_reward(action, outcome, prev,
+                                              result.observation, stats),
+                             _step_reward_as_before(spec, action, outcome, prev,
+                                                    result.observation, stats)):
+                    assert np.float64(result.reward).tobytes() == np.float64(want).tobytes()
+                prev = result.observation
+                steps += 1
+            outcomes.add(outcome)
+    assert outcomes == {Outcome.DEATH, Outcome.RELEASE}
+    assert steps > 8   # some episodes run past their first step
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 """Evaluation: normalized trajectory means, teacher forcing, histograms."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sepsim.checkpoint import write_table
-from sepsim.data import Cohort, N_FEATURES, Outcome, PatientEpisode
+from sepsim.data import (ACTION_COUNT, Cohort, N_FEATURES, NormalizationStats,
+                         Outcome, PatientEpisode, action_intensity)
 from sepsim.dynamics import StateModel, StateModelConfig
-from sepsim.env import PatientEnv, RewardSpec, replay_physician
+from sepsim.env import (REWARD_FORMULATIONS, PatientEnv, RewardSpec,
+                        replay_physician, shaped_reward)
 from sepsim.evaluation import (NTM_HEADER, HistogramPair, build_trajectory_matrix,
                                closed_loop_trajectories,
                                compare_policy_distributions, episode_return,
@@ -200,6 +203,50 @@ class TestEpisodeReturn:
         ep = PatientEpisode("p", states, ep.actions, ep.outcome)
         expected = 15.0 + (-0.025) + (-0.125)
         assert episode_return(ep, spec) == pytest.approx(expected, abs=1e-12)
+
+
+def _return_as_summed_before(episode, spec, stats):
+    """The recorded return as it was summed before `RewardSpec.step_reward`:
+    +/-magnitude plus the summed intensity charges, or +/-magnitude and then
+    each shaped transition in order."""
+    sign = -1.0 if episode.outcome == Outcome.DEATH else 1.0
+    total = sign * spec.terminal_magnitude
+    if spec.formulation == "terminal_minus_intensity":
+        total += float(sum(-action_intensity(int(a)) for a in episode.actions))
+    elif spec.formulation == "sofa_lactate_shaped":
+        states = episode.states
+        if stats is not None:
+            states = stats.denormalize(states)
+        for t in range(1, states.shape[0]):
+            total += shaped_reward(states[t - 1], states[t], spec)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulation=st.sampled_from(REWARD_FORMULATIONS),
+       magnitude=st.one_of(st.none(), st.floats(0.01, 2000.0)),
+       actions=st.lists(st.integers(0, ACTION_COUNT - 1), min_size=1, max_size=60),
+       died=st.booleans(), with_stats=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# summed step by step from the terminal step, this return is -128.76999999999998
+@example(formulation="terminal_minus_intensity", magnitude=7.77,
+         actions=[24] * 15 + [1], died=True, with_stats=False, seed=0)
+def test_episode_return_equals_the_sum_as_it_was(formulation, magnitude, actions,
+                                                  died, with_stats, seed):
+    rng = np.random.default_rng(seed)
+    spec = RewardSpec(formulation, terminal_magnitude=magnitude, sofa_index=3,
+                      lactate_index=7)
+    states = rng.normal(size=(len(actions), N_FEATURES))
+    # whole SOFA scores, so that some steps leave it unchanged
+    states[:, 3] = rng.integers(0, 4, size=len(actions))
+    stats = (NormalizationStats(rng.normal(size=N_FEATURES),
+                                rng.uniform(0.5, 3.0, size=N_FEATURES))
+             if with_stats else None)
+    episode = PatientEpisode("p", states, actions,
+                             Outcome.DEATH if died else Outcome.RELEASE)
+    got = episode_return(episode, spec, stats)
+    want = _return_as_summed_before(episode, spec, stats)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class _Rollouts:
