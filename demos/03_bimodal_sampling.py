@@ -32,7 +32,7 @@ schedule = TrainSchedule(max_epochs=10, patience=10, batch_size=64, seed=0)
 point, _ = train_on_sequences(
     StateModelConfig(variant="rnn", window=10, rnn_hidden=16, state_dim=1),
     data, data, schedule)
-preds = point.predict_batch(data.window_states, data.window_actions)
+preds = point.predict_batch(*data.windows())
 print(f"\npoint RNN mean prediction: {float(np.mean(preds)):+.3f} "
       "(stuck between the branches)")
 
@@ -43,7 +43,7 @@ mdn, _ = train_on_sequences(
     TrainSchedule(max_epochs=60, patience=60, batch_size=64, seed=0),
     learning_rate=1e-2)
 
-params = mdn.predict_batch(data.window_states[:1], data.window_actions[:1])[0]
+params = mdn.predict_batch(*data.windows(slice(1)))[0]
 print(f"\nmixture weights: {np.round(params.weights, 3)}")
 print(f"component means: {np.round(params.means[:, 0], 3)}")
 

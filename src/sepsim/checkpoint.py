@@ -81,11 +81,36 @@ def _write_lines(fh, lines: list[str]) -> None:
 
 def save_checkpoint(path, model_kind: str, hyperparams: dict,
                     arrays: dict[str, np.ndarray]) -> None:
-    tensors = [{"name": name, "shape": list(np.shape(arrays[name])),
-                "values": float_cells(arrays[name])} for name in sorted(arrays)]
-    doc = {"format_version": FORMAT_VERSION, "model_kind": model_kind,
-           "hyperparams": hyperparams, "tensors": tensors}
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    """Write the checkpoint document in the bytes of
+    `json.dumps(doc, indent=1, sort_keys=True)`, with the tensors sorted by
+    name. json's encoder writes everything but the tensors; each tensor's
+    cells are joined with one `str.join` and written before the next
+    tensor's are made."""
+    head = json.dumps({"format_version": FORMAT_VERSION, "model_kind": model_kind,
+                       "hyperparams": hyperparams, "tensors": []},
+                      indent=1, sort_keys=True)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        if not arrays:
+            fh.write(head)
+            return
+        # "tensors" sorts last, so the text ends with its empty list
+        fh.write(head[:-len("[]\n}")] + "[")
+        for i, name in enumerate(sorted(arrays)):
+            shape = [str(n) for n in np.shape(arrays[name])]
+            values = _json_list(float_cells(arrays[name]), quote='"')
+            fh.write(f'{"," if i else ""}\n  {{\n   "name": {json.dumps(name)},'
+                     f'\n   "shape": {_json_list(shape)},'
+                     f'\n   "values": {values}\n  }}')
+        fh.write("\n ]\n}")
+
+
+def _json_list(cells: list[str], quote: str = "") -> str:
+    """json.dumps(indent=1) text of a list that is the value of a key at
+    depth 3, given each item's text; `quote` goes around every item."""
+    if not cells:
+        return "[]"
+    sep = f"{quote},\n    {quote}"
+    return f"[\n    {quote}{sep.join(cells)}{quote}\n   ]"
 
 
 def load_checkpoint(path, expect_kind: str | tuple[str, ...] | None = None

@@ -15,6 +15,11 @@ overlapping unrolls a row takes part in as stacked lanes, in lockstep, one
 LSTM recurrence per step; each prediction is still its own window unrolled
 from the zero state, bit-identical to StateModel.predict on that window.
 
+Training holds each recorded row once, too: `SequenceData` stores every
+episode's rows behind W-1 zero padding rows, and `SequenceData.windows`
+gathers the W-row windows of one batch, or of one teacher-forced sweep,
+when they are needed, so what is stored does not grow with W.
+
 Every MDN prediction, single-row or batch, checks its mixture in
 `StateModel._mixture_from_row`, and `sample_next` checks the temperature and
 the component probabilities it draws from.
@@ -25,7 +30,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES, Cohort, split_cohort
@@ -141,41 +145,52 @@ class HistoryWindow:
 
 @dataclass(frozen=True)
 class SequenceData:
-    """Flattened supervised pairs: one row per in-episode transition."""
+    """Supervised pairs, one per in-episode transition, with each recorded
+    row held once.
 
-    window_states: np.ndarray    # (n, window, d)
-    window_actions: np.ndarray   # (n, window, 25)
+    `states` and `actions` hold, for each episode with a transition,
+    `window - 1` all-zero rows and then the rows of its transitions' steps,
+    in episode order. Transition i's history window is the `window` rows
+    from `starts[i]` on, which `windows` gathers on demand.
+    """
+
+    states: np.ndarray           # (rows, d)
+    actions: np.ndarray          # (rows, 25), one-hot; zero in padding rows
+    starts: np.ndarray           # (n,) first padded row of each window
+    window: int
     targets: np.ndarray          # (n, d)
-    subjects: tuple[str, ...]    # subject id per row, for leak checks
+    subjects: tuple[str, ...]    # subject id per transition, for leak checks
 
     @property
     def n_rows(self) -> int:
         return self.targets.shape[0]
 
-
-def _windows(rows: np.ndarray, window: int) -> np.ndarray:
-    """(len(rows), window, k) array whose t-th window ends at row t, with
-    all-zero rows in front where the history is shorter than the window."""
-    padded = np.concatenate([np.zeros((window - 1, rows.shape[1])), rows])
-    return sliding_window_view(padded, window, axis=0).transpose(0, 2, 1)
+    def windows(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(states (k, window, d), actions (k, window, 25)) of the
+        transitions `idx` selects, oldest row first, as
+        `HistoryWindow.from_history` builds each one."""
+        rows = self.starts[idx, None] + np.arange(self.window)
+        return self.states[rows], self.actions[rows]
 
 
 def build_training_sequences(episodes, window: int = DEFAULT_WINDOW,
                              encoder=None) -> SequenceData:
-    """One training pair per in-episode transition: row t of an episode is
-    its history window at step t, as `HistoryWindow.from_history` builds it,
-    and the target is the step t+1 representation (encode_mean of the raw
-    states when an encoder is given).
+    """One training pair per in-episode transition: its input is the
+    history window at step t, as `HistoryWindow.from_history` builds it,
+    and its target the step t+1 representation (encode_mean of the raw
+    states when an encoder is given). Each row is stored once; see
+    `SequenceData`.
 
     `episodes` is a Cohort, or (states, actions) pairs, for toy problems
     whose state dimension is not the clinical 46; pair i is subject "ep-<i>".
-    Histories never cross episodes, and a length-1 episode yields no row.
+    Histories never cross episodes, and a length-1 episode yields no pair.
     """
     if isinstance(episodes, Cohort):
         items = [(ep.subject_id, ep.states, ep.actions) for ep in episodes.episodes]
     else:
         items = [(f"ep-{i}", s, a) for i, (s, a) in enumerate(episodes)]
-    ws_all, wa_all, tg_all, subjects = [], [], [], []
+    states_all, actions_all, starts, targets, subjects = [], [], [], [], []
+    n_padded = 0
     for subject, states, actions in items:
         if encoder is not None:
             states = encoder.encode_mean(states)
@@ -186,14 +201,18 @@ def build_training_sequences(episodes, window: int = DEFAULT_WINDOW,
         n = states.shape[0] - 1
         if n < 1:
             continue
-        ws_all.append(_windows(states[:n], window))
-        wa_all.append(_windows(onehots[:n], window))
-        tg_all.append(states[1:])
+        padding = np.zeros((window - 1, states.shape[1]))
+        states_all += [padding, states[:n]]
+        actions_all += [np.zeros((window - 1, ACTION_COUNT)), onehots[:n]]
+        starts.append(np.arange(n_padded, n_padded + n))
+        n_padded += window - 1 + n
+        targets.append(states[1:])
         subjects += [subject] * n
     if not subjects:
         raise ValueError("no transitions in the given episodes (all have length 1)")
-    return SequenceData(np.concatenate(ws_all), np.concatenate(wa_all),
-                        np.concatenate(tg_all), tuple(subjects))
+    return SequenceData(np.concatenate(states_all), np.concatenate(actions_all),
+                        np.concatenate(starts), window, np.concatenate(targets),
+                        tuple(subjects))
 
 
 class StateModel(Module):
@@ -401,13 +420,19 @@ def train_on_sequences(config: StateModelConfig, train_data: SequenceData,
                        learning_rate: float = 1e-3,
                        ) -> tuple[StateModel, History]:
     """Fit a state model on prebuilt transition windows."""
-    if train_data.window_states.shape[2] != config.resolved_state_dim:
-        raise ValueError("sequence state dim does not match config")
+    for name, data in (("training", train_data), ("validation", val_data)):
+        if data.window != config.window:
+            raise ValueError(f"{name} sequences have window {data.window}, "
+                             f"the config has window {config.window}")
+        if data.states.shape[1] != config.resolved_state_dim:
+            raise ValueError(f"{name} sequences have state width "
+                             f"{data.states.shape[1]}, the config has "
+                             f"{config.resolved_state_dim}")
     model = StateModel(config, rng=np.random.default_rng(schedule.seed))
     optimizer = Adam(model.parameters(), lr=learning_rate)
 
     def loss_on(data: SequenceData, idx=slice(None)) -> Tensor:
-        out = model.forward_graph(data.window_states[idx], data.window_actions[idx])
+        out = model.forward_graph(*data.windows(idx))
         if config.uses_mdn:
             logits, means, log_stds = model.split_head(out)
             return mdn_loss_graph(logits, means, log_stds, data.targets[idx])

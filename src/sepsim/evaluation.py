@@ -161,7 +161,7 @@ def teacher_forced_eval(model, cohort: Cohort, encoder=None,
     """
     win = window if window is not None else getattr(model, "config").window
     data = build_training_sequences(cohort, window=win, encoder=encoder)
-    out = model.predict_batch(data.window_states, data.window_actions)
+    out = model.predict_batch(*data.windows())
     if isinstance(out, list):
         predictions = np.stack([p.mixture_mean() for p in out])
         sampled = None

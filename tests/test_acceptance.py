@@ -158,7 +158,7 @@ def test_criterion_04_bimodal_mdn_vs_rnn():
         StateModelConfig(variant="rnn", window=10, rnn_hidden=16, state_dim=1),
         data, data, TrainSchedule(max_epochs=10, patience=10, batch_size=64,
                                   seed=0))
-    preds = point.predict_batch(data.window_states, data.window_actions)
+    preds = point.predict_batch(*data.windows())
     assert abs(float(np.mean(preds))) <= 0.2
     assert float(np.mean(np.abs(preds))) <= 0.2
 
@@ -168,8 +168,7 @@ def test_criterion_04_bimodal_mdn_vs_rnn():
         data, data, TrainSchedule(max_epochs=60, patience=60, batch_size=64,
                                   seed=0), learning_rate=1e-2)
     draw_rng = np.random.default_rng(123)
-    mixtures = mdn.predict_batch(data.window_states[:100],
-                                 data.window_actions[:100])
+    mixtures = mdn.predict_batch(*data.windows(slice(100)))
     samples = np.array([sample_next(p, 1.0, draw_rng)[0]
                         for p in mixtures for _ in range(5)])
     assert float(np.mean(np.abs(samples) > 0.5)) >= 0.9

@@ -126,6 +126,52 @@ def test_round_trip_bit_exact(tmp_path, rng):
         assert back[k].dtype == np.float64
 
 
+def _json_dumps_bytes(model_kind, hyperparams, arrays) -> bytes:
+    """The checkpoint document as json.dumps(indent=1, sort_keys=True)
+    writes it."""
+    tensors = [{"name": name, "shape": list(np.shape(arrays[name])),
+                "values": float_cells(arrays[name])} for name in sorted(arrays)]
+    doc = {"format_version": FORMAT_VERSION, "model_kind": model_kind,
+           "hyperparams": hyperparams, "tensors": tensors}
+    return json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
+
+
+# each case holds arrays or hyperparameters whose text is easy to get wrong
+SAVE_CASES = {
+    "0-d": ({}, {"s": np.float64(-0.0), "t": np.array(2.5)}),
+    "empty": ({}, {"e": np.zeros(0), "f": np.zeros((0, 3)), "g": np.ones((2, 0))}),
+    "awkward floats": ({}, {"w": np.array(AWKWARD).reshape(2, 4),
+                            "v": np.array([-0.0, 0.0, -np.inf, np.nan])}),
+    "no tensors": ({"k": 1}, {}),
+    "nested hyperparams": ({"outer": {"inner": [1, 2.5, None, True], "z": {}},
+                            "none": None, "list": [], "a": "x"},
+                           {"w": np.ones((1, 1, 2))}),
+    "non-ASCII": ({"name": "f\u00e9vrier \u2013 \u00e9tude \u2603", "q": 'say "hi"\\'},
+                  {"\u00e9t\u00e9": np.arange(3.0), 'we"ird\\': np.zeros(1)}),
+}
+
+
+@pytest.mark.parametrize("case", SAVE_CASES.values(), ids=SAVE_CASES.keys())
+def test_save_writes_the_bytes_of_json_dumps(tmp_path, case):
+    hyperparams, arrays = case
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", hyperparams, arrays)
+    assert path.read_bytes() == _json_dumps_bytes("demo", hyperparams, arrays)
+
+
+@settings(deadline=None, max_examples=40)
+@given(shapes=st.dictionaries(st.text(max_size=4),
+                              st.lists(st.integers(0, 3), max_size=3), max_size=4),
+       seed=st.integers(0, 2**16))
+def test_save_equals_json_dumps_on_random_tensors(tmp_path_factory, shapes, seed):
+    gen = np.random.default_rng(seed)
+    arrays = {name: gen.normal(size=shape) * 10.0 ** gen.integers(-300, 300)
+              for name, shape in shapes.items()}
+    path = tmp_path_factory.mktemp("ckpt") / "m.json"
+    save_checkpoint(path, "demo", {"shapes": shapes}, arrays)
+    assert path.read_bytes() == _json_dumps_bytes("demo", {"shapes": shapes}, arrays)
+
+
 def test_tensors_sorted_by_name(tmp_path, rng):
     path = tmp_path / "m.json"
     save_checkpoint(path, "demo", {}, {"z": np.zeros(1), "a": np.ones(1),

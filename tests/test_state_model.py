@@ -62,8 +62,9 @@ def test_windows_never_cross_episodes(rng):
     cohort = Cohort(tuple(eps), tuple(f"f_{i}" for i in range(N_FEATURES)))
     data = build_training_sequences(cohort, window=3)
     assert data.n_rows == 8  # 4 transitions per episode
+    window_states, _ = data.windows()
     for i in range(data.n_rows):
-        vals = np.unique(data.window_states[i])
+        vals = np.unique(window_states[i])
         vals = vals[vals != 0.0]  # padding
         assert len(vals) == 1, "window mixed states from two episodes"
         assert data.subjects[i] in ("a", "b")
@@ -102,17 +103,41 @@ def test_training_windows_equal_history_windows(window, lengths, as_cohort,
             build_training_sequences(source, window)
         return
     data = build_training_sequences(source, window)
-    row = 0
+    wants, row = [], 0
     for name, (states, actions) in zip(names, episodes):
         for t in range(len(states) - 1):
-            want = HistoryWindow.from_history(states[:t + 1], actions[:t + 1],
-                                              window)
-            assert data.window_states[row].tobytes() == want.states.tobytes()
-            assert data.window_actions[row].tobytes() == want.actions.tobytes()
+            wants.append(HistoryWindow.from_history(states[:t + 1],
+                                                    actions[:t + 1], window))
             assert data.targets[row].tobytes() == states[t + 1].tobytes()
             assert data.subjects[row] == name
             row += 1
     assert row == data.n_rows
+    # every window, in order, and a shuffled draw as a training batch takes it
+    order = gen.permutation(data.n_rows)
+    for idx, rows in ((slice(None), range(data.n_rows)), (order, order),
+                      (order[:3], order[:3])):
+        window_states, window_actions = data.windows(idx)
+        assert window_states.shape == (len(rows), window, dim)
+        for got_states, got_actions, i in zip(window_states, window_actions, rows):
+            assert got_states.tobytes() == wants[i].states.tobytes()
+            assert got_actions.tobytes() == wants[i].actions.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(window=st.integers(1, 12),
+       lengths=st.lists(st.integers(1, 15), min_size=1, max_size=6))
+def test_training_sequences_hold_each_row_once(window, lengths):
+    """Each transition's step row is stored once, behind window-1 padding
+    rows per episode that has a transition, whatever the window."""
+    if max(lengths) == 1:
+        return
+    episodes = [(np.zeros((n, 2)), np.zeros(n, dtype=int)) for n in lengths]
+    data = build_training_sequences(episodes, window)
+    with_transition = sum(n > 1 for n in lengths)
+    n_rows = data.n_rows + (window - 1) * with_transition
+    assert data.states.shape == (n_rows, 2)
+    assert data.actions.shape == (n_rows, ACTION_COUNT)
+    assert data.starts.shape == (data.n_rows,)
 
 
 def test_pair_form_checks_actions():
@@ -235,6 +260,27 @@ def test_sample_next_rejects_nan_temperature(rng):
         sample_next(params, float("nan"), rng)
 
 
+def _toy_sequences(window, width):
+    episodes = [(np.zeros((4, width)), np.zeros(4, dtype=int))] * 2
+    return build_training_sequences(episodes, window)
+
+
+@pytest.mark.parametrize("train, val, message", [
+    ((2, 2), (3, 2), "training sequences have window 2, the config has window 3"),
+    ((3, 2), (2, 2), "validation sequences have window 2, the config has window 3"),
+    ((3, 3), (3, 2), "training sequences have state width 3, the config has 2"),
+    ((3, 2), (3, 3), "validation sequences have state width 3, the config has 2"),
+], ids=["train-window", "val-window", "train-width", "val-width"])
+def test_training_refuses_sequences_the_config_cannot_run(train, val, message):
+    """Sequences of another window or state width than the config's are
+    refused before training starts, so no model is saved with a window it
+    was not trained on."""
+    config = StateModelConfig(variant="rnn", window=3, rnn_hidden=4, state_dim=2)
+    with pytest.raises(ValueError, match=message):
+        train_on_sequences(config, _toy_sequences(*train), _toy_sequences(*val),
+                           TrainSchedule(max_epochs=1))
+
+
 def test_mdn_beats_point_rnn_on_bimodal_toy(rng):
     """Alternating +/-1 sequences: the point model averages to ~0, the
     mixture model can commit to either branch."""
@@ -253,17 +299,18 @@ def test_mdn_beats_point_rnn_on_bimodal_toy(rng):
     schedule = TrainSchedule(max_epochs=30, patience=30, batch_size=16, seed=0)
     point, _ = train_on_sequences(point_cfg, data, data, schedule,
                                   learning_rate=3e-3)
-    first_rows = np.all(data.window_states[:, -1, :] == 0.0, axis=1)
-    preds = point.predict_batch(data.window_states[first_rows],
-                                data.window_actions[first_rows])
+    window_states, window_actions = data.windows()
+    first_rows = np.all(window_states[:, -1, :] == 0.0, axis=1)
+    preds = point.predict_batch(window_states[first_rows],
+                                window_actions[first_rows])
     assert abs(float(np.mean(preds))) < 0.3  # regresses to the mean
 
     mdn_cfg = StateModelConfig(variant="mdn_rnn", window=3, rnn_hidden=8,
                                n_mixtures=2, state_dim=1)
     mdn, _ = train_on_sequences(mdn_cfg, data, data, schedule,
                                 learning_rate=3e-3)
-    params = mdn.predict_batch(data.window_states[first_rows][:1],
-                               data.window_actions[first_rows][:1])[0]
+    params = mdn.predict_batch(window_states[first_rows][:1],
+                               window_actions[first_rows][:1])[0]
     draws = np.array([sample_next(params, 1.0, np.random.default_rng(i))[0]
                       for i in range(100)])
     assert np.mean(np.abs(draws) > 0.5) > 0.6
