@@ -246,7 +246,7 @@ class PolicyRollouts:
 def policy_histogram(net: QNetwork, env, n_episodes: int) -> PolicyRollouts:
     """Greedy rollouts; the env's own rng drives all stochasticity.
 
-    Each return is summed left to right, step by step, as the rewards came.
+    Each return is the trajectory's `ReplayTrajectory.ret`.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -256,11 +256,8 @@ def policy_histogram(net: QNetwork, env, n_episodes: int) -> PolicyRollouts:
     for _ in range(n_episodes):
         traj = rollout(env, greedy)
         counts += np.bincount(traj.actions, minlength=ACTION_COUNT)
-        total = 0.0
-        for r in traj.rewards.tolist():
-            total += r
         lengths.append(traj.n_steps)
-        returns.append(total)
+        returns.append(traj.ret)
     return PolicyRollouts(counts, np.array(lengths), np.array(returns))
 
 

@@ -12,10 +12,16 @@ Every trained model serializes to the same JSON document:
 Text is slow to parse, so `load_parsed` parses each file once: it keeps a
 binary sidecar `.<name>.sepsim-cache.npz` next to the file, keyed by the
 sha256 of the file's bytes, `SIDECAR_VERSION` and the loader's settings.
-`load_checkpoint` and `data.load_cohort` read through it. A sidecar is plain
-arrays, read with `allow_pickle=False`; one that cannot be read or has
-another key is parsed around and replaced, and one that cannot be written is
-skipped, so sidecars are always safe to delete.
+`load_checkpoint` and `data.load_cohort` read through it. A sidecar is one
+JSON header line (the key, the parse's JSON part, and each array's dtype
+and shape), then the arrays' little-endian bytes; it is read with one
+`read_bytes`, and each array is a view of one buffer (`np.frombuffer`).
+The `.npz` suffix is historical: SIDECAR_VERSION 1 wrote a zip of .npy
+members there, and a file of that format, like any sidecar that is not a
+whole one of this layout (another key, a header or length mismatch, a
+dtype other than float64 or int64), is parsed around and replaced. One that
+cannot be written is skipped, so sidecars are always safe to delete.
+Nothing in a sidecar is unpickled.
 """
 from __future__ import annotations
 
@@ -25,15 +31,15 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 FORMAT_VERSION = 1
 # bump when a loader changes what it keeps in its sidecar
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 def float_cells(values) -> list[str]:
@@ -159,10 +165,11 @@ def load_parsed(path, parse, loader) -> tuple[object, list[np.ndarray]]:
     """parse(data) of the bytes of the file at `path`, read from its sidecar
     when the sidecar's key matches, else parsed and written to the sidecar.
 
-    parse returns (meta, arrays): a JSON value and a list of numeric arrays.
-    `loader` is a JSON value naming the loader and every setting that changes
-    what parse returns. Either way meta comes back through one JSON round
-    trip, so a hit returns exactly what a parse returns.
+    parse returns (meta, arrays): a JSON value and a list of float64 or
+    int64 arrays. `loader` is a JSON value naming the loader and every
+    setting that changes what parse returns. Either way meta comes back
+    through one JSON round trip, so a hit returns exactly what a parse
+    returns.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -175,38 +182,75 @@ def load_parsed(path, parse, loader) -> tuple[object, list[np.ndarray]]:
     if found is not None:
         return found
     meta, arrays = parse(data)
-    text = json.dumps(meta)
-    _write_sidecar(sidecar, {"key": np.array(key), "meta": np.array(text),
-                             **{f"a{i}": a for i, a in enumerate(arrays)}})
-    return json.loads(text), arrays
+    header = _write_sidecar(sidecar, key, meta, arrays)
+    return json.loads(header)["meta"], arrays
+
+
+# a sidecar's array dtypes: float64 and int64, little-endian
+_SIDECAR_DTYPES = ("<f8", "<i8")
 
 
 def _read_sidecar(sidecar: Path, key: str) -> tuple[object, list] | None:
+    """(meta, arrays) of a sidecar written under `key`, or None when there
+    is none, or it has another key or is not a whole sidecar: a header line
+    that is not JSON or not of the layout `_write_sidecar` writes, a dtype
+    other than float64 or int64, or more or fewer bytes than its header
+    gives."""
     try:
-        with np.load(sidecar, allow_pickle=False) as npz:
-            if npz["key"].item() != key:
-                return None
-            arrays = [npz[f"a{i}"] for i in range(len(npz.files) - 2)]
-            return json.loads(npz["meta"].item()), arrays
-    except Exception:  # noqa: BLE001 - whatever is wrong with it, parse instead
+        data = sidecar.read_bytes()
+    except OSError:
         return None
+    start = data.find(b"\n") + 1
+    try:
+        header = json.loads(data[:start])
+    except (ValueError, RecursionError):  # no header line, not UTF-8 or not JSON
+        return None
+    if not (isinstance(header, dict) and header.get("key") == key
+            and "meta" in header and isinstance(header.get("arrays"), list)):
+        return None
+    specs = header["arrays"]
+    if not all(isinstance(spec, list) and len(spec) == 2
+               and spec[0] in _SIDECAR_DTYPES and isinstance(spec[1], list)
+               and all(type(n) is int and n >= 0 for n in spec[1])
+               for spec in specs):
+        return None
+    counts = [math.prod(shape) for _, shape in specs]
+    if start + 8 * sum(counts) != len(data):
+        return None
+    # one writable buffer for every array, so a hit's arrays can be written
+    # to, as a parse's can
+    buffer = bytearray(data)
+    arrays = []
+    for (dtype, shape), count in zip(specs, counts):
+        arrays.append(np.frombuffer(buffer, dtype, count, start).reshape(shape))
+        start += 8 * count
+    return header["meta"], arrays
 
 
-def _write_sidecar(sidecar: Path, entries: dict[str, np.ndarray]) -> None:
-    """Write an .npz through a temporary file and os.replace. Members carry
-    zip's fixed 1980 timestamp, so the same entries give the same bytes."""
+def _write_sidecar(sidecar: Path, key: str, meta, arrays: list[np.ndarray]) -> str:
+    """Write the sidecar of `key` through a temporary file and os.replace:
+    a JSON header line, {"key", "meta", "arrays": [[dtype, shape], ...]},
+    padded with spaces so the arrays begin on an 8-byte boundary, then each
+    array's little-endian bytes in C order. The same entries give the same
+    bytes. Returns the header; a list holding an array of another dtype is
+    not written."""
+    specs = [[np.asarray(a).dtype.newbyteorder("<").str, list(np.shape(a))]
+             for a in arrays]
+    header = json.dumps({"key": key, "meta": meta, "arrays": specs})
+    if any(dtype not in _SIDECAR_DTYPES for dtype, _ in specs):
+        return header
     tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            for name, value in entries.items():
-                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w",
-                             force_zip64=True) as fh:
-                    np.lib.format.write_array(fh, np.asarray(value),
-                                              allow_pickle=False)
+        with tmp.open("wb") as fh:
+            line = header.encode()
+            fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
+            for a, (dtype, _) in zip(arrays, specs):
+                fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
         os.replace(tmp, sidecar)
     except OSError:
         with contextlib.suppress(OSError):
             tmp.unlink()
+    return header
 
 
 def file_sha256(path) -> str:

@@ -426,14 +426,18 @@ def _pool(split: str, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
     return source, source.initial_states()
 
 
-def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
+def _write_trajectories_csv(path: Path, feature_names, blocks) -> list[list[str]]:
     """blocks: iterable of (variant, trajectories) pairs; one row per state,
-    each episode's step-0 initial row first."""
+    each episode's step-0 initial row first. Returns each trajectory's
+    `float_cells(traj.states)`, in order."""
+    cells = []
+
     def rows():
         for variant, trajectories in blocks:
             for ep, traj in enumerate(trajectories):
                 width = traj.initial.shape[0]
                 states = float_cells(traj.states)
+                cells.append(states)
                 rewards = float_cells(np.concatenate(([0.0], traj.rewards)))
                 actions = np.concatenate(([-1], traj.actions)).tolist()
                 dones = np.concatenate(([0], traj.dones)).tolist()
@@ -442,6 +446,7 @@ def _write_trajectories_csv(path: Path, feature_names, blocks) -> None:
 
     write_table(path, ["variant", "episode", "step", "action", "reward", "done",
                        *feature_names], rows())
+    return cells
 
 
 def _rollout_episode(traj: ReplayTrajectory, subject_id: str) -> PatientEpisode | None:
@@ -474,22 +479,25 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
         uniform = lambda obs, t: int(rng.integers(env.action_count))
         trajectories = [rollout(env, uniform) for _ in range(n)]
 
-    episodes, returns, lengths = [], [], []
-    for traj in trajectories:
+    episodes, completed, returns, lengths = [], [], [], []
+    for i, traj in enumerate(trajectories):
         sim_ep = _rollout_episode(traj, f"sim-{len(episodes):05d}")
         if sim_ep is not None:
             episodes.append(sim_ep)
-        returns.append(float(traj.rewards.sum()))
+            completed.append(i)
+        returns.append(traj.ret)
         lengths.append(traj.n_steps)
 
     traj_path = out / "trajectories.csv"
-    _write_trajectories_csv(traj_path, train.feature_names,
-                            [(sim.variant, trajectories)])
+    traj_cells = _write_trajectories_csv(traj_path, train.feature_names,
+                                         [(sim.variant, trajectories)])
     outputs = {"trajectories.csv": traj_path}
     if episodes:
         sim_cohort = Cohort(tuple(episodes), train.feature_names)
         sim_path = out / "sim_cohort.csv"
-        export_cohort(sim_cohort, sim_path)
+        # a completed episode's rows are its trajectory's states but the
+        # last, so their cells are the ones trajectories.csv was written from
+        export_cohort(sim_cohort, sim_path, [traj_cells[i] for i in completed])
         outputs["sim_cohort.csv"] = sim_path
     deaths = sum(e.outcome == Outcome.DEATH for e in episodes)
     metrics = {"n_rollouts": len(trajectories),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -72,7 +72,7 @@ class PatientEpisode:
     outcome: Outcome
 
     def __post_init__(self):
-        states = np.ascontiguousarray(np.asarray(self.states, dtype=np.float64))
+        states = np.ascontiguousarray(self.states, dtype=np.float64)
         actions = np.asarray(self.actions)
         if actions.dtype.kind not in "iu":
             codes = actions.astype(np.float64)
@@ -87,12 +87,15 @@ class PatientEpisode:
             raise ValueError(f"states must be (length, {N_FEATURES}), got {states.shape}")
         if states.shape[0] < 1:
             raise ValueError("episode must contain at least one step")
-        if not np.all(np.isfinite(states)):
+        # the ufunc reductions that ndarray.all, .min and .max call
+        if not np.logical_and.reduce(np.isfinite(states), axis=None):
             raise ValueError(f"non-finite state values in episode {self.subject_id!r}")
         if actions.shape != (states.shape[0],):
             raise ValueError(f"actions shape {actions.shape} does not match "
                              f"{states.shape[0]} steps")
-        if np.any(actions < 0) or np.any(actions >= ACTION_COUNT):
+        # `actions` has one entry per step, so at least one
+        if (np.minimum.reduce(actions) < 0
+                or np.maximum.reduce(actions) >= ACTION_COUNT):
             raise ValueError(f"action codes out of range in episode {self.subject_id!r}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
@@ -192,12 +195,12 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
     meta, (states, actions, lengths, outcomes) = load_parsed(
         path, lambda data: _cohort_arrays(_parse_cohort(data, schema)),
         ["load_cohort", asdict(schema)])
-    bounds = np.cumsum(lengths)[:-1]
-    episodes = (PatientEpisode(sid, s.copy(), a.copy(), outcome)
-                for sid, s, a, outcome in zip(meta["subject_ids"],
-                                              np.split(states, bounds),
-                                              np.split(actions, bounds),
-                                              outcomes.tolist()))
+    ends = np.cumsum(lengths).tolist()
+    episodes = (PatientEpisode(sid, states[start:end].copy(),
+                               actions[start:end].copy(), outcome)
+                for sid, start, end, outcome in zip(meta["subject_ids"],
+                                                    [0, *ends], ends,
+                                                    outcomes.tolist()))
     return Cohort(tuple(episodes), meta["feature_names"])
 
 
@@ -269,11 +272,16 @@ def _parse_cohort(data: bytes, schema: CsvSchema) -> Cohort:
     return Cohort(tuple(episodes), feature_cols)
 
 
-def export_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort back to CSV; a reload is exact (see `float_cells`)."""
+def export_cohort(cohort: Cohort, path, state_cells=None) -> None:
+    """Write a cohort back to CSV; a reload is exact (see `float_cells`).
+
+    A caller that has formatted the episodes' states already passes
+    `state_cells`, one `float_cells` list per episode, whose first
+    `length * 46` cells are the episode's states; they are not formatted
+    again."""
     def rows():
-        for ep in cohort.episodes:
-            cells = float_cells(ep.states)
+        for i, ep in enumerate(cohort.episodes):
+            cells = float_cells(ep.states) if state_cells is None else state_cells[i]
             last = ep.length - 1
             for t, action in enumerate(ep.actions.tolist()):
                 yield [ep.subject_id, t, *cells[t * N_FEATURES:(t + 1) * N_FEATURES],
@@ -303,7 +311,8 @@ def compute_normalization(cohort: Cohort) -> NormalizationStats:
 
 
 def normalize_cohort(cohort: Cohort, stats: NormalizationStats) -> Cohort:
-    episodes = tuple(replace(ep, states=stats.normalize(ep.states))
+    episodes = tuple(PatientEpisode(ep.subject_id, stats.normalize(ep.states),
+                                    ep.actions, ep.outcome)
                      for ep in cohort.episodes)
     return Cohort(episodes, cohort.feature_names, stats)
 

@@ -20,12 +20,17 @@ episode's rows behind W-1 zero padding rows, and `SequenceData.windows`
 gathers the W-row windows of one batch, or of one teacher-forced sweep,
 when they are needed, so what is stored does not grow with W.
 
-Every MDN prediction, single-row or batch, checks its mixture in
-`StateModel._mixture_from_row`, and `sample_next` checks the temperature and
-the component probabilities it draws from.
+Mixtures take an optional leading batch axis, and one code path serves
+one head row, the env's, and a batch: `StateModel._mixtures` builds and
+checks them in one vectorized pass, and `sample_next` draws a batch row by
+row, in row order, as one call per row would. `predict_stacked` keeps a
+batch stacked, for the teacher-forced sweep; `predict_batch` hands out its
+rows as views. `sample_next` also checks the temperature and the component
+probabilities it draws from.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -249,50 +254,71 @@ class StateModel(Module):
         return self.head(self.cell.unroll(window_states, window_actions))
 
     def split_head(self, out):
-        """MDN head output, a Tensor or an array of rows, -> (logits, means,
-        log_stds) of the same type: [logits K | means K*d | log-stds K*d]."""
+        """MDN head output, a Tensor or an array, one row (n,) or a batch
+        (B, n), -> (logits, means, log_stds) of the same type and leading
+        shape: [logits K | means K*d | log-stds K*d]."""
         k, d = self.config.n_mixtures, self.state_dim
-        batch = out.shape[0]
-        logits = out[:, :k]
-        means = out[:, k:k + k * d].reshape((batch, k, d))
-        log_stds = out[:, k + k * d:].reshape((batch, k, d))
+        lead = out.shape[:-1]
+        logits = out[..., :k]
+        means = out[..., k:k + k * d].reshape(lead + (k, d))
+        log_stds = out[..., k + k * d:].reshape(lead + (k, d))
         return logits, means, log_stds
 
-    def _mixture_from_row(self, row: np.ndarray) -> MixtureParams:
-        logits, means, log_stds = self.split_head(row[None])
-        logits, means, log_stds = logits[0], means[0], log_stds[0]
-        weights = np.exp(logits - logsumexp_np(logits))
+    def _mixtures(self, out: np.ndarray) -> MixtureParams:
+        """The mixture of one head row (n,), or of each row of a batch
+        (B, n), built in one pass over the whole array. Each row is checked
+        as `MixtureParams` checks a mixture, after a check that names an std
+        of 0; when rows fail, the first of them raises its own message, as a
+        loop over the rows would."""
+        logits, means, log_stds = self.split_head(out)
+        weights = np.exp(logits - logsumexp_np(logits, axis=-1)[..., None])
         stds = np.exp(log_stds)
         # exp gives no negative entry, so a std that is 0, NaN or inf, or a
-        # weight sum that is not 1 (NaN weights), is all the checks below
-        # can find; when one is found, they run in full, in their order
-        if not (stds.min() > 0 and stds.max() < np.inf
-                and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
-            if not stds.all():
-                raise ValueError(
-                    f"MDN std underflow: exp(log_std) is 0 in float64 for "
-                    f"log_std {log_stds.min():.6g}; the state model's output "
-                    f"is out of range")
-            return MixtureParams(weights, means, stds)
+        # weight sum that is not 1 (NaN weights), is all the checks can find
+        if out.size and not (
+                np.minimum.reduce(stds, axis=None) > 0
+                and np.maximum.reduce(stds, axis=None) < np.inf
+                and np.maximum.reduce(abs(np.add.reduce(weights, axis=-1) - 1.0),
+                                      axis=None) <= WEIGHT_SUM_TOL):
+            # each index of the batch axis in turn; one row has one, ()
+            for row in itertools.product(*map(range, weights.shape[:-1])):
+                if not stds[row].all():
+                    raise ValueError(
+                        f"MDN std underflow: exp(log_std) is 0 in float64 for "
+                        f"log_std {log_stds[row].min():.6g}; the state model's "
+                        f"output is out of range")
+                MixtureParams(weights[row], means[row], stds[row])
         return MixtureParams._checked(weights, means, stds)
 
-    def _prediction(self, row: np.ndarray):
+    def _prediction(self, out: np.ndarray):
+        """What `predict` gives for a head row (n,), or for each row of
+        a batch (B, n): its mixture for MDN variants, the row itself
+        otherwise."""
         if self.config.uses_mdn:
-            return self._mixture_from_row(row)
-        return row
+            return self._mixtures(out)
+        return out
 
     def predict(self, window: HistoryWindow):
         """MixtureParams for MDN variants, a point estimate otherwise."""
         self._check_window(window)
         return self.predict_batch(window.states[None], window.actions[None])[0]
 
-    def predict_batch(self, window_states: np.ndarray, window_actions: np.ndarray):
-        """`predict` for each window of a batch, through `forward_graph` as
-        training runs it, with no tape recorded."""
+    def predict_stacked(self, window_states: np.ndarray, window_actions: np.ndarray):
+        """`predict` of every window of a batch, stacked: one MixtureParams
+        with a batch axis for MDN variants, a (B, d) array otherwise. Runs
+        `forward_graph` as training runs it, with no tape recorded."""
         with no_grad():
             out = self.forward_graph(window_states, window_actions).data
+        return self._prediction(out)
+
+    def predict_batch(self, window_states: np.ndarray, window_actions: np.ndarray):
+        """`predict` for each window of a batch: a list of MixtureParams,
+        views of `predict_stacked`'s rows, for MDN variants, the (B, d)
+        array of point estimates otherwise."""
+        out = self.predict_stacked(window_states, window_actions)
         if self.config.uses_mdn:
-            return [self._mixture_from_row(row) for row in out]
+            return [MixtureParams._checked(*row)
+                    for row in zip(out.weights, out.means, out.stds)]
         return out
 
     def save(self, path, encoder_sha256: str | None = None) -> None:
@@ -383,36 +409,49 @@ class RollingWindow:
         """MixtureParams for MDN variants, a point estimate otherwise."""
         if self._last is None:
             raise ValueError("history must contain at least one step")
-        return self.model._prediction(self.model.head.forward_np(self._last)[0])
+        # the last LSTM output, float64 and `hidden` wide: the head's input
+        return self.model._prediction(self.model.head._forward_np(self._last)[0])
 
 
 def sample_next(params: MixtureParams, temperature: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """Draw the next state from a mixture at the given temperature.
+    """Draw the next state from a mixture at the given temperature: a (d,)
+    draw, or (B, d), one per row, from a batch.
 
     Component k ~ softmax(ln pi / tau); value ~ N(mu_k, (sigma_k * sqrt(tau))^2).
     tau = 1 reproduces the mixture exactly; tau -> 0 collapses onto the
-    dominant component's mean.
+    dominant component's mean. The softmax, its check and the cumulative
+    sums run on whole arrays. A batch then draws row by row, in row order:
+    one `rng.random()` picks the row's component, one `rng.normal(size=d)`
+    gives its noise, and the row's value is made from them, the draws and
+    values of one call per row. (A gather of the picked components after
+    the loop would cost the env's single row more than the loop does.)
     """
     check_temperature(temperature)
     with np.errstate(divide="ignore"):
         scaled = np.log(params.weights) / temperature
-    probs = np.exp(scaled - logsumexp_np(scaled))
-    probs /= probs.sum()
+    probs = np.exp(scaled - logsumexp_np(scaled, axis=-1)[..., None])
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     # Generator.choice(K, p=probs)'s own steps: the same index from the
     # same single uniform draw, without its per-call checks
-    cdf = probs.cumsum()
+    cdf = probs.cumsum(axis=-1)
+    total = cdf[..., -1:]
     # exp and the division by a sum of its results leave no negative
     # entry, so a NaN is all there is to refuse, and the running sum
     # carries a NaN to its last entry
-    if not cdf[-1] >= 0:
+    if not np.minimum.reduce(total, axis=None) >= 0:
+        first = probs.reshape(-1, probs.shape[-1])[np.argmin(total.ravel() >= 0)]
         raise ValueError(f"mixture probabilities at temperature {temperature} "
-                         f"are NaN or negative: {probs}")
-    cdf /= cdf[-1]
-    k = int(cdf.searchsorted(rng.random(), side="right"))
-    noise = rng.normal(size=params.dim)
-    # math.sqrt and np.sqrt are both correctly rounded
-    return params.means[k] + params.stds[k] * math.sqrt(temperature) * noise
+                         f"are NaN or negative: {first}")
+    cdf /= total
+    scale = math.sqrt(temperature)  # math.sqrt and np.sqrt are both correctly rounded
+    d = params.dim
+    out = np.empty(cdf.shape[:-1] + (d,))
+    # each index of the batch axis in turn; one mixture has one, ()
+    for row in itertools.product(*map(range, cdf.shape[:-1])):
+        k = cdf[row].searchsorted(rng.random(), side="right")
+        out[row] = params.means[row][k] + params.stds[row][k] * scale * rng.normal(size=d)
+    return out
 
 
 def train_on_sequences(config: StateModelConfig, train_data: SequenceData,

@@ -19,8 +19,9 @@ for bit what StateModel.predict returns for the same history.
 
 A step runs each model on one row and checks each input once, where it
 enters: the action in step(), the state row in RollingWindow.push, the
-mixture in the state model's head, the temperature and the component
-probabilities in sample_next, the (state, action, step) row in
+mixture in StateModel._mixtures, the temperature and the component
+probabilities in sample_next (both the batch code, on a mixture with no
+batch axis), the (state, action, step) row in
 BinaryHead.predict_proba and the latent in the decoder. Each check raises
 what the batch call raises for the same input. Inside a model nothing is
 checked again: each layer's output has the next layer's input width.
@@ -297,7 +298,8 @@ class PatientEnv:
                 "mixture_entropy": mixture_entropy,
                 "step": self._step_count,
                 "hit_max_steps": hit_cap}
-        if not np.isfinite(next_obs).all():
+        # the ufunc reduction that ndarray.all calls, without its wrapper
+        if not np.logical_and.reduce(np.isfinite(next_obs)):
             raise FloatingPointError("environment produced a non-finite observation")
         return StepResult(next_obs.copy(), reward, done, info)
 
@@ -332,6 +334,15 @@ class ReplayTrajectory:
     def states(self) -> np.ndarray:
         """(steps+1, 46): the initial observation, then the observations."""
         return np.vstack([self.initial, self.observations])
+
+    @property
+    def ret(self) -> float:
+        """The episode's return: its rewards summed left to right, step by
+        step, as they came, which is how `agent.train_agent` sums them."""
+        total = 0.0
+        for reward in self.rewards.tolist():
+            total += reward
+        return total
 
 
 def rollout(env: PatientEnv, policy: Callable[[np.ndarray, int], int | None],

@@ -156,20 +156,23 @@ def teacher_forced_eval(model, cohort: Cohort, encoder=None,
     """Sweep every transition, predicting one step ahead from true history.
 
     Mixture outputs are scored at the mixture mean; when sample_rng is
-    given each row also gets a single temperature-1 draw.  The model only
-    needs a predict_batch method, so simple baselines can stand in.
+    given each row also gets a single temperature-1 draw. A state model's
+    mixtures stay one batch (`StateModel.predict_stacked`): their means are
+    one stacked product and their draws one batched `sample_next`, row by
+    row in order. Any other model only needs a predict_batch method that
+    returns point estimates, so simple baselines can stand in.
     """
     win = window if window is not None else getattr(model, "config").window
     data = build_training_sequences(cohort, window=win, encoder=encoder)
-    out = model.predict_batch(*data.windows())
-    if isinstance(out, list):
-        predictions = np.stack([p.mixture_mean() for p in out])
-        sampled = None
+    sampled = None
+    if getattr(getattr(model, "config", None), "uses_mdn", False):
+        mixtures = model.predict_stacked(*data.windows())
+        predictions = mixtures.mixture_mean()
         if sample_rng is not None:
-            sampled = np.stack([sample_next(p, 1.0, sample_rng) for p in out])
+            sampled = sample_next(mixtures, 1.0, sample_rng)
     else:
-        predictions = np.asarray(out, dtype=np.float64)
-        sampled = None
+        predictions = np.asarray(model.predict_batch(*data.windows()),
+                                 dtype=np.float64)
     return TeacherForcedReport(predictions, sampled, data.targets, data.subjects)
 
 

@@ -19,9 +19,13 @@ WEIGHT_SUM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Diagonal Gaussian mixture over a d-dimensional target.
+    """Diagonal Gaussian mixture over a d-dimensional target, or a batch of
+    them along an optional leading axis.
 
-    weights: (K,) simplex, means/stds: (K, d) with 0 < stds < inf.
+    One mixture: weights (K,) simplex, means/stds (K, d) with
+    0 < stds < inf. A batch of B: weights (B, K) and means/stds (B, K, d),
+    row b being one mixture. `mixture_mean` and `dynamics.sample_next` take
+    either; `entropy`, `component_log_likelihoods` and `mdn_nll` take one.
     """
 
     weights: np.ndarray
@@ -29,12 +33,18 @@ class MixtureParams:
     stds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=np.float64)))
-        object.__setattr__(self, "stds", np.atleast_2d(np.asarray(self.stds, dtype=np.float64)))
-        if self.weights.ndim != 1 or self.weights.size < 1:
-            raise ValueError("weights must be a non-empty vector")
-        if self.means.shape != self.stds.shape or self.means.shape[0] != self.weights.size:
+        weights = np.asarray(self.weights, dtype=np.float64)
+        means = np.asarray(self.means, dtype=np.float64)
+        stds = np.asarray(self.stds, dtype=np.float64)
+        if weights.ndim == 1:
+            # one mixture: a (d,) row is one component's
+            means, stds = np.atleast_2d(means), np.atleast_2d(stds)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "stds", stds)
+        if weights.ndim not in (1, 2) or weights.shape[-1] < 1:
+            raise ValueError("weights must be a non-empty vector, or a batch of them")
+        if means.shape != stds.shape or means.shape[:-1] != weights.shape:
             raise ValueError(
                 f"inconsistent mixture shapes: weights {self.weights.shape}, "
                 f"means {self.means.shape}, stds {self.stds.shape}"
@@ -46,7 +56,7 @@ class MixtureParams:
         if self.stds.size and not self.stds.max() < np.inf:
             raise ValueError("mixture stds must be finite")
         if (not self.weights.min() >= 0
-                or not abs(self.weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
+                or not (abs(self.weights.sum(axis=-1) - 1.0) <= WEIGHT_SUM_TOL).all()):
             raise ValueError("mixture weights must be a simplex")
 
     @classmethod
@@ -55,22 +65,26 @@ class MixtureParams:
         """A mixture of float64 arrays that pass the checks above, which a
         caller has made sure of; they are not run again."""
         params = object.__new__(cls)
-        object.__setattr__(params, "weights", weights)
-        object.__setattr__(params, "means", means)
-        object.__setattr__(params, "stds", stds)
+        # the fields a frozen dataclass keeps in the instance dict, set
+        # there directly, as object.__setattr__ would set them one by one
+        params.__dict__.update(weights=weights, means=means, stds=stds)
         return params
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     def mixture_mean(self) -> np.ndarray:
-        return self.weights @ self.means
+        """(d,), or (B, d) for a batch: a stacked (B, 1, K) @ (B, K, d)
+        product, each row of which is that row's (K,) @ (K, d) product."""
+        return (self.weights[..., None, :] @ self.means)[..., 0, :]
 
     def entropy(self) -> float:
-        """Entropy of the component-choice distribution."""
+        """Entropy of the component-choice distribution of one mixture."""
+        if self.weights.ndim != 1:
+            raise ValueError("entropy takes one mixture, not a batch")
         w = self.weights[self.weights > 0]
-        return float(-(w * np.log(w)).sum())
+        return float(-np.add.reduce(w * np.log(w)))
 
 
 def component_log_likelihoods(params: MixtureParams, target: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ framework; only the ops those models need exist.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable
 
@@ -50,31 +51,52 @@ def logsumexp_np(a, axis=None, keepdims: bool = False):
     to the max, the result is log1p(sum of exp(a - max) over the others / m)
     + log(m) + max. Where that is not finite (all -inf, +inf or NaN
     entries), it falls back to log(sum(exp(a))), as scipy does.
+
+    Where every maximum is finite, no entry is NaN or +inf, so no step can
+    warn and the result is finite: only other maxima enter np.errstate and
+    look for the fall-back. A 1-D row reduced whole, as the mixtures of one
+    simulator step are, is reduced to numpy scalars, with no axis tuple.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 1 and not keepdims and axis in (None, 0, -1):
+        # the ufunc reduction that ndarray.max calls, without its wrapper
+        top = np.maximum.reduce(a)
+        if math.isfinite(top):
+            is_max = a == top
+            return _lse_steps(a, top, is_max, float(np.count_nonzero(is_max)),
+                              0, False)
     axes = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the ufunc reductions that ndarray.max and ndarray.sum call, without
-        # their Python wrappers
-        a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
-        # a single maximum broadcasts against `a` as a 0-d array, which
-        # numpy does with less overhead; the values compared and subtracted
-        # are the same
-        top = a_max.reshape(()) if a_max.size == 1 else a_max
-        is_max = a == top
-        m = np.add.reduce(is_max, axis=axes, dtype=np.float64, keepdims=True)
-        rest = np.exp(np.where(is_max, -np.inf, a) - top)
-        # scipy keeps s where s == 0; s / m is then +0.0 as well, since
-        # m >= 1 wherever the max is not NaN
-        s = np.add.reduce(rest, axis=axes, keepdims=True) / m
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not (finite.item() if finite.size == 1 else finite.all()):
+    a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
+    # a single maximum broadcasts against `a` as a 0-d array, which numpy
+    # does with less overhead; the values compared and subtracted are the same
+    top = a_max.reshape(()) if a_max.size == 1 else a_max
+    is_max = a == top
+    m = np.add.reduce(is_max, axis=axes, dtype=np.float64, keepdims=True)
+    if np.isfinite(a_max).all():
+        out = _lse_steps(a, top, is_max, m, axes, True)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _lse_steps(a, top, is_max, m, axes, True)
+            finite = np.isfinite(out)
             direct = np.log(np.add.reduce(np.exp(a), axis=axes, keepdims=True))
             out = np.where(finite, out, direct)
     if not keepdims:
         out = out.squeeze(axis=axes)
     return out[()] if out.ndim == 0 else out
+
+
+def _lse_steps(a: np.ndarray, top, is_max: np.ndarray, m, axis, keepdims: bool):
+    """scipy's log1p(s / m) + log(m) + max over `axis` of `a`, given the
+    maximum `top` broadcastable against `a`, where `a` equals it and the
+    count m of those entries, as float64."""
+    # scipy's exp(where(is_max, -inf, a) - max): the same entries wherever
+    # the max is finite, and elsewhere the result is not finite either way
+    shifted = np.asarray(a - top)   # an array also where `a` is 0-d
+    shifted[is_max] = -np.inf
+    # scipy keeps s where s == 0; s / m is then +0.0 as well, since m >= 1
+    # wherever the max is not NaN
+    s = np.add.reduce(np.exp(shifted), axis=axis, keepdims=keepdims) / m
+    return np.log1p(s) + np.log(m) + top
 
 
 _NEG_X_MAX = np.array(709.0)

@@ -34,7 +34,8 @@ def _forward_np(layers, s: np.ndarray, dim: int, what: str) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} must have {dim} entries, got shape {np.shape(s)}")
-    if not np.isfinite(x).all():
+    # the ufunc reduction that ndarray.all calls, without its wrapper
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError(f"non-finite values in {what}")
     # x is checked: float64, `dim` wide, the first layer's input width
     for layer in layers:

@@ -3,15 +3,14 @@ layout, hashing, and the binary sidecar that spares a second parse."""
 import csv
 import io
 import json
-import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, float_cells,
-                               load_checkpoint, save_checkpoint, sidecar_path,
-                               write_table)
+                               load_checkpoint, load_parsed, save_checkpoint,
+                               sidecar_path, write_table)
 
 # floats whose text is easy to get wrong; numpy 2 reprs an np.float64 as
 # "np.float64(0.1)", which float() cannot read
@@ -309,9 +308,76 @@ def test_sidecar_is_deterministic(tmp_path):
         load_checkpoint(path)
     a, b = (sidecar_path(p).read_bytes() for p in paths)
     assert a == b
-    # no member carries the time of writing
-    with zipfile.ZipFile(sidecar_path(paths[0])) as zf:
-        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+# every kind of array a loader stores: checkpoint tensors (2-d, 0-d, empty)
+# and the cohort's int64 actions, lengths and outcomes
+SIDECAR_ARRAYS = {
+    "2-d float64": np.array(AWKWARD).reshape(2, 4),
+    "0-d float64": np.array(-0.0),
+    "empty (0, 3)": np.zeros((0, 3)),
+    "1-d int64": np.array([0, -1, 24, 2**62, -2**63], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", list(SIDECAR_ARRAYS))
+def test_sidecar_round_trips_every_array_kind(tmp_path, name):
+    """A hit returns each array with the parse's dtype, shape and bits,
+    writable as a parse's is."""
+    path = tmp_path / "f.txt"
+    path.write_text("the bytes the key is taken from", encoding="utf-8")
+    arrays = [SIDECAR_ARRAYS[name], np.arange(3.0)]
+    meta = {"names": [name, "x"], "n": [1, 0.1, None]}
+    parsed = load_parsed(path, lambda data: (meta, arrays), ["test"])
+
+    def refuse(data):
+        raise AssertionError("parsed although the sidecar matches")
+
+    hit = load_parsed(path, refuse, ["test"])
+    assert parsed[0] == hit[0] == meta
+    for got, want in zip(hit[1], arrays, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+
+
+def test_sidecar_is_a_header_line_then_the_array_bytes(tmp_path):
+    path = tmp_path / "m.json"
+    w = np.random.default_rng(0).normal(size=(3, 4))
+    save_checkpoint(path, "demo", {"k": 1}, {"w": w, "s": np.array(2.5)})
+    load_checkpoint(path)
+    data = sidecar_path(path).read_bytes()
+    start = data.index(b"\n") + 1
+    assert start % 8 == 0                     # the arrays are 8-byte aligned
+    header = json.loads(data[:start])
+    assert sorted(header) == ["arrays", "key", "meta"]
+    assert header["arrays"] == [["<f8", []], ["<f8", [3, 4]]]
+    assert data[start:] == np.array(2.5).astype("<f8").tobytes() + w.astype("<f8").tobytes()
+
+
+def test_v1_zip_sidecar_is_parsed_around_and_replaced(tmp_path, monkeypatch):
+    """An .npz sidecar at the same path, as SIDECAR_VERSION 1 wrote it, is
+    parsed around once and overwritten with one that is read back."""
+    from sepsim import checkpoint
+
+    path = tmp_path / "m.json"
+    save_checkpoint(path, "demo", {"k": 1}, {"w": np.arange(6.0).reshape(2, 3)})
+    expected = _fresh_parse(path)
+    key = json.dumps([1, ["load_checkpoint"], file_sha256(path)])
+    meta = json.dumps({"kind": "demo", "hyperparams": {"k": 1}, "names": ["w"]})
+    with sidecar_path(path).open("wb") as fh:
+        np.savez(fh, key=np.array(key), meta=np.array(meta),
+                 a0=np.arange(6.0).reshape(2, 3))
+    assert sidecar_path(path).read_bytes()[:2] == b"PK"
+    parses = []
+    real = checkpoint._parse_checkpoint
+    monkeypatch.setattr(checkpoint, "_parse_checkpoint",
+                        lambda *args: parses.append(1) or real(*args))
+    _assert_same_load(load_checkpoint(path), expected)
+    assert parses == [1]
+    assert sidecar_path(path).read_bytes()[:1] == b"{"
+    _assert_same_load(load_checkpoint(path), expected)
+    assert parses == [1]
 
 
 def _fresh_parse(path):
@@ -332,7 +398,7 @@ def _one_byte_edit(path):
 
 def _truncate(path):
     sidecar = sidecar_path(path)
-    sidecar.write_bytes(sidecar.read_bytes()[:200])
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])   # one float short
 
 
 def _garbage(path):
@@ -346,13 +412,32 @@ def _wrong_key(path):
     sidecar_path(other).replace(sidecar_path(path))
 
 
-def _object_array(path):
+def _edit_header(path, edit):
+    """Rewrite the sidecar's header line through `edit`; the bytes after
+    it stay."""
     sidecar = sidecar_path(path)
-    with np.load(sidecar) as npz:
-        entries = dict(npz)
-    entries["a0"] = np.array([{"x": 1}, None], dtype=object)
-    with sidecar.open("wb") as fh:
-        np.savez(fh, **entries)
+    data = sidecar.read_bytes()
+    start = data.index(b"\n") + 1
+    header = json.loads(data[:start])
+    edit(header)
+    sidecar.write_bytes(json.dumps(header).encode() + b"\n" + data[start:])
+
+
+def _object_array(path):
+    def edit(header):
+        header["arrays"][0][0] = "|O"     # numpy's name of the object dtype
+    _edit_header(path, edit)
+
+
+def _other_dtype(path):
+    def edit(header):
+        header["arrays"][0] = ["<f4", [3, 8]]   # the same 96 bytes
+    _edit_header(path, edit)
+
+
+def _length_mismatch(path):
+    sidecar = sidecar_path(path)
+    sidecar.write_bytes(sidecar.read_bytes() + bytes(8))   # one float more
 
 
 def _pickle_file(path):
@@ -362,7 +447,8 @@ def _pickle_file(path):
 
 
 @pytest.mark.parametrize("spoil", [_one_byte_edit, _truncate, _garbage,
-                                   _wrong_key, _object_array, _pickle_file],
+                                   _wrong_key, _object_array, _pickle_file,
+                                   _other_dtype, _length_mismatch],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_spoilt_sidecar_falls_back_to_parsing(tmp_path, monkeypatch, spoil):
     path = tmp_path / "m.json"

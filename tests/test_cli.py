@@ -880,6 +880,68 @@ def test_temperature_below_the_floor_exits_2_before_any_input(
             "got 2.2250738585072014e-308") in err
 
 
+def test_rollout_mean_return_sums_each_episode_left_to_right(tmp_path, data_dir,
+                                                             sim_dir):
+    """Under sofa_lactate_shaped every step's reward is a shaped term, so a
+    20-step episode's return is a sum of 20 terms. `mean_return` takes it as
+    train-agent and eval's policy histogram do, left to right: numpy's
+    pairwise sum, which can differ from 8 terms on, is not it."""
+    from sepsim.heads import BinaryHead
+
+    # a termination head that never ends an episode before max_steps
+    never = BinaryHead("termination", state_dim=46)
+    for param in never.parameters():
+        param.data[:] = 0.0
+    never.net.layers[-1].b.data[:] = -50.0
+    never.save(tmp_path / "never.json")
+    checkpoints = {**_checkpoints(sim_dir, "rnn"),
+                   "termination": str(tmp_path / "never.json")}
+    section = {"data": str(data_dir / "cohort.csv"), "variant": "rnn",
+               "checkpoints": checkpoints, "policy": "random", "episodes": 1,
+               "max_steps": 20, "termination_mode": "threshold",
+               "reward": {"formulation": "sofa_lactate_shaped",
+                          "sofa_index": 0, "lactate_index": 1}}
+    # seed 2 draws an episode whose two sums differ
+    assert _run_section(tmp_path, "rollout", section, "--seed", "2") == 0
+    with (tmp_path / "out" / "trajectories.csv").open(newline="") as fh:
+        # step 0 is the reset state, with reward 0
+        rewards = [float(row["reward"]) for row in csv.DictReader(fh)][1:]
+    assert len(rewards) == 20
+    total = 0.0
+    for reward in rewards:
+        total += reward
+    assert total != float(np.sum(rewards))
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["mean_return"] == total
+
+
+def test_rollout_sim_cohort_holds_the_trajectories_states(tmp_path, data_dir,
+                                                         sim_dir):
+    """sim_cohort.csv takes its state cells from trajectories.csv's: it is
+    written in export_cohort's bytes, and each episode's states are its
+    trajectory's rows but the last. Physician replay of 4 episodes leaves
+    one that the recorded actions end before the model does, which is not
+    exported, so the cells must follow the completed trajectories."""
+    from sepsim.data import export_cohort, load_cohort
+
+    section = {**_mdn_rollout_section(data_dir, sim_dir), "episodes": 4}
+    assert _run_section(tmp_path, "rollout", section) == 0
+    out = tmp_path / "out"
+    with (out / "trajectories.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    trajectories = [[row for row in rows if row["episode"] == str(ep)]
+                    for ep in range(4)]
+    completed = [t for t in trajectories if t[-1]["done"] == "1"]
+    sim = load_cohort(out / "sim_cohort.csv")
+    assert 0 < sim.n_episodes == len(completed) < 4
+    export_cohort(sim, tmp_path / "again.csv")
+    assert ((tmp_path / "again.csv").read_bytes()
+            == (out / "sim_cohort.csv").read_bytes())
+    for episode, trajectory in zip(sim.episodes, completed, strict=True):
+        states = [[float(row[f]) for f in sim.feature_names] for row in trajectory]
+        assert episode.states.tobytes() == np.array(states)[:-1].tobytes()
+
+
 def test_smallest_temperature_runs_an_mdn_rollout(tmp_path, data_dir, sim_dir):
     code = _run_section(tmp_path, "rollout", _mdn_rollout_section(data_dir, sim_dir),
                         "--set", f"temperature={MIN_TEMPERATURE!r}")

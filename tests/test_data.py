@@ -1,5 +1,6 @@
 """Data layer: action codec, episode containers, CSV round trips,
 normalization, splitting, and the synthetic generator."""
+import json
 import re
 
 import numpy as np
@@ -464,16 +465,28 @@ def _spoil_cohort(kind, path):
                       other)
         load_cohort(other)
         sidecar_path(other).replace(sidecar)
-    elif kind == "object_array":
-        with np.load(sidecar) as npz:
-            entries = dict(npz)
-        entries["a0"] = np.array([[None] * N_FEATURES], dtype=object)
-        with sidecar.open("wb") as fh:
-            np.savez(fh, **entries)
+    elif kind == "pickle":
+        import pickle  # the sidecar reader must refuse this
+
+        sidecar.write_bytes(pickle.dumps({"key": "x"}))
+    elif kind == "length_mismatch":
+        sidecar.write_bytes(sidecar.read_bytes() + bytes(8))
+    else:
+        # a dtype in the header that is not float64 or int64: numpy's name
+        # of the object dtype, or int32 over the same bytes
+        data = sidecar.read_bytes()
+        start = data.index(b"\n") + 1
+        header = json.loads(data[:start])
+        spec = {"object_array": ["|O", [1, N_FEATURES]],
+                "other_dtype": ["<i4", [2 * header["arrays"][1][1][0]]]}[kind]
+        index = 0 if kind == "object_array" else 1
+        header["arrays"][index] = spec
+        sidecar.write_bytes(json.dumps(header).encode() + b"\n" + data[start:])
 
 
 @pytest.mark.parametrize("kind", ["one_byte_edit", "truncated", "garbage",
-                                  "wrong_key", "object_array"])
+                                  "wrong_key", "object_array", "pickle",
+                                  "length_mismatch", "other_dtype"])
 def test_cohort_spoilt_sidecar_falls_back_to_parsing(tmp_path, rng, kind):
     path = tmp_path / "c.csv"
     export_cohort(_awkward_cohort(rng), path)

@@ -170,18 +170,34 @@ _LSE_ELEMENTS = st.one_of(
 def _lse_case(draw):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
     a = draw(hnp.arrays(np.float64, shape, elements=_LSE_ELEMENTS))
-    if draw(st.booleans()) and a.ndim == 2:
-        a[draw(st.integers(0, a.shape[0] - 1))] = -np.inf  # an all -inf row
-    axis = draw(st.sampled_from([None] + list(range(a.ndim))))
+    spoil = draw(st.sampled_from(["none", "tie", "all -inf", "-inf row"]))
+    if spoil == "tie":
+        # the max copied to another entry, or to the same one
+        a.flat[draw(st.integers(0, a.size - 1))] = a.max()
+    elif spoil == "all -inf":
+        a[...] = -np.inf
+    elif spoil == "-inf row" and a.ndim == 2:
+        a[draw(st.integers(0, a.shape[0] - 1))] = -np.inf
+    axes = [None, -1, *range(a.ndim), tuple(range(a.ndim))]
+    if a.ndim == 2:
+        axes.append((1,))
+    axis = draw(st.sampled_from(axes))
     return a, axis, draw(st.booleans())
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(_lse_case())
 def test_logsumexp_np_bitwise_equals_scipy(case):
+    """1-D and 2-D inputs, ties at the max, -inf entries and rows, +inf and
+    NaN, every kind of axis, with and without keepdims: scipy's result, type
+    and shape, and no RuntimeWarning, which scipy may give."""
     a, axis, keepdims = case
-    want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
-    got = logsumexp_np(a, axis=axis, keepdims=keepdims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = logsumexp_np(a, axis=axis, keepdims=keepdims)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
