@@ -13,7 +13,7 @@ import numpy as np
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES
 from .env import rollout
-from .nn.layers import MLP, Module
+from .nn.layers import UNINITIALIZED, MLP, Module
 from .nn.optim import Adam, Optimizer
 
 Q_HIDDEN = (128, 128)
@@ -38,8 +38,8 @@ class QNetwork(Module):
         return out[0] if single else out
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.obs_dim, self.n_actions)
-        twin.load_state_arrays(self.state_arrays())
+        twin = QNetwork(self.obs_dim, self.n_actions, rng=UNINITIALIZED)
+        twin.load_state_arrays({name: p.data for name, p in self.named_parameters()})
         return twin
 
     def save(self, path) -> None:
@@ -49,7 +49,7 @@ class QNetwork(Module):
     @classmethod
     def load(cls, path) -> "QNetwork":
         _, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind=cls.model_kind)
-        model = cls(int(hyper["obs_dim"]), int(hyper["n_actions"]))
+        model = cls(int(hyper["obs_dim"]), int(hyper["n_actions"]), rng=UNINITIALIZED)
         model.load_state_arrays(arrays)
         return model
 

@@ -3,8 +3,13 @@
 `float_cells` is the only place a float becomes text: the repr of a Python
 float, which reads back as the same IEEE double, so every checkpoint,
 `stats.json` and CSV reloads exactly and save -> load -> save is
-bit-identical. `write_table` is the only CSV writer: it writes the bytes
-`csv.writer` would, joining a row itself when no cell of it needs quoting.
+bit-identical. A caller that writes the same floats to two files formats
+them once and hands both writers the cells. `csv_file` is the only CSV
+writer, and every line it writes is the text `csv.writer` would write:
+`write_table` makes each row's line, joining the row itself when no cell
+of it needs quoting, and `csv_lines` builds many lines that share their
+lead cells from that lead, checked once, and cells already made, one join
+per line.
 Every trained model serializes to the same JSON document:
 
     {format_version, model_kind, hyperparams, tensors: [{name, shape, values}]}
@@ -52,37 +57,61 @@ _PLAIN_CELLS = frozenset((str, int, float, bool))
 _CHUNK_LINES = 256
 
 
-def write_table(path, header, rows) -> None:
-    """Write one CSV file: the header, then the rows as given, each a
-    sequence of cells, in the bytes of csv.writer's default dialect.
+def _csv_line(row) -> str:
+    """csv.writer's text of one row, default dialect, without its line end.
 
-    A row is joined with commas directly when csv.writer would write that
+    The row is joined with commas directly when csv.writer would write that
     same text: every cell is a str, int, float or bool, and the line is not
     empty (csv writes [""] as "") and holds no quote, CR or LF and no comma
-    but the separators. Any other row goes through csv.writer, in its place.
+    but the separators. Any other row goes through csv.writer.
     """
+    line = ",".join(map(str, row))
+    if (line and '"' not in line and "\r" not in line and "\n" not in line
+            and line.count(",") == len(row) - 1
+            and _PLAIN_CELLS.issuperset(map(type, row))):
+        return line
+    buf = io.StringIO()
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()[:-len("\r\n")]
+
+
+def csv_lines(lead, columns) -> list[str]:
+    """csv.writer's text, without line ends, of the row [*lead, *cells] for
+    each `cells` of zip(*columns): one line per row of the columns.
+
+    `lead` is checked once, as `_csv_line` checks a row, and goes through
+    csv.writer when a cell of it needs quoting or converting. Every cell of
+    `columns` must be text csv.writer writes as it is, such as a
+    `float_cells` cell or an int's str: no comma, quote, CR or LF, and no
+    line of one empty cell. Each line is one join of those cells.
+    """
+    head = _csv_line([*lead, ""]) if lead else ""
+    return [head + ",".join(cells) for cells in zip(*columns)]
+
+
+@contextlib.contextmanager
+def csv_file(path, header):
+    """Open one CSV file, write the header cells in csv.writer's bytes, and
+    give `write(lines)`, which appends lines as `csv_lines` makes them
+    (csv.writer's text of a row), each ended by CRLF, joined a chunk of
+    lines at a time. A caller that makes a file's lines in parts writes
+    each part as it is made, and holds none of them after."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        lines: list[str] = []
-        for row in itertools.chain([header], rows):
-            line = ",".join(map(str, row))
-            if (line and '"' not in line and "\r" not in line
-                    and "\n" not in line and line.count(",") == len(row) - 1
-                    and _PLAIN_CELLS.issuperset(map(type, row))):
-                lines.append(line)
-                if len(lines) == _CHUNK_LINES:
-                    _write_lines(fh, lines)
-            else:
-                _write_lines(fh, lines)
-                writer.writerow(row)
-        _write_lines(fh, lines)
+        def write(lines) -> None:
+            lines = iter(lines)
+            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+                fh.write("\r\n".join(chunk) + "\r\n")
+
+        write([_csv_line(header)])
+        yield write
 
 
-def _write_lines(fh, lines: list[str]) -> None:
-    """Write the buffered lines, each ended by CRLF, and empty the buffer."""
-    if lines:
-        fh.write("\r\n".join(lines) + "\r\n")
-        lines.clear()
+def write_table(path, header, rows) -> None:
+    """Write one CSV file: the header, then the rows as given, each a
+    sequence of cells, in the bytes of csv.writer's default dialect (see
+    `_csv_line`)."""
+    with csv_file(path, header) as write:
+        write(map(_csv_line, rows))
 
 
 def save_checkpoint(path, model_kind: str, hyperparams: dict,

@@ -33,8 +33,8 @@ import numpy as np
 
 from .agent import (DqnConfig, QNetwork, policy_histogram, train_agent,
                     write_reward_curve)
-from .checkpoint import (_recording_digests, _sha256_as_read, file_sha256,
-                         float_cells, write_table)
+from .checkpoint import (_recording_digests, _sha256_as_read, csv_file,
+                         csv_lines, file_sha256, float_cells, write_table)
 from .data import (ACTION_COUNT, N_FEATURES, Cohort, NormalizationStats,
                    Outcome, PatientEpisode, export_cohort,
                    generate_synthetic_cohort, load_cohort, prepare_cohorts,
@@ -426,27 +426,24 @@ def _pool(split: str, train: Cohort, val: Cohort) -> tuple[Cohort, np.ndarray]:
     return source, source.initial_states()
 
 
-def _write_trajectories_csv(path: Path, feature_names, blocks) -> list[list[str]]:
-    """blocks: iterable of (variant, trajectories) pairs; one row per state,
-    each episode's step-0 initial row first. Returns each trajectory's
-    `float_cells(traj.states)`, in order."""
-    cells = []
+def _trajectory_lines(variant: str, trajectories, cells) -> typing.Iterator[str]:
+    """The trajectories.csv lines of one variant's trajectories, one per
+    state, each episode's step-0 initial row first; cells[i] is
+    `float_cells(trajectories[i].states)`, made once by the caller."""
+    for ep, (traj, states) in enumerate(zip(trajectories, cells, strict=True)):
+        width = traj.initial.shape[0]
+        yield from csv_lines((variant, ep), (
+            map(str, range(traj.n_steps + 1)),
+            map(str, np.concatenate(([-1], traj.actions)).tolist()),
+            float_cells(np.concatenate(([0.0], traj.rewards))),
+            map(str, np.concatenate(([0], traj.dones)).tolist()),
+            *(states[f::width] for f in range(width))))
 
-    def rows():
-        for variant, trajectories in blocks:
-            for ep, traj in enumerate(trajectories):
-                width = traj.initial.shape[0]
-                states = float_cells(traj.states)
-                cells.append(states)
-                rewards = float_cells(np.concatenate(([0.0], traj.rewards)))
-                actions = np.concatenate(([-1], traj.actions)).tolist()
-                dones = np.concatenate(([0], traj.dones)).tolist()
-                for t, row in enumerate(zip(actions, rewards, dones)):
-                    yield [variant, ep, t, *row, *states[t * width:(t + 1) * width]]
 
-    write_table(path, ["variant", "episode", "step", "action", "reward", "done",
-                       *feature_names], rows())
-    return cells
+def _open_trajectories_csv(path: Path, feature_names):
+    """trajectories.csv, open for `_trajectory_lines` (see `csv_file`)."""
+    return csv_file(path, ["variant", "episode", "step", "action", "reward",
+                           "done", *feature_names])
 
 
 def _rollout_episode(traj: ReplayTrajectory, subject_id: str) -> PatientEpisode | None:
@@ -489,15 +486,16 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
         lengths.append(traj.n_steps)
 
     traj_path = out / "trajectories.csv"
-    traj_cells = _write_trajectories_csv(traj_path, train.feature_names,
-                                         [(sim.variant, trajectories)])
+    cells = [float_cells(traj.states) for traj in trajectories]
+    with _open_trajectories_csv(traj_path, train.feature_names) as write:
+        write(_trajectory_lines(sim.variant, trajectories, cells))
     outputs = {"trajectories.csv": traj_path}
     if episodes:
         sim_cohort = Cohort(tuple(episodes), train.feature_names)
         sim_path = out / "sim_cohort.csv"
         # a completed episode's rows are its trajectory's states but the
         # last, so their cells are the ones trajectories.csv was written from
-        export_cohort(sim_cohort, sim_path, [traj_cells[i] for i in completed])
+        export_cohort(sim_cohort, sim_path, [cells[i] for i in completed])
         outputs["sim_cohort.csv"] = sim_path
     deaths = sum(e.outcome == Outcome.DEATH for e in episodes)
     metrics = {"n_rollouts": len(trajectories),
@@ -545,13 +543,22 @@ def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
             for i, entry in enumerate(variants)]
 
 
-def _tf_series(report, episodes: int):
-    """First-N-episode (targets, predictions) pairs for plot export."""
+def _tf_series(report, episodes: int, recorded: dict[str, list[str]]):
+    """First-N-episode (targets, predictions) pairs for plot export.
+
+    `recorded` maps a subject to the `float_cells` of its recorded states,
+    or is empty; a model's targets are a subject's recorded states after
+    the first when it takes no encoder, and then they are given as the
+    text of those states, not formatted again."""
     subjects = np.array(report.subjects)
-    rows = [subjects == subj
-            for subj in list(dict.fromkeys(report.subjects))[:episodes]]
-    return ([report.targets[r] for r in rows],
-            [report.predictions[r] for r in rows])
+    width = report.targets.shape[1]
+    targets, predictions = [], []
+    for subj in list(dict.fromkeys(report.subjects))[:episodes]:
+        rows = subjects == subj
+        cells = recorded.get(subj)
+        targets.append(report.targets[rows] if cells is None else cells[width:])
+        predictions.append(report.predictions[rows])
+    return targets, predictions
 
 
 def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -578,49 +585,64 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     metrics: dict = {}
     outputs: dict = {}
     ntm_table: list[list] = []
-    blocks = []
+    # each plot episode's recorded states are formatted once, for every
+    # variant's closed_loop_<name>.csv and a raw-state model's
+    # teacher_forced_<name>.csv targets
+    real_cells = [float_cells(e.states)
+                  for e in eval_cohort.episodes[:plot_episodes]]
+    recorded = {e.subject_id: cells
+                for e, cells in zip(eval_cohort.episodes, real_cells)}
     # each variant's models are loaded once; closed-loop replay runs on the
     # built env and the policy rollouts on env.fresh(), so each pass's
     # generator begins at sim.seed
     envs: dict[str, PatientEnv] = {}
-    for sim in sims:
-        name = sim.variant
-        inputs.update({f"{name}.{k}": Path(v) for k, v in sim.checkpoints.items()})
-        env = _build_env(sim, eval_cohort.initial_states(), stats)
-        envs[name] = env
-
-        # teacher-forced sweep: true history in, one-step prediction out
-        sample_rng = np.random.default_rng(next(seeds))
-        report = teacher_forced_eval(env.state_model, eval_cohort,
-                                     encoder=env.encoder,
-                                     sample_rng=sample_rng)
-        metrics[f"tf_mse_{name}"] = report.mse
-        if report.sample_mse is not None:
-            metrics[f"tf_sample_mse_{name}"] = report.sample_mse
-        tf_path = out / f"teacher_forced_{name}.csv"
-        real_rows, sim_rows = _tf_series(report, plot_episodes)
-        names = (train.feature_names if env.encoder is None
-                 else tuple(f"z_{i}" for i in range(report.targets.shape[1])))
-        write_series_csv(tf_path, name, names, real_rows, sim_rows)
-        outputs[f"teacher_forced_{name}.csv"] = tf_path
-
-        # closed-loop replay: model consumes only its own states; the same
-        # replays give the NTM, closed_loop_<name>.csv and trajectories.csv
-        replays = closed_loop_trajectories(env, eval_cohort)
-        blocks.append((name, replays))
-        sim_trajs = [r.states for r in replays]
-        real_trajs = [e.states for e in eval_cohort.episodes]
-        real_m, sim_m = trajectory_matrices(real_trajs, sim_trajs)
-        ntm = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
-        metrics[f"ntm_gap_{name}"] = ntm.mean_gap
-        ntm_table += ([name, *row] for row in ntm_rows(ntm, train.feature_names))
-        cl_path = out / f"closed_loop_{name}.csv"
-        write_series_csv(cl_path, name, train.feature_names,
-                         real_trajs[:plot_episodes], sim_trajs[:plot_episodes])
-        outputs[f"closed_loop_{name}.csv"] = cl_path
-
     traj_path = out / "trajectories.csv"
-    _write_trajectories_csv(traj_path, train.feature_names, blocks)
+    with _open_trajectories_csv(traj_path,
+                                train.feature_names) as write_trajectories:
+        for sim in sims:
+            name = sim.variant
+            inputs.update({f"{name}.{k}": Path(v)
+                           for k, v in sim.checkpoints.items()})
+            env = _build_env(sim, eval_cohort.initial_states(), stats)
+            envs[name] = env
+
+            # teacher-forced sweep: true history in, one-step prediction out
+            sample_rng = np.random.default_rng(next(seeds))
+            report = teacher_forced_eval(env.state_model, eval_cohort,
+                                         encoder=env.encoder,
+                                         sample_rng=sample_rng)
+            metrics[f"tf_mse_{name}"] = report.mse
+            if report.sample_mse is not None:
+                metrics[f"tf_sample_mse_{name}"] = report.sample_mse
+            tf_path = out / f"teacher_forced_{name}.csv"
+            real_rows, sim_rows = _tf_series(
+                report, plot_episodes, recorded if env.encoder is None else {})
+            names = (train.feature_names if env.encoder is None
+                     else tuple(f"z_{i}" for i in range(report.targets.shape[1])))
+            write_series_csv(tf_path, name, names, real_rows, sim_rows)
+            outputs[f"teacher_forced_{name}.csv"] = tf_path
+
+            # closed-loop replay: model consumes only its own states; the
+            # same replays give the NTM, closed_loop_<name>.csv and
+            # trajectories.csv, both files from one formatting of each
+            # replay's states
+            replays = closed_loop_trajectories(env, eval_cohort)
+            sim_trajs = [r.states for r in replays]
+            sim_cells = [float_cells(states) for states in sim_trajs]
+            write_trajectories(_trajectory_lines(name, replays, sim_cells))
+            real_trajs = [e.states for e in eval_cohort.episodes]
+            real_m, sim_m = trajectory_matrices(real_trajs, sim_trajs)
+            ntm = normalized_trajectory_mean(real_m, sim_m, mode=cfg["ntm_mode"])
+            metrics[f"ntm_gap_{name}"] = ntm.mean_gap
+            ntm_table += ([name, *row]
+                          for row in ntm_rows(ntm, train.feature_names))
+            cl_path = out / f"closed_loop_{name}.csv"
+            write_series_csv(cl_path, name, train.feature_names, real_cells,
+                             sim_cells[:plot_episodes])
+            outputs[f"closed_loop_{name}.csv"] = cl_path
+            # the next variant's sweep runs without this one's cells,
+            # replays and sweep
+            del sim_cells, replays, sim_trajs, real_m, sim_m, report
     outputs["trajectories.csv"] = traj_path
 
     ntm_path = out / "ntm.csv"

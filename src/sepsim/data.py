@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import float_cells, load_parsed, write_table
+from .checkpoint import csv_file, csv_lines, float_cells, load_parsed
 from .nn.tensor import sigmoid_np
 
 N_FEATURES = 46
@@ -278,17 +278,22 @@ def export_cohort(cohort: Cohort, path, state_cells=None) -> None:
     A caller that has formatted the episodes' states already passes
     `state_cells`, one `float_cells` list per episode, whose first
     `length * 46` cells are the episode's states; they are not formatted
-    again."""
-    def rows():
+    again. Each row is one line built from the episode's subject id,
+    checked once per episode, and cells already made (`csv_lines`)."""
+    def lines():
         for i, ep in enumerate(cohort.episodes):
             cells = float_cells(ep.states) if state_cells is None else state_cells[i]
-            last = ep.length - 1
-            for t, action in enumerate(ep.actions.tolist()):
-                yield [ep.subject_id, t, *cells[t * N_FEATURES:(t + 1) * N_FEATURES],
-                       action, int(t == last), str(int(ep.outcome)) if t == last else ""]
+            n, end = ep.length, ep.length * N_FEATURES
+            yield from csv_lines((ep.subject_id,), (
+                map(str, range(n)),
+                *(cells[f:end:N_FEATURES] for f in range(N_FEATURES)),
+                map(str, ep.actions.tolist()),
+                ["0"] * (n - 1) + ["1"],
+                [""] * (n - 1) + [str(int(ep.outcome))]))
 
-    write_table(path, ["subject_id", "step", *cohort.feature_names, "action",
-                       "terminal", "outcome"], rows())
+    with csv_file(path, ["subject_id", "step", *cohort.feature_names, "action",
+                         "terminal", "outcome"]) as write:
+        write(lines())
 
 
 def write_stats_json(stats: NormalizationStats, feature_names, path) -> None:

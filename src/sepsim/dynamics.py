@@ -38,7 +38,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import ACTION_COUNT, N_FEATURES, Cohort, split_cohort
-from .nn.layers import Dense, LSTMCell, Module
+from .nn.layers import UNINITIALIZED, Dense, LSTMCell, Module
 from .nn.losses import WEIGHT_SUM_TOL, MixtureParams, mdn_loss_graph, mse
 from .nn.optim import Adam
 from .nn.tensor import Tensor, logsumexp_np, no_grad
@@ -330,7 +330,8 @@ class StateModel(Module):
     def load(cls, path) -> "StateModel":
         _, hyper, arrays = checkpoint.load_checkpoint(path, ("state_rnn", "state_mdn"))
         model = cls(StateModelConfig(**{f.name: hyper[f.name]
-                                        for f in fields(StateModelConfig)}))
+                                        for f in fields(StateModelConfig)}),
+                    rng=UNINITIALIZED)
         model.load_state_arrays(arrays)
         model.encoder_sha256 = hyper.get("encoder_sha256")
         return model

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import float_cells, write_table
+from .checkpoint import csv_file, csv_lines, float_cells, write_table
 from .data import ACTION_COUNT, Cohort, NormalizationStats, PatientEpisode
 from .dynamics import build_training_sequences, sample_next
 from .env import PatientEnv, ReplayTrajectory, RewardSpec, replay_physician
@@ -279,28 +279,40 @@ def ntm_rows(report: NtmReport, feature_names: Sequence[str]) -> list[list]:
 
 
 def write_series_csv(path, variant: str, feature_names: Sequence[str],
-                     real_rows: Sequence[np.ndarray],
-                     sim_rows: Sequence[np.ndarray]) -> None:
+                     real_rows: Sequence, sim_rows: Sequence) -> None:
     """Tidy plot export: one line per (variant, feature, t) pair.
 
-    real_rows and sim_rows are parallel same-length per-episode arrays;
-    episode index is included so plots can facet.
+    real_rows and sim_rows are parallel per-episode series, each a (T, F)
+    array or its `float_cells` (a list of str, row by row), which a caller
+    that writes the same rows elsewhere has made once; episode index is
+    included so plots can facet. An episode's lines run over its first
+    min(T_real, T_sim) steps, feature by feature, and each (episode,
+    feature) block's lead cells are checked once (`csv_lines`).
     """
     if len(real_rows) != len(sim_rows):
         raise ValueError("real and simulated episode counts differ")
+    width = len(feature_names)
 
-    def rows():
+    def lines():
         for ep, (real, sim) in enumerate(zip(real_rows, sim_rows)):
-            steps = min(len(real), len(sim))
-            # feature-major, as the rows run
-            reals = float_cells(np.asarray(real)[:steps].T)
-            sims = float_cells(np.asarray(sim)[:steps].T)
+            reals, sims = _series_cells(real), _series_cells(sim)
+            steps = min(len(reals), len(sims)) // width
+            ts = list(map(str, range(steps)))
+            end = steps * width
             for f, name in enumerate(feature_names):
-                for t in range(steps):
-                    yield [variant, ep, name, t, reals[f * steps + t],
-                           sims[f * steps + t]]
+                yield from csv_lines((variant, ep, name),
+                                     (ts, reals[f:end:width], sims[f:end:width]))
 
-    write_table(path, ["variant", "episode", "feature", "t", "real", "sim"], rows())
+    with csv_file(path, ("variant", "episode", "feature", "t", "real",
+                         "sim")) as write:
+        write(lines())
+
+
+def _series_cells(rows) -> list[str]:
+    """A series entry's text, row by row: its own, or its array's."""
+    if isinstance(rows, list) and rows and isinstance(rows[0], str):
+        return rows
+    return float_cells(rows)
 
 
 def write_histograms_csv(comparison: PolicyComparison, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import ACTION_COUNT, Cohort, Outcome, split_cohort
-from .nn.layers import MLP, Module
+from .nn.layers import UNINITIALIZED, MLP, Module
 from .nn.losses import bce_with_logits
 from .nn.optim import Adam
 from .nn.tensor import Tensor, sigmoid_np
@@ -104,7 +104,8 @@ class BinaryHead(Module):
     def load(cls, path, expect_kind: str | None = None) -> "BinaryHead":
         """A head of kind `expect_kind`, or of either kind when it is None."""
         kind, hyper, arrays = checkpoint.load_checkpoint(path, expect_kind or HEAD_KINDS)
-        model = cls(kind, int(hyper["state_dim"]), float(hyper["step_norm"]))
+        model = cls(kind, int(hyper["state_dim"]), float(hyper["step_norm"]),
+                    rng=UNINITIALIZED)
         model.load_state_arrays(arrays)
         return model
 

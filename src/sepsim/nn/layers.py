@@ -66,6 +66,17 @@ def init_weight(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
+# The `rng` a loader builds a model with: its weights are allocated, not
+# drawn, since the checkpoint's arrays are copied over them.
+UNINITIALIZED = object()
+
+
+def _initial_weight(rng, fan_in: int, shape: tuple) -> np.ndarray:
+    if rng is UNINITIALIZED:
+        return np.empty(shape)
+    return init_weight(rng, fan_in, shape)
+
+
 def _apply_activation_np(x: np.ndarray, activation: str) -> np.ndarray:
     """The activation of `x`; relu overwrites `x` with it."""
     if activation == "linear":
@@ -88,7 +99,7 @@ class Dense(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.W = Parameter(init_weight(rng, in_dim, (in_dim, out_dim)))
+        self.W = Parameter(_initial_weight(rng, in_dim, (in_dim, out_dim)))
         self.b = Parameter(np.zeros(out_dim))
 
     def _check(self, x_shape: tuple) -> None:
@@ -167,8 +178,8 @@ class LSTMCell(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.Wx = Parameter(init_weight(rng, input_size, (input_size, 4 * hidden_size)))
-        self.Wh = Parameter(init_weight(rng, hidden_size, (hidden_size, 4 * hidden_size)))
+        self.Wx = Parameter(_initial_weight(rng, input_size, (input_size, 4 * hidden_size)))
+        self.Wh = Parameter(_initial_weight(rng, hidden_size, (hidden_size, 4 * hidden_size)))
         self.b = Parameter(np.zeros(4 * hidden_size))
 
     def _check(self, x_shape: tuple, h_shape: tuple, c_shape: tuple) -> None:

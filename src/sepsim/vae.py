@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import N_FEATURES
-from .nn.layers import Dense, Module
+from .nn.layers import UNINITIALIZED, Dense, Module
 from .nn.losses import gaussian_kl, mse
 from .nn.optim import Adam
 from .nn.tensor import Tensor, exp
@@ -134,7 +134,8 @@ def load_encoder(path, kinds=(VaeModel.model_kind, AeModel.model_kind)):
     """Load an autoencoder of one of `kinds` (by default either) from a
     checkpoint, keyed by model_kind; the file is parsed once."""
     kind, hyper, arrays = checkpoint.load_checkpoint(path, kinds)
-    model = VaeModel(beta=hyper["beta"]) if kind == VaeModel.model_kind else AeModel()
+    model = (VaeModel(beta=hyper["beta"], rng=UNINITIALIZED)
+             if kind == VaeModel.model_kind else AeModel(rng=UNINITIALIZED))
     model.load_state_arrays(arrays)
     return model
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepsim.checkpoint import (FORMAT_VERSION, file_sha256, float_cells,
-                               load_checkpoint, load_parsed, save_checkpoint,
-                               sidecar_path, write_table)
+from sepsim.checkpoint import (FORMAT_VERSION, csv_file, csv_lines,
+                               file_sha256, float_cells, load_checkpoint,
+                               load_parsed, save_checkpoint, sidecar_path,
+                               write_table)
 
 # floats whose text is easy to get wrong; numpy 2 reprs an np.float64 as
 # "np.float64(0.1)", which float() cannot read
@@ -110,6 +111,51 @@ def test_write_table_equals_csv_writer_on_mixed_rows(tmp_path_factory, header,
     path = tmp_path_factory.mktemp("table") / "t.csv"
     write_table(path, header, rows)
     assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+# a lead cell: names and prefixes with a comma, a quote, CR, LF, a space or
+# nothing, or an episode or step number
+_LEAD_CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab ,"\r\n_é0')), max_size=6),
+    st.integers(-10 ** 6, 10 ** 6),
+)
+# a numeric cell as the writers make it: a float's float_cells text or an
+# int's str
+_NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: float_cells(v)[0]),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(_LEAD_CELLS, max_size=4),
+       lead=st.lists(_LEAD_CELLS, max_size=4),
+       width=st.integers(1, 4), n_rows=st.integers(0, 6), data=st.data())
+def test_csv_lines_write_the_bytes_of_csv_writer(tmp_path_factory, header,
+                                                  lead, width, n_rows, data):
+    """A line is the lead, checked once, and a join of numeric cells; a
+    lead that csv.writer would quote goes through csv.writer in its place,
+    so the file is what csv.writer writes for [*lead, *row] row by row."""
+    columns = [data.draw(st.lists(_NUMERIC_CELLS, min_size=n_rows,
+                                  max_size=n_rows)) for _ in range(width)]
+    rows = [[*lead, *cells] for cells in zip(*columns)]
+    lines = csv_lines(lead, columns)
+    assert len(lines) == n_rows
+    path = tmp_path_factory.mktemp("lines") / "t.csv"
+    with csv_file(path, header) as write:
+        write(lines)
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+def test_csv_file_keeps_line_order_across_writes_and_chunks(tmp_path):
+    columns = [list(map(str, range(1000))), float_cells(np.arange(1000) / 7)]
+    path = tmp_path / "t.csv"
+    with csv_file(path, ["name", "ep", "t", "v"]) as write:
+        write(csv_lines(["a,b", 0], columns))
+        write(iter(csv_lines(["plain", 1], columns)))
+    rows = [[lead, ep, *cells] for lead, ep in (("a,b", 0), ("plain", 1))
+            for cells in zip(*columns)]
+    assert path.read_bytes() == _csv_writer_bytes(["name", "ep", "t", "v"], rows)
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -286,6 +332,53 @@ def test_sidecar_hit_equals_parse(tmp_path, monkeypatch, model):
     assert sidecar_path(path).name == f".{model}.json.sepsim-cache.npz"
     _refuse_parse(monkeypatch)
     _assert_same_load(load_checkpoint(path), parsed)
+
+
+def _loader(model):
+    """The loader the pipeline reads a `_models()` checkpoint with."""
+    from sepsim.agent import QNetwork
+    from sepsim.dynamics import StateModel
+    from sepsim.heads import BinaryHead
+    from sepsim.vae import load_encoder
+
+    if model.startswith("state_"):
+        return StateModel.load
+    if model in ("termination", "outcome"):
+        return lambda path: BinaryHead.load(path, model)
+    return load_encoder if model in ("vae", "ae") else QNetwork.load
+
+
+@pytest.mark.parametrize("model", list(_models()))
+def test_a_load_draws_no_initial_weights(tmp_path, monkeypatch, model):
+    """Each loader, parsing or on a sidecar hit, and QNetwork.clone build
+    their parameters without init_weight, and each parameter holds the
+    bits of the checkpoint's values (the clone, of its source's)."""
+    from sepsim.nn import layers
+
+    path = tmp_path / f"{model}.json"
+    _models()[model](path)
+    saved = {t["name"]: np.array([float(v) for v in t["values"]]).reshape(t["shape"])
+             for t in json.loads(path.read_text(encoding="utf-8"))["tensors"]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load drew initial weights")
+
+    monkeypatch.setattr(layers, "init_weight", refuse)
+    loaded = [_loader(model)(path) for _ in ("parse", "sidecar hit")]
+    assert sidecar_path(path).is_file()
+    if model == "qnet":
+        loaded.append(loaded[0].clone())
+    for net in loaded:
+        arrays = net.state_arrays()
+        assert sorted(arrays) == sorted(saved)
+        for name, values in saved.items():
+            assert arrays[name].shape == values.shape
+            assert arrays[name].tobytes() == values.tobytes()
+    if model == "qnet":
+        # the clone owns its arrays
+        loaded[0].net.layers[0].W.data[...] = 0.0
+        clone_w = loaded[2].net.layers[0].W.data
+        assert clone_w.tobytes() == saved["net.layers.0.W"].tobytes()
 
 
 def test_sidecar_hit_keeps_awkward_floats(tmp_path, monkeypatch):

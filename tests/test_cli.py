@@ -490,6 +490,92 @@ def test_eval_trajectories_carry_the_closed_loop_series(tmp_path, data_dir,
         assert series == from_traj
 
 
+def _count_float_cells(monkeypatch):
+    """Patch float_cells wherever sepsim binds it; returns the list that
+    collects each call's values as a float64 array."""
+    from sepsim import checkpoint, data, evaluation
+
+    formatted = []
+    real_float_cells = checkpoint.float_cells
+
+    def counting(values):
+        formatted.append(np.array(values, dtype=np.float64))
+        return real_float_cells(values)
+
+    for module in (checkpoint, cli, data, evaluation):
+        monkeypatch.setattr(module, "float_cells", counting)
+    return formatted
+
+
+def _calls_per_array(formatted):
+    """How many float_cells calls had each (shape, bits) of values."""
+    from collections import Counter
+
+    return Counter((a.shape, a.tobytes()) for a in formatted)
+
+
+def test_eval_and_rollout_format_each_float_once(tmp_path, data_dir, sim_dir,
+                                                 monkeypatch):
+    """Each replayed trajectory's states and each plot episode's recorded
+    states go through float_cells exactly once, for every file that holds
+    them, and the values formatted are the floats the outputs hold, each
+    source counted once: trajectories.csv's states and rewards, the plot
+    episodes' recorded states, the teacher-forced predictions, the NTM
+    table and the histogram edges in eval; the trajectories in rollout."""
+    formatted = _count_float_cells(monkeypatch)
+    replayed = []
+    real_replay = cli.closed_loop_trajectories
+
+    def recording(env, cohort):
+        replayed.append((cohort, real_replay(env, cohort)))
+        return replayed[-1][1]
+
+    monkeypatch.setattr(cli, "closed_loop_trajectories", recording)
+    out = _two_variant_eval(tmp_path, data_dir, sim_dir, plot_episodes=2)
+    calls = _calls_per_array(formatted)
+    cohort = replayed[0][0]
+    plot = cohort.episodes[:2]
+    # the targets of the teacher-forced plot series are these episodes' rows
+    assert all(e.length > 1 for e in plot)
+    for _, replays in replayed:
+        for replay in replays:
+            assert calls[replay.states.shape, replay.states.tobytes()] == 1
+    for episode in plot:
+        assert calls[episode.states.shape, episode.states.tobytes()] == 1
+    traj_rows = len(_data_rows(out / "trajectories.csv"))
+    assert traj_rows == sum(r.n_steps + 1 for _, rs in replayed for r in rs)
+    predictions = sum(len(_data_rows(out / f"teacher_forced_{v}.csv"))
+                      for v in ("rnn", "mdn_rnn"))
+    ntm_rows = len(_data_rows(out / "ntm.csv"))
+    # each family formats its bins' edges, one more than its bins
+    bins = [row[0] for row in _data_rows(out / "histograms.csv")]
+    edges = sum(bins.count(family) + 1 for family in ("length", "return"))
+    width = cohort.episodes[0].states.shape[1]
+    assert sum(a.size for a in formatted) == (
+        traj_rows * (width + 1) + sum(e.length for e in plot) * width
+        + predictions + 3 * ntm_rows + edges)
+
+    formatted.clear()
+    rolled = []
+    real_rollout = cli.rollout
+
+    def recording_rollout(env, policy):
+        rolled.append(real_rollout(env, policy))
+        return rolled[-1]
+
+    monkeypatch.setattr(cli, "rollout", recording_rollout)
+    section = {**_mdn_rollout_section(data_dir, sim_dir), "policy": "random",
+               "episodes": 3}
+    (tmp_path / "rollout").mkdir()
+    assert _run_section(tmp_path / "rollout", "rollout", section) == 0
+    calls = _calls_per_array(formatted)
+    assert len(rolled) == 3
+    for traj in rolled:
+        assert calls[traj.states.shape, traj.states.tobytes()] == 1
+    traj_rows = len(_data_rows(tmp_path / "rollout" / "out" / "trajectories.csv"))
+    assert sum(a.size for a in formatted) == traj_rows * (width + 1)
+
+
 @pytest.mark.parametrize("shape", [None, {"obs_dim": 40}, {"n_actions": 3}],
                          ids=["termination", "inputs", "actions"])
 def test_eval_refuses_a_qnet_it_cannot_run(tmp_path, data_dir, sim_dir,
@@ -1080,7 +1166,8 @@ def _data_rows(path):
 
 
 def _trajectories_csv(tmp_path, rng, request):
-    from sepsim.cli import _write_trajectories_csv
+    from sepsim.checkpoint import float_cells
+    from sepsim.cli import _open_trajectories_csv, _trajectory_lines
     from sepsim.env import ReplayTrajectory
 
     trajs = [ReplayTrajectory(_awkward(rng, 3), np.arange(n, dtype=np.int64),
@@ -1088,8 +1175,10 @@ def _trajectories_csv(tmp_path, rng, request):
                               np.arange(n) == n - 1, ({},) * n)
              for n in (4, 0, 2)]
     path = tmp_path / "trajectories.csv"
-    _write_trajectories_csv(path, ["a", "b", "c"], [("rnn", trajs[:2]),
-                                                    ("mdn_rnn", trajs[2:])])
+    cells = [float_cells(traj.states) for traj in trajs]
+    with _open_trajectories_csv(path, ["a", "b", "c"]) as write:
+        write(_trajectory_lines("rnn", trajs[:2], cells[:2]))
+        write(_trajectory_lines("mdn_rnn", trajs[2:], cells[2:]))
     expected = []
     for traj in trajs:
         expected += [0.0, *traj.initial]
