@@ -279,14 +279,15 @@ class PatientEnv:
         hit_cap = self._step_count >= self.max_steps
         done = self._decide(p_term) or hit_cap
 
-        # (4) terminal outcome, then the step's reward
+        # (4) terminal outcome, then the step's reward; the terminal step
+        # shapes nothing, as a recorded episode's last action has no next row
         p_death = outcome = None
         if done:
             p_death = self.outcome.predict_proba(self._internal, action, t)
             outcome = Outcome.DEATH if self._decide(p_death) else Outcome.RELEASE
         next_obs = self._to_observation(next_internal)
         reward = self.reward_spec.step_reward(action, outcome, self._last_obs,
-                                              next_obs, self.stats)
+                                              None if done else next_obs, self.stats)
 
         # (5) advance and emit
         self._internal = next_internal

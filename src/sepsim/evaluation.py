@@ -323,5 +323,6 @@ def write_histograms_csv(comparison: PolicyComparison, path) -> None:
     for pair, family in ((comparison.lengths, "length"),
                          (comparison.returns, "return")):
         rows += ([family, label, int(real), int(sim)] for label, real, sim
-                 in zip(float_cells(pair.edges), pair.real_counts, pair.sim_counts))
+                 in zip(float_cells(pair.edges[:-1]), pair.real_counts,
+                        pair.sim_counts))
     write_table(path, ["family", "bin", "real", "sim"], rows)

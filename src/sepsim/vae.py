@@ -1,5 +1,5 @@
 """State autoencoders: a VAE with configurable KL weight, and a plain
-deterministic autoencoder used for comparison runs.
+deterministic autoencoder used for comparison runs, built from one stack.
 
 Both map 46-feature states through 40- and 35-unit ReLU hidden layers to a
 30-dimensional bottleneck and back out through the mirrored decoder with a
@@ -43,77 +43,29 @@ def _forward_np(layers, s: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x[0] if single else x
 
 
-class VaeModel(Module):
-    model_kind = "vae"
-
-    def __init__(self, beta: float = 0.0, rng: np.random.Generator | None = None):
-        if not beta >= 0:
-            raise ValueError(f"kl weight must be >= 0, got {beta}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.beta = float(beta)
-        h1, h2 = ENC_HIDDEN
-        self.enc1 = Dense(N_FEATURES, h1, activation="relu", rng=rng)
-        self.enc2 = Dense(h1, h2, activation="relu", rng=rng)
-        self.mu_head = Dense(h2, LATENT_DIM, activation="linear", rng=rng)
-        self.log_sigma_head = Dense(h2, LATENT_DIM, activation="linear", rng=rng)
-        self.dec1 = Dense(LATENT_DIM, h2, activation="relu", rng=rng)
-        self.dec2 = Dense(h2, h1, activation="relu", rng=rng)
-        self.dec_out = Dense(h1, N_FEATURES, activation="linear", rng=rng)
-
-    # graph paths (training)
-
-    def encode_graph(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = self.enc2(self.enc1(x))
-        return self.mu_head(h), self.log_sigma_head(h)
-
-    def decode_graph(self, z: Tensor) -> Tensor:
-        return self.dec_out(self.dec2(self.dec1(z)))
-
-    # numpy paths (inference)
-
-    def encode_mean(self, s: np.ndarray) -> np.ndarray:
-        """mu, the eps = 0 code, for one state or a batch."""
-        return _forward_np((self.enc1, self.enc2, self.mu_head), s, N_FEATURES, "state")
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return _forward_np((self.dec1, self.dec2, self.dec_out), z, LATENT_DIM, "latent")
-
-    def reconstruct(self, s: np.ndarray) -> np.ndarray:
-        return self.decode(self.encode_mean(s))
-
-    def save(self, path) -> None:
-        hyper = {"beta": self.beta, "latent_dim": LATENT_DIM}
-        checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
-
-    @classmethod
-    def load(cls, path) -> "VaeModel":
-        return load_encoder(path, cls.model_kind)
-
-
-class AeModel(Module):
-    """Deterministic autoencoder with the same layer shapes, no sigma head."""
-
-    model_kind = "ae"
+class _Autoencoder(Module):
+    """The stack both encoders share: enc1, enc2, the subclass's `code_heads`
+    in order, dec1, dec2 and dec_out, drawing from one `rng` in that order."""
 
     def __init__(self, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         h1, h2 = ENC_HIDDEN
         self.enc1 = Dense(N_FEATURES, h1, activation="relu", rng=rng)
         self.enc2 = Dense(h1, h2, activation="relu", rng=rng)
-        self.bottleneck = Dense(h2, LATENT_DIM, activation="linear", rng=rng)
+        for name in self.code_heads:
+            setattr(self, name, Dense(h2, LATENT_DIM, activation="linear", rng=rng))
         self.dec1 = Dense(LATENT_DIM, h2, activation="relu", rng=rng)
         self.dec2 = Dense(h2, h1, activation="relu", rng=rng)
         self.dec_out = Dense(h1, N_FEATURES, activation="linear", rng=rng)
-
-    def encode_graph(self, x: Tensor) -> Tensor:
-        return self.bottleneck(self.enc2(self.enc1(x)))
 
     def decode_graph(self, z: Tensor) -> Tensor:
         return self.dec_out(self.dec2(self.dec1(z)))
 
     def encode_mean(self, s: np.ndarray) -> np.ndarray:
-        return _forward_np((self.enc1, self.enc2, self.bottleneck), s, N_FEATURES,
-                           "state")
+        """The first code head's output (the VAE's mu, its eps = 0 code) for
+        one state or a batch."""
+        head = getattr(self, self.code_heads[0])
+        return _forward_np((self.enc1, self.enc2, head), s, N_FEATURES, "state")
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         return _forward_np((self.dec1, self.dec2, self.dec_out), z, LATENT_DIM, "latent")
@@ -121,13 +73,48 @@ class AeModel(Module):
     def reconstruct(self, s: np.ndarray) -> np.ndarray:
         return self.decode(self.encode_mean(s))
 
+    def hyperparams(self) -> dict:
+        return {"latent_dim": LATENT_DIM}
+
     def save(self, path) -> None:
-        hyper = {"latent_dim": LATENT_DIM}
-        checkpoint.save_checkpoint(path, self.model_kind, hyper, self.state_arrays())
+        checkpoint.save_checkpoint(path, self.model_kind, self.hyperparams(),
+                                   self.state_arrays())
 
     @classmethod
-    def load(cls, path) -> "AeModel":
+    def load(cls, path) -> "_Autoencoder":
         return load_encoder(path, cls.model_kind)
+
+
+class VaeModel(_Autoencoder):
+    model_kind = "vae"
+    code_heads = ("mu_head", "log_sigma_head")
+    # bound here too: perfbench times the calls it finds in vars(VaeModel)
+    encode_mean, decode = _Autoencoder.encode_mean, _Autoencoder.decode
+
+    def __init__(self, beta: float = 0.0, rng: np.random.Generator | None = None):
+        if not beta >= 0:
+            raise ValueError(f"kl weight must be >= 0, got {beta}")
+        self.beta = float(beta)
+        super().__init__(rng)
+
+    def encode_graph(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        h = self.enc2(self.enc1(x))
+        return self.mu_head(h), self.log_sigma_head(h)
+
+    def hyperparams(self) -> dict:
+        return {"beta": self.beta, "latent_dim": LATENT_DIM}
+
+
+class AeModel(_Autoencoder):
+    """Deterministic autoencoder: the same stack with one code head."""
+
+    model_kind = "ae"
+    code_heads = ("bottleneck",)
+    # bound here too: perfbench times the calls it finds in vars(AeModel)
+    encode_mean, decode = _Autoencoder.encode_mean, _Autoencoder.decode
+
+    def encode_graph(self, x: Tensor) -> Tensor:
+        return self.bottleneck(self.enc2(self.enc1(x)))
 
 
 def load_encoder(path, kinds=(VaeModel.model_kind, AeModel.model_kind)):

@@ -187,7 +187,7 @@ def test_policy_histogram_sums_returns_left_to_right():
         return head
 
     def env():
-        # eight steps of shaped rewards: np.sum and math.fsum both round
+        # eight steps, seven of them shaped: np.sum and math.fsum both round
         # this episode's return differently from a left-to-right sum
         model = StateModel(StateModelConfig(variant="rnn", window=3,
                                             rnn_hidden=8),

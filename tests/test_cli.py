@@ -521,7 +521,8 @@ def test_eval_and_rollout_format_each_float_once(tmp_path, data_dir, sim_dir,
     them, and the values formatted are the floats the outputs hold, each
     source counted once: trajectories.csv's states and rewards, the plot
     episodes' recorded states, the teacher-forced predictions, the NTM
-    table and the histogram edges in eval; the trajectories in rollout."""
+    table and the histogram edges that label bins in eval; the trajectories
+    in rollout."""
     formatted = _count_float_cells(monkeypatch)
     replayed = []
     real_replay = cli.closed_loop_trajectories
@@ -547,9 +548,9 @@ def test_eval_and_rollout_format_each_float_once(tmp_path, data_dir, sim_dir,
     predictions = sum(len(_data_rows(out / f"teacher_forced_{v}.csv"))
                       for v in ("rnn", "mdn_rnn"))
     ntm_rows = len(_data_rows(out / "ntm.csv"))
-    # each family formats its bins' edges, one more than its bins
+    # each family formats the edge that labels each of its bins, no more
     bins = [row[0] for row in _data_rows(out / "histograms.csv")]
-    edges = sum(bins.count(family) + 1 for family in ("length", "return"))
+    edges = sum(bins.count(family) for family in ("length", "return"))
     width = cohort.episodes[0].states.shape[1]
     assert sum(a.size for a in formatted) == (
         traj_rows * (width + 1) + sum(e.length for e in plot) * width
@@ -968,8 +969,9 @@ def test_temperature_below_the_floor_exits_2_before_any_input(
 
 def test_rollout_mean_return_sums_each_episode_left_to_right(tmp_path, data_dir,
                                                              sim_dir):
-    """Under sofa_lactate_shaped every step's reward is a shaped term, so a
-    20-step episode's return is a sum of 20 terms. `mean_return` takes it as
+    """Under sofa_lactate_shaped every step but the terminal one, which
+    earns +/-15, has a shaped reward, so a 20-step episode's return is a
+    sum of 20 terms. `mean_return` takes it as
     train-agent and eval's policy histogram do, left to right: numpy's
     pairwise sum, which can differ from 8 terms on, is not it."""
     from sepsim.heads import BinaryHead

@@ -4,12 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+from sepsim.cli import _rollout_episode
 from sepsim.data import (ACTION_COUNT, N_FEATURES, NormalizationStats, Outcome,
                          PatientEpisode, action_intensity)
 from sepsim.dynamics import MIN_TEMPERATURE, StateModel, StateModelConfig
 from sepsim.env import (REWARD_FORMULATIONS, TERMINATION_MODES, PatientEnv,
                         ReplayTrajectory, RewardSpec, SimConfig,
-                        replay_physician, shaped_reward)
+                        replay_physician, rollout, shaped_reward)
+from sepsim.evaluation import episode_return
 from sepsim.heads import BinaryHead
 from sepsim.vae import LATENT_DIM, VaeModel
 
@@ -189,14 +191,15 @@ class TestStepping:
 
 def _step_reward_as_before(spec, action, outcome, prev, obs, stats):
     """A step's reward as PatientEnv.step summed it before
-    `RewardSpec.step_reward`."""
+    `RewardSpec.step_reward`; `obs` is None on the terminal step, which
+    shapes nothing."""
     reward = 0.0
     if outcome is not None:
         magnitude = spec.terminal_magnitude
         reward += -magnitude if outcome == Outcome.DEATH else magnitude
     if spec.formulation == "terminal_minus_intensity":
         reward -= action_intensity(action)
-    elif spec.formulation == "sofa_lactate_shaped":
+    elif spec.formulation == "sofa_lactate_shaped" and obs is not None:
         reward += shaped_reward(stats.denormalize(prev), stats.denormalize(obs), spec)
     return reward
 
@@ -224,16 +227,38 @@ def test_every_step_reward_is_the_reward_spec_step_reward(formulation,
                 outcome = result.info["outcome"]
                 outcome = None if outcome is None else Outcome(outcome)
                 assert type(result.reward) is float
-                for want in (spec.step_reward(action, outcome, prev,
-                                              result.observation, stats),
+                # the terminal step scores no transition, as in episode_return
+                after = None if result.done else result.observation
+                for want in (spec.step_reward(action, outcome, prev, after, stats),
                              _step_reward_as_before(spec, action, outcome, prev,
-                                                    result.observation, stats)):
+                                                    after, stats)):
                     assert np.float64(result.reward).tobytes() == np.float64(want).tobytes()
                 prev = result.observation
                 steps += 1
             outcomes.add(outcome)
     assert outcomes == {Outcome.DEATH, Outcome.RELEASE}
     assert steps > 8   # some episodes run past their first step
+
+
+@pytest.mark.parametrize("formulation", REWARD_FORMULATIONS)
+def test_a_simulated_return_is_the_return_of_its_recast_episode(formulation):
+    """A completed simulated episode earns what `episode_return` scores for
+    it once recast as recorded rows: the terminal step adds no shaped term,
+    as a recorded episode's last action has no next row to shape toward."""
+    rng = np.random.default_rng(9)
+    spec = RewardSpec(formulation, sofa_index=3, lactate_index=7)
+    stats = NormalizationStats(rng.normal(size=N_FEATURES),
+                               rng.uniform(0.5, 3.0, size=N_FEATURES))
+    env = _env(term_logit=-1.0, death_logit=0.0, reward=spec, stats=stats,
+               max_steps=12, seed=4, pool=rng.normal(size=(5, N_FEATURES)))
+    lengths = set()
+    for i in range(6):
+        traj = rollout(env, lambda obs, t: int(rng.integers(ACTION_COUNT)))
+        episode = _rollout_episode(traj, f"sim-{i}")
+        lengths.add(traj.n_steps)
+        want = episode_return(episode, spec, stats)
+        assert abs(traj.ret - want) <= 1e-9 * abs(want)
+    assert len(lengths) > 1 and max(lengths) > 2
 
 
 class TestDeterminism:

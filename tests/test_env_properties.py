@@ -75,7 +75,8 @@ def test_episode_invariants(variant, formulation, mode, max_steps, head_seed,
         assert np.all(np.isfinite(result.observation))
         assert result.info["step"] == t
         assert result.info["hit_max_steps"] == (t == max_steps)
-        # reward = terminal +/-magnitude, then the formulation's step term
+        # reward = terminal +/-magnitude, then the formulation's step term;
+        # the terminal step shapes nothing
         expected = 0.0
         if result.done:
             died = result.info["outcome"] == int(Outcome.DEATH)
@@ -85,7 +86,7 @@ def test_episode_invariants(variant, formulation, mode, max_steps, head_seed,
             assert result.info["outcome"] is None
         if formulation == "terminal_minus_intensity":
             expected -= action_intensity(action)
-        elif formulation == "sofa_lactate_shaped":
+        elif formulation == "sofa_lactate_shaped" and not result.done:
             expected += shaped_reward(STATS.denormalize(prev),
                                       STATS.denormalize(result.observation),
                                       env.reward_spec)

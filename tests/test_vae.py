@@ -3,10 +3,42 @@ import numpy as np
 import pytest
 
 from sepsim.data import N_FEATURES
+from sepsim.nn.layers import init_weight
 from sepsim.nn.tensor import Tensor
 from sepsim.nn.training import TrainSchedule
 from sepsim.vae import (AeModel, LATENT_DIM, VaeModel, load_encoder, train_ae,
                         train_vae, vae_loss_graph)
+
+
+# (layer, fan_in, fan_out) of each kind's stack, in the order the layers
+# draw their weights; checkpoints store the tensors under these names
+_H1, _H2 = 40, 35
+_LAYOUT = {
+    "vae": [("enc1", N_FEATURES, _H1), ("enc2", _H1, _H2),
+            ("mu_head", _H2, LATENT_DIM), ("log_sigma_head", _H2, LATENT_DIM),
+            ("dec1", LATENT_DIM, _H2), ("dec2", _H2, _H1),
+            ("dec_out", _H1, N_FEATURES)],
+    "ae": [("enc1", N_FEATURES, _H1), ("enc2", _H1, _H2),
+           ("bottleneck", _H2, LATENT_DIM),
+           ("dec1", LATENT_DIM, _H2), ("dec2", _H2, _H1),
+           ("dec_out", _H1, N_FEATURES)],
+}
+
+
+@pytest.mark.parametrize("cls", [VaeModel, AeModel])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stack_layout_names_order_and_weight_draws(cls, seed):
+    layout = _LAYOUT[cls.model_kind]
+    model = cls(rng=np.random.default_rng(seed))
+    named = model.named_parameters()
+    assert [name for name, _ in named] == [
+        f"{layer}.{p}" for layer, _, _ in layout for p in ("W", "b")]
+    params = dict(named)
+    draws = np.random.default_rng(seed)
+    for layer, fan_in, fan_out in layout:
+        expected = init_weight(draws, fan_in, (fan_in, fan_out))
+        assert params[f"{layer}.W"].data.tobytes() == expected.tobytes(), layer
+        assert params[f"{layer}.b"].data.tobytes() == np.zeros(fan_out).tobytes()
 
 
 def test_latent_width_contract(rng):
