@@ -36,13 +36,13 @@ from .agent import (DqnConfig, QNetwork, policy_histogram, train_agent,
 from .checkpoint import (_recording_digests, _sha256_as_read, csv_file,
                          csv_lines, file_sha256, float_cells, write_table)
 from .data import (ACTION_COUNT, N_FEATURES, Cohort, NormalizationStats,
-                   Outcome, PatientEpisode, export_cohort,
-                   generate_synthetic_cohort, load_cohort, prepare_cohorts,
-                   SyntheticDynamicsSpec, write_stats_json)
+                   Outcome, export_cohort, generate_synthetic_cohort,
+                   load_cohort, prepare_cohorts, SyntheticDynamicsSpec,
+                   write_stats_json)
 from .dynamics import (MIN_TEMPERATURE, TEMPERATURE_RULE, StateModel,
                        StateModelConfig, VARIANTS, train_state_model)
-from .env import (PatientEnv, ReplayTrajectory, RewardSpec, SimConfig,
-                  TERMINATION_MODES, replay_physician, rollout)
+from .env import (PatientEnv, RewardSpec, SimConfig, TERMINATION_MODES,
+                  replay_physician, rollout)
 from .evaluation import (closed_loop_trajectories, compare_policy_distributions,
                          normalized_trajectory_mean, ntm_rows, NTM_HEADER,
                          NTM_MODES, teacher_forced_eval, trajectory_matrices,
@@ -326,9 +326,10 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
     model_cfg = StateModelConfig(variant=variant, window=cfg["window"],
                                  rnn_hidden=cfg["rnn_hidden"],
                                  n_mixtures=cfg["n_mixtures"])
-    if model_cfg.uses_encoder != ("encoder" in cfg):
-        need = "needs" if model_cfg.uses_encoder else "does not take"
-        raise ConfigError(f"train-state: variant {variant!r} {need} an encoder")
+    try:
+        model_cfg.check_encoder("encoder" in cfg)
+    except ValueError as exc:
+        raise ConfigError(f"train-state: {exc}")
     schedule = _schedule(cfg, seed)
     inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
     encoder = _load_optional_encoder(cfg, inputs)
@@ -359,8 +360,8 @@ def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
     result.outcome.save(outcome_path)
     metrics = {"termination_val_loss": result.termination_history.best_val_loss,
                "outcome_val_loss": result.outcome_history.best_val_loss,
-               "terminal_fraction": result.report.terminal_fraction,
-               "death_fraction": result.report.death_fraction}
+               "terminal_fraction": result.terminal_fraction,
+               "death_fraction": result.death_fraction}
     return StageResult(metrics, inputs,
                        {f"termination{suffix}.json": term_path,
                         f"outcome{suffix}.json": outcome_path})
@@ -446,20 +447,6 @@ def _open_trajectories_csv(path: Path, feature_names):
                            "done", *feature_names])
 
 
-def _rollout_episode(traj: ReplayTrajectory, subject_id: str) -> PatientEpisode | None:
-    """Recast a finished rollout as an episode row block for CSV export.
-
-    Row t is the state in which action t was chosen; the observation after
-    the terminal decision is not a row, matching the recorded-data layout.
-    Returns None when the model never ended the episode (no outcome exists).
-    """
-    if traj.n_steps == 0 or not traj.dones[-1]:
-        return None
-    states = traj.states[:-1]
-    outcome = Outcome(int(traj.infos[-1]["outcome"]))
-    return PatientEpisode(subject_id, states, traj.actions, outcome)
-
-
 def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
     sim = _sim_config(cfg, seed)
     inputs, train, val, stats = _prepared(cfg, seed)
@@ -478,7 +465,7 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
 
     episodes, completed, returns, lengths = [], [], [], []
     for i, traj in enumerate(trajectories):
-        sim_ep = _rollout_episode(traj, f"sim-{len(episodes):05d}")
+        sim_ep = traj.episode(f"sim-{len(episodes):05d}")
         if sim_ep is not None:
             episodes.append(sim_ep)
             completed.append(i)
@@ -544,20 +531,22 @@ def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
 
 
 def _tf_series(report, episodes: int, recorded: dict[str, list[str]]):
-    """First-N-episode (targets, predictions) pairs for plot export.
+    """First-N-episode (targets, predictions) pairs for plot export, each
+    series its `float_cells`, made once.
 
     `recorded` maps a subject to the `float_cells` of its recorded states,
     or is empty; a model's targets are a subject's recorded states after
-    the first when it takes no encoder, and then they are given as the
-    text of those states, not formatted again."""
+    the first when it takes no encoder, and then their text is taken from
+    `recorded`, not made again."""
     subjects = np.array(report.subjects)
     width = report.targets.shape[1]
     targets, predictions = [], []
     for subj in list(dict.fromkeys(report.subjects))[:episodes]:
         rows = subjects == subj
         cells = recorded.get(subj)
-        targets.append(report.targets[rows] if cells is None else cells[width:])
-        predictions.append(report.predictions[rows])
+        targets.append(float_cells(report.targets[rows]) if cells is None
+                       else cells[width:])
+        predictions.append(float_cells(report.predictions[rows]))
     return targets, predictions
 
 

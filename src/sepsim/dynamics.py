@@ -92,6 +92,12 @@ class StateModelConfig:
     def uses_encoder(self) -> bool:
         return self.variant in ("ae_rnn", "vae_rnn", "vae_mdn_rnn")
 
+    def check_encoder(self, given: bool) -> None:
+        """Refuse a latent variant without an encoder, or a raw one with one."""
+        if given != self.uses_encoder:
+            need = "needs" if self.uses_encoder else "does not take"
+            raise ValueError(f"variant {self.variant!r} {need} an encoder")
+
     @property
     def uses_mdn(self) -> bool:
         return self.variant in ("mdn_rnn", "vae_mdn_rnn")
@@ -489,10 +495,7 @@ def train_state_model(config: StateModelConfig, cohort: Cohort,
                       val_fraction: float = 0.1, learning_rate: float = 1e-3,
                       ) -> tuple[StateModel, History]:
     """Split the cohort at episode granularity, build windows, and fit."""
-    if config.uses_encoder and encoder is None:
-        raise ValueError(f"variant {config.variant!r} requires an encoder")
-    if not config.uses_encoder and encoder is not None:
-        raise ValueError(f"variant {config.variant!r} does not take an encoder")
+    config.check_encoder(encoder is not None)
     train_cohort, val_cohort = split_cohort(cohort, 1.0 - val_fraction, schedule.seed)
     train_data = build_training_sequences(train_cohort, config.window, encoder)
     val_data = build_training_sequences(val_cohort, config.window, encoder)

@@ -153,13 +153,11 @@ class SimConfig:
 
     def __post_init__(self):
         # refuses an unknown variant, with the message StateModelConfig gives
-        latent = StateModelConfig(variant=self.variant).uses_encoder
-        required = {"state", "termination", "outcome"} | ({"encoder"} if latent else set())
-        missing = required - set(self.checkpoints)
+        model = StateModelConfig(variant=self.variant)
+        missing = {"state", "termination", "outcome"} - set(self.checkpoints)
         if missing:
             raise ValueError(f"variant {self.variant!r} lacks checkpoints {sorted(missing)}")
-        if not latent and "encoder" in self.checkpoints:
-            raise ValueError(f"variant {self.variant!r} does not take an encoder")
+        model.check_encoder("encoder" in self.checkpoints)
 
 
 class PatientEnv:
@@ -184,8 +182,7 @@ class PatientEnv:
         initial_pool = np.atleast_2d(np.asarray(initial_pool, dtype=np.float64))
         if initial_pool.shape[0] < 1 or initial_pool.shape[1] != N_FEATURES:
             raise ValueError(f"initial pool must be (n, {N_FEATURES}) with n >= 1")
-        if state_model.config.uses_encoder and encoder is None:
-            raise ValueError(f"variant {state_model.config.variant!r} needs an encoder")
+        state_model.config.check_encoder(encoder is not None)
         reward_spec = reward_spec or RewardSpec()
         if reward_spec.formulation == "sofa_lactate_shaped" and stats is None:
             raise ValueError("shaped rewards need normalization stats to recover "
@@ -344,6 +341,16 @@ class ReplayTrajectory:
         for reward in self.rewards.tolist():
             total += reward
         return total
+
+    def episode(self, subject_id: str) -> PatientEpisode | None:
+        """The finished episode as recorded rows: row t is the state action t
+        was chosen in, and the observation after the terminal decision is
+        not a row. None when the model never ended the episode (no outcome
+        exists)."""
+        if self.n_steps == 0 or not self.dones[-1]:
+            return None
+        outcome = Outcome(int(self.infos[-1]["outcome"]))
+        return PatientEpisode(subject_id, self.states[:-1], self.actions, outcome)
 
 
 def rollout(env: PatientEnv, policy: Callable[[np.ndarray, int], int | None],

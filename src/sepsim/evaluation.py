@@ -282,9 +282,9 @@ def write_series_csv(path, variant: str, feature_names: Sequence[str],
                      real_rows: Sequence, sim_rows: Sequence) -> None:
     """Tidy plot export: one line per (variant, feature, t) pair.
 
-    real_rows and sim_rows are parallel per-episode series, each a (T, F)
-    array or its `float_cells` (a list of str, row by row), which a caller
-    that writes the same rows elsewhere has made once; episode index is
+    real_rows and sim_rows are parallel per-episode series, each the
+    `float_cells` of a (T, F) array (its text, row by row), so a caller
+    that writes the same rows elsewhere formats them once; episode index is
     included so plots can facet. An episode's lines run over its first
     min(T_real, T_sim) steps, feature by feature, and each (episode,
     feature) block's lead cells are checked once (`csv_lines`).
@@ -294,8 +294,7 @@ def write_series_csv(path, variant: str, feature_names: Sequence[str],
     width = len(feature_names)
 
     def lines():
-        for ep, (real, sim) in enumerate(zip(real_rows, sim_rows)):
-            reals, sims = _series_cells(real), _series_cells(sim)
+        for ep, (reals, sims) in enumerate(zip(real_rows, sim_rows)):
             steps = min(len(reals), len(sims)) // width
             ts = list(map(str, range(steps)))
             end = steps * width
@@ -306,13 +305,6 @@ def write_series_csv(path, variant: str, feature_names: Sequence[str],
     with csv_file(path, ("variant", "episode", "feature", "t", "real",
                          "sim")) as write:
         write(lines())
-
-
-def _series_cells(rows) -> list[str]:
-    """A series entry's text, row by row: its own, or its array's."""
-    if isinstance(rows, list) and rows and isinstance(rows[0], str):
-        return rows
-    return float_cells(rows)
 
 
 def write_histograms_csv(comparison: PolicyComparison, path) -> None:

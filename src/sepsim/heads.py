@@ -122,24 +122,6 @@ class HeadRows:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
-class ImbalanceReport:
-    """Label bookkeeping: terminal rows are one per episode, so the
-    termination task is heavily imbalanced on long-stay cohorts."""
-
-    n_step_rows: int
-    n_terminal: int
-    n_death: int
-
-    @property
-    def terminal_fraction(self) -> float:
-        return self.n_terminal / self.n_step_rows
-
-    @property
-    def death_fraction(self) -> float:
-        return self.n_death / self.n_terminal
-
-
 def build_head_rows(cohort: Cohort, encoder=None) -> tuple[HeadRows, HeadRows]:
     """(termination rows, outcome rows) from a cohort.
 
@@ -178,11 +160,15 @@ def _train_head(kind: str, train_rows: HeadRows, val_rows: HeadRows,
 
 @dataclass
 class HeadsResult:
+    """Both heads and their label balance: terminal rows are one per
+    episode, so the termination task is heavily imbalanced on long-stay
+    cohorts."""
     termination: BinaryHead
     outcome: BinaryHead
     termination_history: History
     outcome_history: History
-    report: ImbalanceReport
+    terminal_fraction: float   # terminal rows / all rows
+    death_fraction: float      # deaths / terminal rows
 
 
 def train_heads(cohort: Cohort, schedule: TrainSchedule, encoder=None,
@@ -201,7 +187,8 @@ def train_heads(cohort: Cohort, schedule: TrainSchedule, encoder=None,
                                         schedule, step_norm, learning_rate)
     outc_model, outc_hist = _train_head("outcome", outc_tr, outc_va,
                                         schedule, step_norm, learning_rate)
-    report = ImbalanceReport(n_step_rows=term_tr.n_rows + term_va.n_rows,
-                             n_terminal=int(term_tr.labels.sum() + term_va.labels.sum()),
-                             n_death=int(outc_tr.labels.sum() + outc_va.labels.sum()))
-    return HeadsResult(term_model, outc_model, term_hist, outc_hist, report)
+    n_terminal = int(term_tr.labels.sum() + term_va.labels.sum())
+    n_death = int(outc_tr.labels.sum() + outc_va.labels.sum())
+    return HeadsResult(term_model, outc_model, term_hist, outc_hist,
+                       n_terminal / (term_tr.n_rows + term_va.n_rows),
+                       n_death / n_terminal)

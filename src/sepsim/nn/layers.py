@@ -37,8 +37,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         out.extend(item.named_parameters(f"{prefix}{key}.{i}."))
-                    elif isinstance(item, Parameter):
-                        out.append((f"{prefix}{key}.{i}", item))
         return out
 
     def parameters(self) -> list[Parameter]:

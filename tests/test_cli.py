@@ -1232,12 +1232,14 @@ def _eval_ntm_csv(tmp_path, rng, request):
 
 
 def _series_csv(tmp_path, rng, request):
+    from sepsim.checkpoint import float_cells
     from sepsim.evaluation import write_series_csv
 
     real_rows = [_awkward(rng, 4, 2), _awkward(rng, 2, 2)]
     sim_rows = [_awkward(rng, 3, 2), _awkward(rng, 5, 2)]
     path = tmp_path / "series.csv"
-    write_series_csv(path, "rnn", ["a", "b"], real_rows, sim_rows)
+    write_series_csv(path, "rnn", ["a", "b"], [*map(float_cells, real_rows)],
+                     [*map(float_cells, sim_rows)])
     expected = [v for real, sim in zip(real_rows, sim_rows) for f in range(2)
                 for t in range(min(len(real), len(sim)))
                 for v in (real[t, f], sim[t, f])]

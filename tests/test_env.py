@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-from sepsim.cli import _rollout_episode
 from sepsim.data import (ACTION_COUNT, N_FEATURES, NormalizationStats, Outcome,
                          PatientEpisode, action_intensity)
 from sepsim.dynamics import MIN_TEMPERATURE, StateModel, StateModelConfig
@@ -254,7 +253,7 @@ def test_a_simulated_return_is_the_return_of_its_recast_episode(formulation):
     lengths = set()
     for i in range(6):
         traj = rollout(env, lambda obs, t: int(rng.integers(ACTION_COUNT)))
-        episode = _rollout_episode(traj, f"sim-{i}")
+        episode = traj.episode(f"sim-{i}")
         lengths.add(traj.n_steps)
         want = episode_return(episode, spec, stats)
         assert abs(traj.ret - want) <= 1e-9 * abs(want)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sepsim.checkpoint import write_table
+from sepsim.checkpoint import float_cells, write_table
 from sepsim.data import (ACTION_COUNT, Cohort, N_FEATURES, NormalizationStats,
                          Outcome, PatientEpisode, action_intensity)
 from sepsim.dynamics import StateModel, StateModelConfig
@@ -307,8 +307,8 @@ class TestCsvWriters:
 
     def test_series_csv(self, tmp_path):
         path = tmp_path / "series.csv"
-        real_rows = [np.arange(6, dtype=float).reshape(3, 2)]
-        sim_rows = [np.arange(6, dtype=float).reshape(3, 2) + 0.5]
+        real_rows = [float_cells(np.arange(6, dtype=float).reshape(3, 2))]
+        sim_rows = [float_cells(np.arange(6, dtype=float).reshape(3, 2) + 0.5)]
         write_series_csv(path, "rnn", ["a", "b"], real_rows, sim_rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "variant,episode,feature,t,real,sim"

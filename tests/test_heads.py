@@ -176,8 +176,8 @@ def test_heads_learn_separable_rule():
         outc.states, outc.actions, outc.steps) > 0.5
     assert np.mean(term_pred == term.labels.astype(bool)) > 0.95
     assert np.mean(outc_pred == outc.labels.astype(bool)) > 0.95
-    assert result.report.n_terminal == 120
-    assert result.report.death_fraction == pytest.approx(0.5)
+    assert result.terminal_fraction == 120 / term.n_rows
+    assert result.death_fraction == pytest.approx(0.5)
 
 
 def test_save_load_round_trip(tmp_path, rng):
