@@ -20,7 +20,7 @@ sha256 of the file's bytes, `SIDECAR_VERSION` and the loader's settings.
 `load_checkpoint` and `data.load_cohort` read through it. A sidecar is one
 JSON header line (the key, the parse's JSON part, and each array's dtype
 and shape), then the arrays' little-endian bytes; it is read with one
-`read_bytes`, and each array is a view of one buffer (`np.frombuffer`).
+`readinto` into one buffer, and each array is a view of it (`np.frombuffer`).
 The `.npz` suffix is historical: SIDECAR_VERSION 1 wrote a zip of .npy
 members there, and a file of that format, like any sidecar that is not a
 whole one of this layout (another key, a header or length mismatch, a
@@ -226,7 +226,12 @@ def _read_sidecar(sidecar: Path, key: str) -> tuple[object, list] | None:
     other than float64 or int64, or more or fewer bytes than its header
     gives."""
     try:
-        data = sidecar.read_bytes()
+        # one writable buffer, sized by fstat, for the header and every
+        # array, so a hit's arrays can be written to, as a parse's can
+        with sidecar.open("rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(data) != len(data):
+                return None
     except OSError:
         return None
     start = data.find(b"\n") + 1
@@ -246,12 +251,9 @@ def _read_sidecar(sidecar: Path, key: str) -> tuple[object, list] | None:
     counts = [math.prod(shape) for _, shape in specs]
     if start + 8 * sum(counts) != len(data):
         return None
-    # one writable buffer for every array, so a hit's arrays can be written
-    # to, as a parse's can
-    buffer = bytearray(data)
     arrays = []
     for (dtype, shape), count in zip(specs, counts):
-        arrays.append(np.frombuffer(buffer, dtype, count, start).reshape(shape))
+        arrays.append(np.frombuffer(data, dtype, count, start).reshape(shape))
         start += 8 * count
     return header["meta"], arrays
 

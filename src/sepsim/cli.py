@@ -315,10 +315,11 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
 
 
 def _load_optional_encoder(cfg: dict, inputs: dict):
+    """(encoder, sha256 of the bytes its load read), or (None, None)."""
     if "encoder" not in cfg:
-        return None
+        return None, None
     inputs["encoder"] = Path(cfg["encoder"])
-    return load_encoder(inputs["encoder"])
+    return load_encoder(inputs["encoder"]), _sha256_as_read(inputs["encoder"])
 
 
 def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -332,12 +333,11 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
         raise ConfigError(f"train-state: {exc}")
     schedule = _schedule(cfg, seed)
     inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
-    encoder = _load_optional_encoder(cfg, inputs)
+    encoder, enc_sha = _load_optional_encoder(cfg, inputs)
     model, history = train_state_model(model_cfg, train, schedule, encoder=encoder,
                                        val_fraction=cfg["val_fraction"],
                                        learning_rate=cfg["learning_rate"])
     path = out / f"state_{variant}.json"
-    enc_sha = _sha256_as_read(inputs["encoder"]) if "encoder" in inputs else None
     model.save(path, encoder_sha256=enc_sha)
     metrics = {"best_epoch": history.best_epoch,
                "n_epochs": history.n_epochs,
@@ -348,7 +348,7 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
 def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
     schedule = _schedule(cfg, seed)
     inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
-    encoder = _load_optional_encoder(cfg, inputs)
+    encoder, enc_sha = _load_optional_encoder(cfg, inputs)
     result = train_heads(train, schedule, encoder=encoder,
                          step_norm=cfg["step_norm"],
                          val_fraction=cfg["val_fraction"],
@@ -356,8 +356,8 @@ def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
     suffix = cfg["suffix"]
     term_path = out / f"termination{suffix}.json"
     outcome_path = out / f"outcome{suffix}.json"
-    result.termination.save(term_path)
-    result.outcome.save(outcome_path)
+    result.termination.save(term_path, encoder_sha256=enc_sha)
+    result.outcome.save(outcome_path, encoder_sha256=enc_sha)
     metrics = {"termination_val_loss": result.termination_history.best_val_loss,
                "outcome_val_loss": result.outcome_history.best_val_loss,
                "terminal_fraction": result.terminal_fraction,
@@ -399,16 +399,18 @@ def _build_env(sim: SimConfig, pool: np.ndarray,
     encoder = None
     if "encoder" in sim.checkpoints:
         encoder = _checkpoint(sim.checkpoints, "encoder", load_encoder)
-    recorded = state_model.encoder_sha256
-    # checked after the load, against the digest of the bytes it read
-    if (encoder is not None and recorded is not None
-            and _sha256_as_read(sim.checkpoints["encoder"]) != recorded):
-        raise ConfigError(
-            f"encoder checkpoint {sim.checkpoints['encoder']} is not the one "
-            f"state checkpoint {sim.checkpoints['state']} was trained with "
-            f"(sha256 {recorded})")
     heads = {kind: _checkpoint(sim.checkpoints, kind, BinaryHead.load, kind)
              for kind in ("termination", "outcome")}
+    if encoder is not None:
+        # checked after the loads, against the digest of the bytes the
+        # encoder's load read, for each model that records its encoder
+        digest = _sha256_as_read(sim.checkpoints["encoder"])
+        for key, model in (("state", state_model), *heads.items()):
+            if model.encoder_sha256 not in (None, digest):
+                raise ConfigError(
+                    f"encoder checkpoint {sim.checkpoints['encoder']} is not the "
+                    f"one {key} checkpoint {sim.checkpoints[key]} was trained "
+                    f"with (sha256 {model.encoder_sha256})")
     for kind, head in heads.items():
         if head.state_dim != state_model.state_dim:
             raise ConfigError(

@@ -41,6 +41,8 @@ class BinaryHead(Module):
         if not step_norm > 0:
             raise ValueError("step_norm must be positive")
         self.kind = kind
+        # sha256 of the encoder file a loaded checkpoint was trained with
+        self.encoder_sha256: str | None = None
         self.state_dim = int(state_dim)
         self.step_norm = float(step_norm)
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -96,8 +98,9 @@ class BinaryHead(Module):
     def predict_proba_batch(self, states, actions, steps) -> np.ndarray:
         return self._proba(self._features(states, actions, steps))
 
-    def save(self, path) -> None:
-        hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm}
+    def save(self, path, encoder_sha256: str | None = None) -> None:
+        hyper = {"state_dim": self.state_dim, "step_norm": self.step_norm,
+                 "encoder_sha256": encoder_sha256}
         checkpoint.save_checkpoint(path, self.kind, hyper, self.state_arrays())
 
     @classmethod
@@ -107,6 +110,7 @@ class BinaryHead(Module):
         model = cls(kind, int(hyper["state_dim"]), float(hyper["step_norm"]),
                     rng=UNINITIALIZED)
         model.load_state_arrays(arrays)
+        model.encoder_sha256 = hyper.get("encoder_sha256")
         return model
 
 

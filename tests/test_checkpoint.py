@@ -394,6 +394,39 @@ def test_sidecar_hit_keeps_awkward_floats(tmp_path, monkeypatch):
     assert hit[1] == {"x": [1, 0.1, None, "y"]}
 
 
+def test_sidecar_hit_holds_the_sidecar_once(tmp_path):
+    """A hit holds the input's bytes, for their digest, and the sidecar's
+    bytes in one buffer that its arrays are views of: no second copy."""
+    import tracemalloc
+    from dataclasses import asdict
+
+    from sepsim.data import (N_FEATURES, Cohort, CsvSchema, Outcome,
+                             PatientEpisode, export_cohort, load_cohort)
+
+    rng = np.random.default_rng(0)
+    cohort = Cohort(tuple(
+        PatientEpisode(f"p{i}", rng.normal(size=(50, N_FEATURES)),
+                       rng.integers(0, 25, size=50), Outcome(i % 2))
+        for i in range(120)), tuple(f"f{i}" for i in range(N_FEATURES)))
+    path = tmp_path / "cohort.csv"
+    export_cohort(cohort, path)
+    load_cohort(path)   # parses, and writes the sidecar
+    sidecar = sidecar_path(path).stat().st_size
+    assert sidecar >= 2 << 20
+
+    def refuse(data):
+        raise AssertionError("parsed although the sidecar matches")
+
+    tracemalloc.start()
+    try:
+        meta, arrays = load_parsed(path, refuse, ["load_cohort", asdict(CsvSchema())])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arrays[0].shape == (120 * 50, N_FEATURES)
+    assert peak < path.stat().st_size + sidecar + (256 << 10)
+
+
 def test_sidecar_is_deterministic(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -17,6 +17,7 @@ from sepsim import cli
 from sepsim.agent import QNetwork
 from sepsim.cli import main
 from sepsim.dynamics import MIN_TEMPERATURE
+from sepsim.heads import BinaryHead
 
 
 def _sha(path):
@@ -605,7 +606,8 @@ def test_eval_refuses_a_qnet_it_cannot_run(tmp_path, data_dir, sim_dir,
 @pytest.fixture(scope="module")
 def latent_dir(tmp_path_factory, data_dir):
     """A vae_rnn state model and heads trained on the seed-0 VAE, plus a
-    VAE from seed 1 and a copy of the state model that records no hash."""
+    VAE from seed 1 and copies of the state model and the heads that record
+    no hash."""
     from sepsim.dynamics import StateModel
 
     out = tmp_path_factory.mktemp("latent")
@@ -624,13 +626,18 @@ def latent_dir(tmp_path_factory, data_dir):
         assert main([stage, "--config", str(cfg), "--out", str(out),
                      "--seed", "0"]) == 0
     StateModel.load(out / "state_vae_rnn.json").save(out / "state_nohash.json")
+    for kind in ("termination", "outcome"):
+        doc = json.loads((out / f"{kind}.json").read_text())
+        del doc["hyperparams"]["encoder_sha256"]
+        (out / f"{kind}_nohash.json").write_text(json.dumps(doc))
     return out
 
 
-def _latent_checkpoints(latent_dir, vae_seed, state="state_vae_rnn.json"):
+def _latent_checkpoints(latent_dir, vae_seed, state="state_vae_rnn.json",
+                        heads=""):
     return {"state": str(latent_dir / state),
-            "termination": str(latent_dir / "termination.json"),
-            "outcome": str(latent_dir / "outcome.json"),
+            "termination": str(latent_dir / f"termination{heads}.json"),
+            "outcome": str(latent_dir / f"outcome{heads}.json"),
             "encoder": str(latent_dir / f"vae{vae_seed}" / "vae.json")}
 
 
@@ -675,10 +682,22 @@ class TestEncoderHash:
         assert code == 2
         assert "is not the one" in capsys.readouterr().err
 
+    def test_rollout_rejects_heads_of_other_encoder(self, tmp_path, data_dir,
+                                                    latent_dir, capsys):
+        """Heads record their encoder as the state model does, and are
+        checked with it: here the state model records none."""
+        checkpoints = _latent_checkpoints(latent_dir, 1, state="state_nohash.json")
+        assert _rollout(tmp_path, data_dir, checkpoints) == 2
+        err = capsys.readouterr().err
+        assert "is not the one termination checkpoint" in err
+        assert checkpoints["termination"] in err and "vae1" in err
+
     def test_state_checkpoint_without_hash_passes(self, tmp_path, data_dir,
                                                   latent_dir):
-        checkpoints = _latent_checkpoints(latent_dir, 1,
-                                          state="state_nohash.json")
+        """Checkpoints that record no encoder, heads included, are not
+        checked."""
+        checkpoints = _latent_checkpoints(latent_dir, 1, state="state_nohash.json",
+                                          heads="_nohash")
         assert _rollout(tmp_path, data_dir, checkpoints) == 0
 
 
@@ -707,8 +726,8 @@ def _hashing_sections(data_dir, sim_dir, latent_dir):
                                    "train-agent", "eval"])
 def test_stage_hashes_each_input_file_once(tmp_path, data_dir, sim_dir,
                                            latent_dir, monkeypatch, stage):
-    """The manifest, the encoder check and the state checkpoint's
-    encoder_sha256 reuse the digest taken as the input was read."""
+    """The manifest, the encoder check and the encoder_sha256 of the state
+    checkpoint and the heads reuse the digest taken as the input was read."""
     from sepsim import checkpoint
 
     hashed = []
@@ -734,10 +753,11 @@ def test_stage_hashes_each_input_file_once(tmp_path, data_dir, sim_dir,
         data = Path(path).read_bytes()
         assert hashed.count(data) == 1, key
         assert manifest["inputs"][key] == hashlib.sha256(data).hexdigest()
-    if stage == "train-state":
-        state = json.loads((tmp_path / "out" / "state_vae_rnn.json").read_text())
-        assert (state["hyperparams"]["encoder_sha256"]
-                == manifest["inputs"]["encoder"])
+    models = {"train-state": ["state_vae_rnn.json"],
+              "train-heads": ["termination.json", "outcome.json"]}.get(stage, [])
+    for name in models:
+        doc = json.loads((tmp_path / "out" / name).read_text())
+        assert doc["hyperparams"]["encoder_sha256"] == manifest["inputs"]["encoder"]
 
 
 def _simulator_section(stage, data_dir, variant, checkpoints):
@@ -974,8 +994,6 @@ def test_rollout_mean_return_sums_each_episode_left_to_right(tmp_path, data_dir,
     sum of 20 terms. `mean_return` takes it as
     train-agent and eval's policy histogram do, left to right: numpy's
     pairwise sum, which can differ from 8 terms on, is not it."""
-    from sepsim.heads import BinaryHead
-
     # a termination head that never ends an episode before max_steps
     never = BinaryHead("termination", state_dim=46)
     for param in never.parameters():
@@ -1121,21 +1139,47 @@ def test_any_config_value_exits_2_naming_its_key_or_reaches_the_inputs(
         assert code == 1 and "InputsReached" in err, err
 
 
-def _readme_keys():
-    """{stage: keys} from the README's table of config keys."""
+def _readme_rows():
+    """(key, stages, type, default) of each row of the README's table of
+    config keys."""
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = text.split("| key | stages | type | default | rule |")[1].split("\n\n")[0]
-    keys: dict = {}
     for line in table.splitlines()[2:]:
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        for stage in cells[1].split(", "):
-            keys.setdefault(stage, set()).add(cells[0].strip("`"))
-    return keys
+        yield cells[0].strip("`"), cells[1].split(", "), cells[2], cells[3]
 
 
 def test_readme_key_table_lists_each_stage_keys():
-    assert _readme_keys() == {stage: set(_flat_keys(rows))
-                              for stage, rows in cli._SCHEMA.items()}
+    keys: dict = {}
+    for key, stages, _, _ in _readme_rows():
+        for stage in stages:
+            keys.setdefault(stage, set()).add(key)
+    assert keys == {stage: set(_flat_keys(rows)) for stage, rows in cli._SCHEMA.items()}
+
+
+def _kind_word(kind) -> str:
+    """The README's type word for a schema kind."""
+    if isinstance(kind, tuple):
+        return "enum"
+    if isinstance(kind, dict):
+        return "object"
+    if isinstance(kind, list):
+        return "list of objects"
+    return kind.__name__
+
+
+def test_readme_key_table_types_and_defaults_match_the_schema():
+    """Each row's type is its key's kind in every stage it lists. A fixed
+    default (a number, a word or "") is the schema's default, and "required"
+    or "none" is no default."""
+    for key, stages, kind, default in _readme_rows():
+        for stage in stages:
+            row = _flat_keys(cli._SCHEMA[stage])[key]
+            assert kind == _kind_word(row.kind), (stage, key)
+            if default in ("required", "none"):
+                assert row.default is None, (stage, key)
+            elif default == '""' or re.fullmatch(r"[\w.+-]+", default):
+                assert default.strip('"') == str(row.default), (stage, key)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

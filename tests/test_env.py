@@ -400,6 +400,19 @@ def test_env_refuses_bad_knobs(key, value):
         _env(**{key: value})
 
 
+def test_env_pairs_the_encoder_as_the_variant_says():
+    """A raw variant given an encoder is refused as the env is built, not
+    at its first step; a latent variant without one is refused too."""
+    pool = np.zeros((1, N_FEATURES))
+    heads = (_constant_head("termination", -50.0), _constant_head("outcome", -50.0))
+    with pytest.raises(ValueError, match="^variant 'rnn' does not take an encoder$"):
+        PatientEnv(_point_model(), *heads, pool,
+                   encoder=VaeModel(rng=np.random.default_rng(5)))
+    latent = StateModel(StateModelConfig(variant="vae_rnn", window=3, rnn_hidden=8))
+    with pytest.raises(ValueError, match="^variant 'vae_rnn' needs an encoder$"):
+        PatientEnv(latent, *heads, pool)
+
+
 def test_env_temperature_rule_is_the_schema_rule():
     with pytest.raises(ValueError, match=r"^temperature must be >= 1e-306, "
                                          r"got 2\.2250738585072014e-308$"):
