@@ -65,7 +65,10 @@ def act(net: QNetwork, obs: np.ndarray, epsilon: float,
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of (s, a, r, s', done) transitions."""
+    """Fixed-capacity ring of (s, a, r, s', done) transitions, with each
+    row's max_a Q_target(s', a) cached for the current target net. A row's
+    value goes stale when `push` writes the row, every row's at
+    `target_synced`, which also sends the fill cursor back to row 0."""
 
     def __init__(self, capacity: int, obs_dim: int = N_FEATURES):
         if capacity < 1:
@@ -76,6 +79,9 @@ class ReplayBuffer:
         self._rewards = np.zeros(capacity)
         self._next_states = np.zeros((capacity, obs_dim))
         self._dones = np.zeros(capacity)
+        self._q_next = np.zeros(capacity)
+        self._stale = np.ones(capacity, dtype=bool)
+        self._cursor = 0
         self._count = 0
 
     def __len__(self) -> int:
@@ -88,17 +94,62 @@ class ReplayBuffer:
         self._rewards[i] = reward
         self._next_states[i] = next_state
         self._dones[i] = float(done)
+        self._stale[i] = True
         self._count += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
-        """Uniform sample without replacement within the batch."""
+        """Uniform sample without replacement within the batch; `rows` are
+        the sampled rows' buffer indices."""
         n = len(self)
         if batch_size > n:
             raise ValueError(f"cannot sample {batch_size} from buffer of {n}")
         idx = rng.choice(n, size=batch_size, replace=False)
         return {"states": self._states[idx], "actions": self._actions[idx],
                 "rewards": self._rewards[idx],
-                "next_states": self._next_states[idx], "dones": self._dones[idx]}
+                "next_states": self._next_states[idx], "dones": self._dones[idx],
+                "rows": idx}
+
+    def target_synced(self) -> None:
+        """Mark every row stale: the target net has changed."""
+        self._stale[:] = True
+        self._cursor = 0
+
+    def targets(self, target_net: QNetwork, batch: dict,
+                gamma: float) -> np.ndarray:
+        """`td_targets(target_net, batch, gamma)` of a batch this buffer
+        sampled since its last `push`, bit for bit, from the cached values.
+
+        When a sampled row is stale, one block of len(batch) rows, the shape
+        `td_targets` forwards, goes through the target net: the batch's
+        stale rows, then other stale rows while they fit, then zeros. So an
+        update makes at most the one forward `td_targets` makes. Each value
+        equals the row's in that forward as long as a row of the block gets
+        the same bits wherever it sits, which
+        tests/test_agent.py::test_q_values_rows_are_position_independent pins.
+        """
+        rows = batch["rows"]
+        stale = rows[self._stale[rows]]
+        if len(stale):
+            self._stale[stale] = False
+            part = self._filled(stale, len(rows))
+            block = np.zeros((len(rows), self._next_states.shape[1]))
+            block[:len(part)] = self._next_states[part]
+            self._q_next[part] = target_net.q_values(block)[:len(part)].max(axis=1)
+            self._stale[part] = False
+        return _bootstrap(batch, gamma, self._q_next[rows])
+
+    def _filled(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """`rows`, then stale rows at or after the cursor, lowest first, up
+        to `m` rows in all. The cursor only moves forward between target
+        syncs, `m` rows per look, so a sync interval scans the buffer once."""
+        found, room, n = [rows], m - len(rows), len(self)
+        while room and self._cursor < n:
+            end = min(self._cursor + m, n)
+            fill = self._cursor + np.flatnonzero(self._stale[self._cursor:end])[:room]
+            found.append(fill)
+            room -= len(fill)
+            self._cursor = fill[-1] + 1 if room == 0 else end
+        return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -136,14 +187,21 @@ class DqnConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-def td_targets(target_net: QNetwork, batch: dict, gamma: float) -> np.ndarray:
-    q_next = target_net.q_values(batch["next_states"]).max(axis=1)
+def _bootstrap(batch: dict, gamma: float, q_next: np.ndarray) -> np.ndarray:
     return batch["rewards"] + gamma * (1.0 - batch["dones"]) * q_next
 
 
-def td_update(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float,
+def td_targets(target_net: QNetwork, batch: dict, gamma: float) -> np.ndarray:
+    """r + gamma * (1-done) * max_a Q_target(s', a), forwarding the whole
+    batch; the reference for `ReplayBuffer.targets`."""
+    return _bootstrap(batch, gamma,
+                      target_net.q_values(batch["next_states"]).max(axis=1))
+
+
+def td_update(net: QNetwork, batch: dict, targets: np.ndarray,
               optimizer: Optimizer) -> float:
-    """One gradient step of Q(s,a) toward r + gamma * (1-done) * max Q_target.
+    """One gradient step of Q(s,a) toward `targets`, the batch's TD targets
+    (`td_targets`, or `ReplayBuffer.targets` of a sampled batch).
 
     Runs on bare arrays, without a tape: each layer's `forward_np`, keeping
     the activations, then the loss gradient back through each layer's
@@ -151,7 +209,6 @@ def td_update(net: QNetwork, target_net: QNetwork, batch: dict, gamma: float,
     `mse(net.net(Tensor(s))[rows, a], targets).backward()`, so the loss and the
     trained weights equal the tape's bit for bit.
     """
-    targets = td_targets(target_net, batch, gamma)
     layers = net.net.layers
     acts = [np.asarray(batch["states"], dtype=np.float64)]
     for layer in layers:
@@ -201,6 +258,11 @@ def train_agent(env, config: DqnConfig | None = None) -> AgentResult:
     Determinism: with a fixed config.seed and a freshly seeded env, repeat
     runs produce identical reward curves (the env's own rng is part of that
     contract, so reuse of a stepped env breaks it).
+
+    The targets come from `ReplayBuffer.targets`, so the weights equal
+    those of calling `td_targets` on every batch while a row of a
+    `batch_size`-row `QNetwork.q_values` forward gets the same bits at any
+    position (on OpenBLAS it does at 4, 32 and 64 rows).
     """
     config = config or DqnConfig()
     seeds = np.random.SeedSequence(config.seed).spawn(2)
@@ -228,9 +290,11 @@ def train_agent(env, config: DqnConfig | None = None) -> AgentResult:
             ep_return, ep_length = 0.0, 0
         if len(buffer) >= config.batch_size:
             batch = buffer.sample(config.batch_size, rng)
-            td_update(net, target, batch, config.gamma, optimizer)
+            td_update(net, batch, buffer.targets(target, batch, config.gamma),
+                      optimizer)
         if step % config.target_sync == 0:
             target.load_state_arrays(net.state_arrays())
+            buffer.target_synced()
     return AgentResult(net, episodes)
 
 

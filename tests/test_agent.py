@@ -6,11 +6,11 @@ import pytest
 
 from sepsim.agent import (DqnConfig, QNetwork, ReplayBuffer, act,
                           policy_histogram, td_targets, td_update,
-                          write_reward_curve)
+                          train_agent, write_reward_curve)
 from sepsim.agent import EpisodeRecord
 from sepsim.data import N_FEATURES, NormalizationStats
 from sepsim.dynamics import StateModel, StateModelConfig
-from sepsim.env import PatientEnv, RewardSpec
+from sepsim.env import PatientEnv, RewardSpec, StepResult
 from sepsim.heads import BinaryHead
 from sepsim.nn.optim import Adam
 
@@ -53,6 +53,177 @@ class TestReplayBuffer:
         assert batch["next_states"].shape == (4, 3)
         assert batch["actions"].dtype.kind == "i"
         assert batch["dones"].dtype == np.float64
+
+
+def _push_random(buf: ReplayBuffer, rng: np.random.Generator, obs_dim: int):
+    buf.push(rng.normal(size=obs_dim), int(rng.integers(5)), float(rng.normal()),
+             rng.normal(size=obs_dim), bool(rng.random() < 0.2))
+
+
+def _serve(buf, target, batch_size, rng, gamma=0.9, must_hold=None):
+    """Sample batches until one holds the row `must_hold` (any batch when
+    None), checking every batch's cached targets against `td_targets`."""
+    for _ in range(50):
+        batch = buf.sample(batch_size, rng)
+        got = buf.targets(target, batch, gamma)
+        assert got.tobytes() == td_targets(target, batch, gamma).tobytes()
+        if must_hold is None or must_hold in batch["rows"]:
+            return batch
+    raise AssertionError(f"row {must_hold} was never sampled")
+
+
+class TestTargetCache:
+    """`ReplayBuffer.targets`, the cached form of `td_targets`."""
+
+    @pytest.mark.parametrize("batch_size", [32, 64])
+    def test_targets_equal_td_targets_across_syncs_and_overwrites(
+            self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        capacity, obs_dim = batch_size + 8, 6
+        buf = ReplayBuffer(capacity, obs_dim=obs_dim)
+        target = QNetwork(obs_dim=obs_dim, n_actions=5,
+                          rng=np.random.default_rng(1))
+        for _ in range(batch_size):
+            _push_random(buf, rng, obs_dim)
+        _serve(buf, target, batch_size, rng)
+        # the ring wraps more than twice, with a target sync every 25 rows
+        for pushed in range(batch_size, 3 * capacity):
+            if pushed % 25 == 0:
+                target.load_state_arrays(
+                    {name: a + rng.normal(scale=0.1, size=a.shape)
+                     for name, a in target.state_arrays().items()})
+                buf.target_synced()
+                _serve(buf, target, batch_size, rng)
+            _push_random(buf, rng, obs_dim)
+            _serve(buf, target, batch_size, rng, must_hold=pushed % capacity)
+
+    def test_forwards_one_block_only_when_a_sampled_row_is_stale(
+            self, monkeypatch):
+        rng = np.random.default_rng(0)
+        buf = ReplayBuffer(8, obs_dim=3)
+        target = QNetwork(obs_dim=3, n_actions=5, rng=np.random.default_rng(1))
+        blocks = []
+        q_values = target.q_values
+        monkeypatch.setattr(target, "q_values",
+                            lambda obs: blocks.append(obs.copy()) or q_values(obs))
+        stale, pushed = set(), 0  # the test's own account of stale rows
+        seen = {"none": 0, "filled": 0, "padded": 0}
+        for step in range(1, 200):
+            if step % 40 == 0:
+                buf.target_synced()
+                stale = set(range(len(buf)))
+            for _ in range(rng.integers(0, 4)):
+                _push_random(buf, rng, 3)
+                stale.add(pushed % 8)
+                pushed += 1
+            if len(buf) < 4:
+                continue
+            batch = buf.sample(4, rng)
+            blocks.clear()
+            buf.targets(target, batch, 0.9)
+            first = [r for r in batch["rows"].tolist() if r in stale]
+            if not first:
+                assert blocks == []
+                seen["none"] += 1
+                continue
+            # the batch's stale rows, then other stale rows in row order,
+            # then zeros
+            assert len(blocks) == 1 and blocks[0].shape == (4, 3)
+            block = blocks[0]
+            np.testing.assert_array_equal(block[:len(first)],
+                                          buf._next_states[first])
+            row_of = {x.tobytes(): r
+                      for r, x in enumerate(buf._next_states[:len(buf)])}
+            fill = [row_of[x.tobytes()] for x in block[len(first):] if x.any()]
+            assert fill == sorted(set(fill)) and set(fill) <= stale - set(first)
+            assert not block[len(first) + len(fill):].any()
+            stale -= set(first + fill)
+            seen["filled"] += bool(fill)
+            seen["padded"] += len(first) + len(fill) < 4
+        assert min(seen.values()) > 0, seen
+
+
+class _DriftEnv:
+    """The action nudges a noisy 46-feature state; episodes last 7 steps."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(5)
+
+    def reset(self):
+        self.t = 0
+        self.obs = self._rng.normal(size=N_FEATURES)
+        return self.obs.copy()
+
+    def step(self, action):
+        self.t += 1
+        self.obs = np.tanh(self.obs + (action - 12) / 120.0
+                           + self._rng.normal(scale=0.1, size=N_FEATURES))
+        return StepResult(self.obs.copy(), float(self.obs[0] - 0.01 * action),
+                          self.t >= 7, {})
+
+
+def _reference_train_agent(env, config: DqnConfig):
+    """`train_agent` with every batch's targets from `td_targets`, the
+    reference formula. Returns the Q-net and the episode returns."""
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(seeds[0])
+    net = QNetwork(rng=np.random.default_rng(seeds[1]))
+    target = net.clone()
+    buffer = ReplayBuffer(min(config.buffer_capacity, config.total_steps),
+                          net.obs_dim)
+    optimizer = Adam(net.parameters(), lr=config.learning_rate)
+    returns, ep_return = [], 0.0
+    obs = env.reset()
+    for step in range(1, config.total_steps + 1):
+        action = act(net, obs, config.epsilon_at(step), rng)
+        result = env.step(action)
+        buffer.push(obs, action, result.reward, result.observation, result.done)
+        ep_return += result.reward
+        obs = result.observation
+        if result.done:
+            returns.append(ep_return)
+            obs, ep_return = env.reset(), 0.0
+        if len(buffer) >= config.batch_size:
+            batch = buffer.sample(config.batch_size, rng)
+            td_update(net, batch, td_targets(target, batch, config.gamma),
+                      optimizer)
+        if step % config.target_sync == 0:
+            target.load_state_arrays(net.state_arrays())
+    return net, np.array(returns)
+
+
+@pytest.mark.parametrize("batch_size", [4, 32])
+def test_train_agent_equals_td_targets_on_every_batch(batch_size):
+    config = DqnConfig(total_steps=300, buffer_capacity=100,
+                       batch_size=batch_size, target_sync=70,
+                       epsilon_decay_steps=150, seed=4)
+    result = train_agent(_DriftEnv(), config)
+    net, returns = _reference_train_agent(_DriftEnv(), config)
+    assert result.returns.tobytes() == returns.tobytes()
+    got, want = result.qnet.state_arrays(), net.state_arrays()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("m", [4, 32, 64])
+def test_q_values_rows_are_position_independent(m):
+    """A row of an m-row forward gets the same bits wherever it sits and
+    whatever its neighbours, zero padding included."""
+    rng = np.random.default_rng(m)
+    net = QNetwork(rng=np.random.default_rng(3))
+    rows = rng.normal(size=(m, N_FEATURES))
+    whole = net.q_values(rows)
+    for k in (m, m - 1, m // 2 + 1, 1):
+        for _ in range(3):
+            src = rng.permutation(m)[:k]  # which rows
+            at = rng.permutation(m)[:k]   # where they sit; the rest are zeros
+            block = np.zeros((m, N_FEATURES))
+            block[at] = rows[src]
+            assert net.q_values(block)[at].tobytes() == whole[src].tobytes(), (
+                f"a row of a {m}-row QNetwork.q_values forward changed bits with "
+                "its position or neighbours; ReplayBuffer.targets equals "
+                "td_targets byte for byte only while this BLAS property holds")
 
 
 class TestEpsilonSchedule:
@@ -135,7 +306,8 @@ class TestTdMath:
                  "next_states": rng.normal(size=(16, 4)),
                  "dones": np.zeros(16)}
         optimizer = Adam(net.parameters(), lr=1e-2)
-        losses = [td_update(net, target, batch, 0.9, optimizer)
+        losses = [td_update(net, batch, td_targets(target, batch, 0.9),
+                            optimizer)
                   for _ in range(30)]
         assert losses[-1] < losses[0] * 0.5
 

@@ -186,9 +186,8 @@ def test_unroll_gradcheck(rng):
 # ---- the tape-free TD step ---------------------------------------------------
 
 
-def tape_td_update(net, target_net, batch, gamma, optimizer):
+def tape_td_update(net, batch, targets, optimizer):
     """`td_update` as the tape computes it, with per-op Dense graphs."""
-    targets = td_targets(target_net, batch, gamma)
     optimizer.zero_grad()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Dense, "__call__", per_op_dense)
@@ -220,7 +219,8 @@ def run_td_updates(optimizer_cls, batch_size, dones, actions, steps=200):
     losses = []
     for step in range(1, steps + 1):
         batch = td_batch(rng, batch_size, dones, actions)
-        losses.append(agent.td_update(net, target, batch, 0.99, optimizer))
+        losses.append(agent.td_update(net, batch, td_targets(target, batch, 0.99),
+                                      optimizer))
         if step % 50 == 0:
             target.load_state_arrays(net.state_arrays())
     return np.array(losses), net.state_arrays()
@@ -272,9 +272,10 @@ def test_td_update_gradcheck(rng):
     target = QNetwork(obs_dim=6, n_actions=4, rng=np.random.default_rng(6))
     batch = td_batch(rng, 9, "mixed", "random", obs_dim=6)
     batch["actions"] = rng.integers(0, 4, size=9)
+    targets = td_targets(target, batch, 0.9)
     optimizer = _FrozenOptimizer(net.parameters(), lr=1.0)
     report = check_gradients(
         net.named_parameters(),
-        lambda: _Evaluated(agent.td_update(net, target, batch, 0.9, optimizer)),
+        lambda: _Evaluated(agent.td_update(net, batch, targets, optimizer)),
         probe_count=50, rng=np.random.default_rng(3))
     assert report.max_rel_error <= 1e-4, report.worst()  # criterion 01's bound
