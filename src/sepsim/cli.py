@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import json
@@ -56,6 +57,15 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration; reported as a usage error."""
 
 
+@contextlib.contextmanager
+def _refused(prefix: str):
+    """The one place a ValueError becomes a ConfigError, `prefix: message`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}")
+
+
 # ---------------------------------------------------------------- plumbing
 
 def _read_config(path: str | None) -> dict:
@@ -64,10 +74,9 @@ def _read_config(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
+    # a JSONDecodeError, or an int too long to read
+    with _refused("config is not valid JSON"):
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or an int too long to read
-        raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc
@@ -151,10 +160,8 @@ def _value(stage: str, key: str, row: Key, value):
                 for i, item in enumerate(value)]
     if isinstance(kind, dict):
         value = _typed(stage, value, kind, f"{key}.")
-    try:
+    with _refused(f"{stage}: {key}"):
         return value if row.build is None else row.build(**value)
-    except ValueError as exc:
-        raise ConfigError(f"{stage}: {key}: {exc}")
 
 
 def _typed(stage: str, section: dict, rows: dict, prefix: str = "") -> dict:
@@ -227,17 +234,39 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8")
 
 
+def _read(paths: dict, key: str, load, *args):
+    """The `key` file of `paths`, read by `load`; every input file is read
+    here. A file that `load` refuses, a checkpoint of another kind or a
+    malformed cohort for instance, is a config error naming the key."""
+    what = "cohort" if load is load_cohort else "checkpoint"
+    with _refused(f"{key} {what} {paths[key]}"):
+        return load(paths[key], *args)
+
+
+def _cohort(paths: dict, key: str, need: int, use: str) -> Cohort:
+    """The `key` cohort of `paths`, of which `use` needs `need` episodes."""
+    cohort = _read(paths, key, load_cohort)
+    if cohort.n_episodes < need:
+        raise ConfigError(f"{key}: {paths[key]} holds {cohort.n_episodes} "
+                          f"episode(s), and {use} needs {need}")
+    return cohort
+
+
+def _encoder(paths: dict):
+    """(the `encoder` of `paths`, the sha256 its load recorded), or (None, None)."""
+    if "encoder" not in paths:
+        return None, None
+    return _read(paths, "encoder", load_encoder), _sha256_as_read(paths["encoder"])
+
+
 def _prepared(cfg: dict, seed: int, resplit: bool = False):
-    """The stage's inputs so far, {"data": path}, and (train, val, stats),
-    derived from the raw cohort deterministically. A stage that splits the
-    training half again for its own validation passes `resplit`."""
+    """The stage's top-level inputs by key (`data`, an optional `encoder`) and
+    (train, val, stats), derived from the data cohort deterministically; a
+    stage that splits the training half again for its validation passes `resplit`."""
     if "data" not in cfg:
         raise ConfigError("missing config key: data")
-    inputs = {"data": Path(cfg["data"])}
-    cohort = load_cohort(inputs["data"])
-    if cohort.n_episodes < 2:
-        raise ConfigError(f"data: {inputs['data']} holds {cohort.n_episodes} "
-                          "episode(s), and a train/validation split needs 2")
+    inputs = {k: Path(cfg[k]) for k in ("data", "encoder") if k in cfg}
+    cohort = _cohort(inputs, "data", 2, "a train/validation split")
     train, val, stats = prepare_cohorts(cohort, fraction=cfg["split_fraction"],
                                         seed=seed)
     if resplit and train.n_episodes < 2:
@@ -265,16 +294,14 @@ def _take(stage: str, cfg: dict, key: str, pool: int) -> int:
 class StageResult:
     metrics: dict
     inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
+    outputs: list = field(default_factory=list)  # the files the stage wrote
 
 
 # ------------------------------------------------------------------ stages
 
 def _stage_synth_data(cfg: dict, out: Path, seed: int) -> StageResult:
-    try:
+    with _refused("synth-data: generator"):
         spec = SyntheticDynamicsSpec.default(seed=seed, **cfg["generator"])
-    except ValueError as exc:
-        raise ConfigError(f"synth-data: generator: {exc}")
     cohort = generate_synthetic_cohort(spec, cfg["episodes"])
     path = out / "cohort.csv"
     export_cohort(cohort, path)
@@ -284,7 +311,7 @@ def _stage_synth_data(cfg: dict, out: Path, seed: int) -> StageResult:
                "n_steps": int(sum(lengths)),
                "mean_length": float(np.mean(lengths)),
                "death_rate": deaths / cohort.n_episodes}
-    return StageResult(metrics, outputs={"cohort.csv": path})
+    return StageResult(metrics, outputs=[path])
 
 
 def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -309,17 +336,7 @@ def _stage_train_vae(cfg: dict, out: Path, seed: int) -> StageResult:
                "n_epochs": history.n_epochs,
                "val_loss": history.best_val_loss,
                "heldout_recon_mse": mse}
-    return StageResult(metrics, inputs,
-                       outputs={f"{kind}.json": model_path,
-                                "stats.json": stats_path})
-
-
-def _load_optional_encoder(cfg: dict, inputs: dict):
-    """(encoder, sha256 of the bytes its load read), or (None, None)."""
-    if "encoder" not in cfg:
-        return None, None
-    inputs["encoder"] = Path(cfg["encoder"])
-    return load_encoder(inputs["encoder"]), _sha256_as_read(inputs["encoder"])
+    return StageResult(metrics, inputs, [model_path, stats_path])
 
 
 def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
@@ -327,13 +344,11 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
     model_cfg = StateModelConfig(variant=variant, window=cfg["window"],
                                  rnn_hidden=cfg["rnn_hidden"],
                                  n_mixtures=cfg["n_mixtures"])
-    try:
+    with _refused("train-state"):
         model_cfg.check_encoder("encoder" in cfg)
-    except ValueError as exc:
-        raise ConfigError(f"train-state: {exc}")
     schedule = _schedule(cfg, seed)
     inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
-    encoder, enc_sha = _load_optional_encoder(cfg, inputs)
+    encoder, enc_sha = _encoder(inputs)
     model, history = train_state_model(model_cfg, train, schedule, encoder=encoder,
                                        val_fraction=cfg["val_fraction"],
                                        learning_rate=cfg["learning_rate"])
@@ -342,13 +357,13 @@ def _stage_train_state(cfg: dict, out: Path, seed: int) -> StageResult:
     metrics = {"best_epoch": history.best_epoch,
                "n_epochs": history.n_epochs,
                "val_loss": history.best_val_loss}
-    return StageResult(metrics, inputs, {f"state_{variant}.json": path})
+    return StageResult(metrics, inputs, [path])
 
 
 def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
     schedule = _schedule(cfg, seed)
     inputs, train, _, _ = _prepared(cfg, seed, resplit=True)
-    encoder, enc_sha = _load_optional_encoder(cfg, inputs)
+    encoder, enc_sha = _encoder(inputs)
     result = train_heads(train, schedule, encoder=encoder,
                          step_norm=cfg["step_norm"],
                          val_fraction=cfg["val_fraction"],
@@ -362,49 +377,32 @@ def _stage_train_heads(cfg: dict, out: Path, seed: int) -> StageResult:
                "outcome_val_loss": result.outcome_history.best_val_loss,
                "terminal_fraction": result.terminal_fraction,
                "death_fraction": result.death_fraction}
-    return StageResult(metrics, inputs,
-                       {f"termination{suffix}.json": term_path,
-                        f"outcome{suffix}.json": outcome_path})
+    return StageResult(metrics, inputs, [term_path, outcome_path])
 
 
 def _sim_config(cfg: dict, seed: int, where: str = "checkpoints") -> SimConfig:
     """The simulator cfg describes; `where` names its checkpoints in errors."""
-    try:
+    with _refused(where):
         return SimConfig(variant=cfg["variant"], checkpoints=cfg.get("checkpoints", {}),
                          temperature=cfg["temperature"], reward=cfg["reward"],
                          max_steps=cfg["max_steps"],
                          termination_mode=cfg["termination_mode"], seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-def _checkpoint(paths: dict, key: str, load, *args):
-    """The `key` checkpoint of `paths`, read by `load`; a file that `load`
-    refuses, one of another kind for instance, is a config error naming the
-    key."""
-    try:
-        return load(paths[key], *args)
-    except ValueError as exc:
-        raise ConfigError(f"{key} checkpoint {paths[key]}: {exc}")
 
 
 def _build_env(sim: SimConfig, pool: np.ndarray,
                stats: NormalizationStats) -> PatientEnv:
-    state_model = _checkpoint(sim.checkpoints, "state", StateModel.load)
+    state_model = _read(sim.checkpoints, "state", StateModel.load)
     if state_model.config.variant != sim.variant:
         raise ConfigError(
             f"state checkpoint {sim.checkpoints['state']} is a "
             f"{state_model.config.variant!r} model, but the simulator is "
             f"configured as {sim.variant!r}")
-    encoder = None
-    if "encoder" in sim.checkpoints:
-        encoder = _checkpoint(sim.checkpoints, "encoder", load_encoder)
-    heads = {kind: _checkpoint(sim.checkpoints, kind, BinaryHead.load, kind)
+    encoder, digest = _encoder(sim.checkpoints)
+    heads = {kind: _read(sim.checkpoints, kind, BinaryHead.load, kind)
              for kind in ("termination", "outcome")}
     if encoder is not None:
         # checked after the loads, against the digest of the bytes the
         # encoder's load read, for each model that records its encoder
-        digest = _sha256_as_read(sim.checkpoints["encoder"])
         for key, model in (("state", state_model), *heads.items()):
             if model.encoder_sha256 not in (None, digest):
                 raise ConfigError(
@@ -478,14 +476,14 @@ def _stage_rollout(cfg: dict, out: Path, seed: int) -> StageResult:
     cells = [float_cells(traj.states) for traj in trajectories]
     with _open_trajectories_csv(traj_path, train.feature_names) as write:
         write(_trajectory_lines(sim.variant, trajectories, cells))
-    outputs = {"trajectories.csv": traj_path}
+    outputs = [traj_path]
     if episodes:
         sim_cohort = Cohort(tuple(episodes), train.feature_names)
         sim_path = out / "sim_cohort.csv"
         # a completed episode's rows are its trajectory's states but the
         # last, so their cells are the ones trajectories.csv was written from
         export_cohort(sim_cohort, sim_path, [cells[i] for i in completed])
-        outputs["sim_cohort.csv"] = sim_path
+        outputs.append(sim_path)
     deaths = sum(e.outcome == Outcome.DEATH for e in episodes)
     metrics = {"n_rollouts": len(trajectories),
                "n_completed": len(episodes),
@@ -513,8 +511,7 @@ def _stage_train_agent(cfg: dict, out: Path, seed: int) -> StageResult:
                "mean_return": float(returns.mean()) if returns.size else 0.0,
                "mean_return_last50": float(tail.mean()),
                "final_epsilon": dqn.epsilon_at(dqn.total_steps)}
-    return StageResult(metrics, inputs, {"qnet.json": qnet_path,
-                                         "reward_curve.csv": curve_path})
+    return StageResult(metrics, inputs, [qnet_path, curve_path])
 
 
 def _eval_sims(cfg: dict, seed: int) -> list[SimConfig]:
@@ -565,7 +562,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     net = None
     if "qnet" in cfg:
         inputs["qnet"] = Path(cfg["qnet"])
-        net = _checkpoint(inputs, "qnet", QNetwork.load)
+        net = _read(inputs, "qnet", QNetwork.load)
         if (net.obs_dim, net.n_actions) != (N_FEATURES, ACTION_COUNT):
             raise ConfigError(
                 f"qnet checkpoint {inputs['qnet']} takes {net.obs_dim} features "
@@ -574,7 +571,6 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     seeds = iter(np.random.SeedSequence(seed).spawn(len(sims)))
 
     metrics: dict = {}
-    outputs: dict = {}
     ntm_table: list[list] = []
     # each plot episode's recorded states are formatted once, for every
     # variant's closed_loop_<name>.csv and a raw-state model's
@@ -588,6 +584,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
     # generator begins at sim.seed
     envs: dict[str, PatientEnv] = {}
     traj_path = out / "trajectories.csv"
+    outputs = [traj_path]
     with _open_trajectories_csv(traj_path,
                                 train.feature_names) as write_trajectories:
         for sim in sims:
@@ -611,7 +608,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
             names = (train.feature_names if env.encoder is None
                      else tuple(f"z_{i}" for i in range(report.targets.shape[1])))
             write_series_csv(tf_path, name, names, real_rows, sim_rows)
-            outputs[f"teacher_forced_{name}.csv"] = tf_path
+            outputs.append(tf_path)
 
             # closed-loop replay: model consumes only its own states; the
             # same replays give the NTM, closed_loop_<name>.csv and
@@ -630,15 +627,14 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
             cl_path = out / f"closed_loop_{name}.csv"
             write_series_csv(cl_path, name, train.feature_names, real_cells,
                              sim_cells[:plot_episodes])
-            outputs[f"closed_loop_{name}.csv"] = cl_path
+            outputs.append(cl_path)
             # the next variant's sweep runs without this one's cells,
             # replays and sweep
             del sim_cells, replays, sim_trajs, real_m, sim_m, report
-    outputs["trajectories.csv"] = traj_path
 
     ntm_path = out / "ntm.csv"
     write_table(ntm_path, ["variant", *NTM_HEADER], ntm_table)
-    outputs["ntm.csv"] = ntm_path
+    outputs.append(ntm_path)
 
     if net is not None:
         env = envs[agent_variant].fresh()
@@ -648,7 +644,7 @@ def _stage_eval(cfg: dict, out: Path, seed: int) -> StageResult:
                                                   stats=stats)
         hist_path = out / "histograms.csv"
         write_histograms_csv(comparison, hist_path)
-        outputs["histograms.csv"] = hist_path
+        outputs.append(hist_path)
         metrics["policy_mean_return"] = float(rollouts.returns.mean())
         metrics["policy_mean_length"] = float(rollouts.lengths.mean())
         metrics["policy_collapse"] = int(comparison.collapse_sim)
@@ -659,7 +655,7 @@ def _stage_ntm(cfg: dict, out: Path, seed: int) -> StageResult:
     inputs = {k: Path(cfg[k]) for k in ("real", "sim") if k in cfg}
     if len(inputs) < 2:
         raise ConfigError("ntm needs both 'real' and 'sim' cohorts")
-    real, sim = load_cohort(inputs["real"]), load_cohort(inputs["sim"])
+    real, sim = (_cohort(inputs, key, 1, "the NTM") for key in ("real", "sim"))
     if real.feature_names != sim.feature_names:
         raise ConfigError("real and sim cohorts disagree on features")
     real_m, sim_m = trajectory_matrices([e.states for e in real.episodes],
@@ -670,7 +666,7 @@ def _stage_ntm(cfg: dict, out: Path, seed: int) -> StageResult:
     metrics = {"mean_gap": report.mean_gap,
                "n_degenerate": int(report.degenerate.sum()),
                "horizon": real_m.horizon}
-    return StageResult(metrics, inputs, {"ntm.csv": path})
+    return StageResult(metrics, inputs, [path])
 
 
 _STAGE_FUNCS = {"synth-data": _stage_synth_data,
@@ -722,10 +718,9 @@ def run_stage(stage: str, config: dict, out: Path, seed: int,
                 "seed": seed,
                 "config_sha256": _canonical_sha256(raw),
                 "inputs": inputs,
-                "outputs": {k: file_sha256(p)
-                            for k, p in sorted(result.outputs.items())},
+                "outputs": {p.name: file_sha256(p)
+                            for p in [*result.outputs, metrics_path]},
                 "metrics": result.metrics}
-    manifest["outputs"]["metrics.json"] = file_sha256(metrics_path)
     _write_json(out / "manifest.json", manifest)
     return result.metrics
 

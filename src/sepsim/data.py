@@ -189,12 +189,15 @@ def load_cohort(path, schema: CsvSchema | None = None) -> Cohort:
 
     Episodes are grouped by subject id (first-appearance order) and sorted by
     step within each subject. Every episode must end with exactly one terminal
-    row carrying the outcome. Each episode owns its arrays.
-    """
+    row carrying the outcome. Each episode owns its arrays. A file that breaks
+    these rules, or that the csv module cannot read, is a ValueError."""
     schema = schema or CsvSchema()
-    meta, (states, actions, lengths, outcomes) = load_parsed(
-        path, lambda data: _cohort_arrays(_parse_cohort(data, schema)),
-        ["load_cohort", asdict(schema)])
+    try:
+        meta, (states, actions, lengths, outcomes) = load_parsed(
+            path, lambda data: _cohort_arrays(_parse_cohort(data, schema)),
+            ["load_cohort", asdict(schema)])
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValueError(f"not a readable CSV file: {exc}") from exc
     ends = np.cumsum(lengths).tolist()
     episodes = (PatientEpisode(sid, states[start:end].copy(),
                                actions[start:end].copy(), outcome)

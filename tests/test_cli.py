@@ -300,6 +300,22 @@ class TestNtmStage:
         assert [row[3] for row in rows] == ["0.0"] * len(rows)
         assert metrics["mean_gap"] == 0.0
 
+    @pytest.mark.parametrize("key", ["real", "sim"])
+    def test_a_cohort_of_no_episodes_exits_2_naming_its_key(
+            self, tmp_path, data_dir, capsys, key):
+        """A header-only cohort has no trajectory to average; the stage
+        refuses it before the matrices are built."""
+        cohort = data_dir / "cohort.csv"
+        empty = tmp_path / "empty.csv"
+        empty.write_text(cohort.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                         encoding="utf-8")
+        section = {"real": str(cohort), "sim": str(cohort), key: str(empty)}
+        code = _run_section(tmp_path, "ntm", section)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"error: {key}: {empty} holds 0 episode(s), and the NTM needs 1" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory, data_dir):
@@ -760,6 +776,33 @@ def test_stage_hashes_each_input_file_once(tmp_path, data_dir, sim_dir,
         assert doc["hyperparams"]["encoder_sha256"] == manifest["inputs"]["encoder"]
 
 
+def _reaching_section(stage, data_dir, sim_dir, latent_dir):
+    """A section on which `stage` runs to the end and reads every file key of
+    its schema, the encoder keys included."""
+    data = str(data_dir / "cohort.csv")
+    sections = _hashing_sections(data_dir, sim_dir, latent_dir)
+    sections["eval"]["variants"] = [{"name": "vae_rnn",
+                                     **_latent_checkpoints(latent_dir, 0)}]
+    return {"synth-data": {"episodes": 3}, "train-vae": {"data": data, "epochs": 1},
+            "ntm": {"real": data, "sim": data}, **sections}[stage]
+
+
+@pytest.mark.parametrize("stage", list(cli._SCHEMA))
+def test_manifest_outputs_are_the_files_the_stage_wrote(
+        tmp_path, data_dir, sim_dir, latent_dir, stage):
+    """manifest.json's outputs are keyed by file name: every file the stage
+    left in --out, metrics.json included and manifest.json excepted."""
+    section = _reaching_section(stage, data_dir, sim_dir, latent_dir)
+    assert _run_section(tmp_path, stage, section) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(manifest["outputs"]) == written
+    assert "metrics.json" in written and len(written) > 1
+    for name, digest in manifest["outputs"].items():
+        assert digest == _sha(out / name), name
+
+
 def _simulator_section(stage, data_dir, variant, checkpoints):
     """A rollout, train-agent or eval section over one simulator."""
     section = {"data": str(data_dir / "cohort.csv"), "max_steps": 4,
@@ -1137,6 +1180,44 @@ def test_any_config_value_exits_2_naming_its_key_or_reaches_the_inputs(
         assert key in err, err
     else:
         assert code == 1 and "InputsReached" in err, err
+
+
+_COHORT_KEYS = ("data", "real", "sim")
+_FILE_KEYS = [(stage, key) for stage, rows in cli._SCHEMA.items()
+              for key, row in _flat_keys(rows).items() if row.rule == "an existing file"]
+
+
+@pytest.mark.parametrize("stage, key", _FILE_KEYS)
+def test_every_file_key_refuses_a_file_its_loader_refuses(
+        tmp_path, data_dir, sim_dir, latent_dir, capsys, stage, key):
+    """Each file key of the schema is read through one reader: a checkpoint
+    given for a cohort, or a cohort CSV given for a checkpoint, exits 2 with
+    `<key> cohort <path>: ...` or `<key> checkpoint <path>: ...`."""
+    parent, _, name = key.rpartition(".")
+    if name in _COHORT_KEYS:
+        wrong, what = str(sim_dir / "termination.json"), "cohort"
+    else:
+        wrong, what = str(data_dir / "cohort.csv"), "checkpoint"
+    section = _reaching_section(stage, data_dir, sim_dir, latent_dir)
+    entries = {"": [section], "checkpoints": [section.get("checkpoints")],
+               "variants[]": section.get("variants")}[parent]
+    for entry in entries:
+        entry[name] = wrong
+    code = _run_section(tmp_path, stage, section)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: {name} {what} {wrong}: " in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_a_cohort_csv_cannot_read_exits_2_naming_data(tmp_path, capsys):
+    path = tmp_path / "huge_field.csv"
+    path.write_text("subject_id," + "x" * (csv.field_size_limit() + 1) + "\n",
+                    encoding="utf-8")
+    code = _run_section(tmp_path, "train-vae", {"data": str(path)})
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: data cohort {path}: not a readable CSV file: " in err
 
 
 def _readme_rows():

@@ -1,5 +1,6 @@
 """Data layer: action codec, episode containers, CSV round trips,
 normalization, splitting, and the synthetic generator."""
+import csv
 import json
 import re
 
@@ -123,6 +124,18 @@ def test_load_cohort_names_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("subject_id,step\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing column 'action'"):
+        load_cohort(path)
+
+
+def test_load_cohort_refuses_a_file_csv_cannot_read(tmp_path):
+    """A field over csv's size limit raises csv.Error, which is no
+    ValueError; load_cohort refuses it as one, so a caller's rule for a
+    file it cannot use covers it."""
+    limit = csv.field_size_limit()
+    path = tmp_path / "huge_field.csv"
+    path.write_text("subject_id," + "x" * (limit + 1) + "\n", encoding="utf-8")
+    message = f"not a readable CSV file: field larger than field limit ({limit})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_cohort(path)
 
 
