@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .data import ACTION_COUNT, N_FEATURES
+from .data import ACTION_COUNT, N_FEATURES, action_codes
 from .env import rollout
 from .nn.layers import UNINITIALIZED, MLP, Module
 from .nn.optim import Adam, Optimizer
@@ -90,7 +90,7 @@ class ReplayBuffer:
     def push(self, state, action, reward, next_state, done) -> None:
         i = self._count % self.capacity
         self._states[i] = state
-        self._actions[i] = action
+        self._actions[i] = action_codes(action)
         self._rewards[i] = reward
         self._next_states[i] = next_state
         self._dones[i] = float(done)

@@ -47,18 +47,34 @@ def encode_action(iv_bin: int, vaso_bin: int) -> int:
     return N_DOSE_BINS * iv_bin + vaso_bin
 
 
-def decode_action(code: int) -> tuple[int, int]:
-    if not isinstance(code, (int, np.integer)) and not float(code).is_integer():
-        raise ValueError(f"action code must be an integer, got {code!r}")
-    code = int(code)
-    if not 0 <= code < ACTION_COUNT:
-        raise ValueError(f"action code must be in [0, {ACTION_COUNT - 1}], got {code}")
-    return code // N_DOSE_BINS, code % N_DOSE_BINS
+def action_codes(codes, where: str = ""):
+    """The one rule for dose codes: integers (numpy ints and bools too) and
+    whole-number floats in [0, ACTION_COUNT - 1]; one code comes back as an
+    int, an array as int64. Anything else (3.7, NaN, inf, -1, 25, "3") is a
+    ValueError naming the codes, then `where` (" in episode 'x'", say)."""
+    if isinstance(codes, (int, np.integer)):
+        if 0 <= codes < ACTION_COUNT:
+            return int(codes)
+        out = [int(codes)]
+    else:
+        codes = np.asarray(codes)
+        kind = codes.dtype.kind
+        bad = (~np.isfinite(codes) | (codes != np.trunc(codes)) if kind == "f"
+               else np.full(codes.shape, kind not in "biu"))
+        if bad.any():
+            raise ValueError(f"non-integer action codes{where}: {codes[bad].tolist()}")
+        out = codes[(codes < 0) | (codes >= ACTION_COUNT)].tolist()
+        if not out:
+            return int(codes) if codes.ndim == 0 else codes.astype(np.int64, copy=False)
+    raise ValueError(f"action codes out of range{where}: {out}")
+
+
+def decode_action(code) -> tuple[int, int]:
+    return divmod(action_codes(code), N_DOSE_BINS)
 
 
 def action_intensity(code: int) -> float:
-    iv_bin, vaso_bin = decode_action(code)
-    return float(iv_bin + vaso_bin)
+    return float(sum(decode_action(code)))
 
 
 # ---- core types -------------------------------------------------------------
@@ -73,30 +89,17 @@ class PatientEpisode:
 
     def __post_init__(self):
         states = np.ascontiguousarray(self.states, dtype=np.float64)
-        actions = np.asarray(self.actions)
-        if actions.dtype.kind not in "iu":
-            codes = actions.astype(np.float64)
-            whole = np.isfinite(codes) & (codes == np.trunc(codes))
-            if not whole.all():
-                raise ValueError(f"non-integer action codes in episode "
-                                 f"{self.subject_id!r}: {codes[~whole].tolist()}")
-            # codes out of range stay out of range, without overflowing int64
-            actions = np.clip(codes, -1, ACTION_COUNT)
-        actions = np.asarray(actions, dtype=np.int64)
+        actions = action_codes(self.actions, f" in episode {self.subject_id!r}")
         if states.ndim != 2 or states.shape[1] != N_FEATURES:
             raise ValueError(f"states must be (length, {N_FEATURES}), got {states.shape}")
         if states.shape[0] < 1:
             raise ValueError("episode must contain at least one step")
-        # the ufunc reductions that ndarray.all, .min and .max call
+        # the ufunc reduction that ndarray.all calls
         if not np.logical_and.reduce(np.isfinite(states), axis=None):
             raise ValueError(f"non-finite state values in episode {self.subject_id!r}")
-        if actions.shape != (states.shape[0],):
-            raise ValueError(f"actions shape {actions.shape} does not match "
+        if np.shape(actions) != (states.shape[0],):
+            raise ValueError(f"actions shape {np.shape(actions)} does not match "
                              f"{states.shape[0]} steps")
-        # `actions` has one entry per step, so at least one
-        if (np.minimum.reduce(actions) < 0
-                or np.maximum.reduce(actions) >= ACTION_COUNT):
-            raise ValueError(f"action codes out of range in episode {self.subject_id!r}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "outcome", Outcome(self.outcome))
@@ -461,7 +464,7 @@ def generate_synthetic_cohort(spec: SyntheticDynamicsSpec, n_episodes: int,
             if policy is None:
                 a = int(rng.integers(ACTION_COUNT))
             else:
-                a = int(policy(rng, h, t))
+                a = action_codes(policy(rng, h, t))
             states.append(s)
             actions.append(a)
             p_term = float(sigmoid_np(spec.hazard_coeffs @ h + spec.step_bias))

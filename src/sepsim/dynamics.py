@@ -26,7 +26,8 @@ checks them in one vectorized pass, and `sample_next` draws a batch row by
 row, in row order, as one call per row would. `predict_stacked` keeps a
 batch stacked, for the teacher-forced sweep; `predict_batch` hands out its
 rows as views. `sample_next` also checks the temperature and the component
-probabilities it draws from.
+probabilities it draws from, and `one_hot_actions` and `RollingWindow.push`
+the action codes, by `data.action_codes`.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import checkpoint
-from .data import ACTION_COUNT, N_FEATURES, Cohort, split_cohort
+from .data import ACTION_COUNT, N_FEATURES, Cohort, action_codes, split_cohort
 from .nn.layers import UNINITIALIZED, Dense, LSTMCell, Module
 from .nn.losses import WEIGHT_SUM_TOL, MixtureParams, mdn_loss_graph, mse
 from .nn.optim import Adam
@@ -110,10 +111,7 @@ class StateModelConfig:
 
 
 def one_hot_actions(actions: np.ndarray) -> np.ndarray:
-    actions = np.asarray(actions, dtype=np.int64)
-    if np.any(actions < 0) or np.any(actions >= ACTION_COUNT):
-        raise ValueError("action codes out of range")
-    return np.eye(ACTION_COUNT)[actions]
+    return np.eye(ACTION_COUNT)[action_codes(actions)]
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ class HistoryWindow:
         """Take the most recent `window` (state, action) pairs, zero-padding
         at the front when history is shorter."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.int64)
-        if states.shape[0] != actions.shape[0]:
+        if states.shape[0] != len(actions):
             raise ValueError("history states and actions differ in length")
         if states.shape[0] < 1:
             raise ValueError("history must contain at least one step")
@@ -397,11 +394,9 @@ class RollingWindow:
         if state.shape != (d,):
             raise ValueError(f"window states must have {d} entries, "
                              f"got shape {state.shape}")
-        if not 0 <= action < ACTION_COUNT:
-            raise ValueError("action codes out of range")
         x = np.zeros((1, d + ACTION_COUNT))
         x[0, :d] = state
-        x[0, d + action] = 1.0
+        x[0, d + action_codes(action)] = 1.0
         cell = self.model.cell
         h, c = cell.recur_np(x @ cell.Wx.data, self._h, self._c)
         lane = self._next

@@ -18,13 +18,14 @@ stateless, each window unrolled from the zero state, so a step returns bit
 for bit what StateModel.predict returns for the same history.
 
 A step runs each model on one row and checks each input once, where it
-enters: the action in step(), the state row in RollingWindow.push, the
+enters: the action in step() (data.action_codes; the window and the heads
+take its int fast path again), the state row in RollingWindow.push, the
 mixture in StateModel._mixtures, the temperature and the component
 probabilities in sample_next (both the batch code, on a mixture with no
-batch axis), the (state, action, step) row in
-BinaryHead.predict_proba and the latent in the decoder. Each check raises
-what the batch call raises for the same input. Inside a model nothing is
-checked again: each layer's output has the next layer's input width.
+batch axis), the (state, action, step) row in BinaryHead.predict_proba and
+the latent in the decoder. Each check raises what the batch call raises for
+the same input. Inside a model nothing is checked again: each layer's
+output has the next layer's input width.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from .data import (
     NormalizationStats,
     Outcome,
     PatientEpisode,
+    action_codes,
     action_intensity,
-    decode_action,
 )
 from .dynamics import (RollingWindow, StateModel, StateModelConfig,
                        check_temperature, sample_next)
@@ -254,8 +255,7 @@ class PatientEnv:
     def step(self, action: int) -> StepResult:
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        decode_action(action)  # integer and range check
-        action = int(action)
+        action = action_codes(action)
         t = self._step_count
 
         # (1) extend history with the current (state, action) pair

@@ -9,6 +9,7 @@ final step), the outcome head on terminal steps only (label: death).
 share one arithmetic, `_proba`, and differ only in how they check their
 input: a plain row is checked without the batch's array conversions, and any
 other input is converted, or refused with the batch's message, by `_features`.
+Both check action codes by `data.action_codes`, and steps as finite and >= 0.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .data import ACTION_COUNT, Cohort, Outcome, split_cohort
+from .data import ACTION_COUNT, Cohort, Outcome, action_codes, split_cohort
 from .nn.layers import UNINITIALIZED, MLP, Module
 from .nn.losses import bce_with_logits
 from .nn.optim import Adam
@@ -56,16 +57,14 @@ class BinaryHead(Module):
         if states.shape[1] != self.state_dim:
             raise ValueError(f"expected {self.state_dim} state features, "
                              f"got {states.shape[1]}")
-        actions = np.atleast_1d(np.asarray(actions, dtype=np.int64))
+        actions = np.atleast_1d(action_codes(actions))
         steps = np.atleast_1d(np.asarray(steps, dtype=np.float64))
         n, d = states.shape
         if actions.shape != (n,) or steps.shape != (n,):
             raise ValueError(f"expected {n} actions and steps, got "
                              f"{actions.shape} and {steps.shape}")
-        if n and (actions.min() < 0 or actions.max() >= ACTION_COUNT):
-            raise ValueError("action codes out of range")
-        if np.any(steps < 0):
-            raise ValueError("step numbers must be >= 0")
+        if not np.all((0 <= steps) & (steps < np.inf)):
+            raise ValueError("step numbers must be finite and >= 0")
         x = np.zeros((n, d + ACTION_COUNT + 1))
         x[:, :d] = states
         x[np.arange(n), d + actions] = 1.0
@@ -74,17 +73,17 @@ class BinaryHead(Module):
 
     def _row_features(self, state, action, step) -> np.ndarray:
         """`_features` of one (state, action, step): built here for a (d,)
-        state, an action code in range and an integer or float64 step >= 0,
-        and by `_features` for anything else."""
+        state, an integer action code and a finite integer or float64 step
+        >= 0, and by `_features` for anything else."""
         d = self.state_dim
         state = np.asarray(state, dtype=np.float64)
         if (state.shape != (d,) or not isinstance(action, (int, np.integer))
-                or not 0 <= action < ACTION_COUNT
-                or not isinstance(step, (int, float, np.integer)) or step < 0):
+                or not isinstance(step, (int, float, np.integer))
+                or not 0 <= step < np.inf):
             return self._features(state, action, step)
         x = np.zeros((1, d + ACTION_COUNT + 1))
         x[0, :d] = state
-        x[0, d + action] = 1.0
+        x[0, d + action_codes(action)] = 1.0
         x[0, -1] = step / self.step_norm
         return x
 

@@ -47,7 +47,7 @@ def test_encode_action_rejects_out_of_range():
 @pytest.mark.parametrize("code", [3.7, 0.5, -0.5, float("nan"), float("inf"),
                                   -float("inf"), np.float64(2.5)])
 def test_decode_action_refuses_a_non_integer_code(code):
-    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {code!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"non-integer action codes: [{float(code)!r}]")):
         decode_action(code)
 
 
