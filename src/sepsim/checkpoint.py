@@ -169,16 +169,25 @@ def _check_kind(kind, expect_kind: str | tuple[str, ...] | None) -> None:
 def _parse_checkpoint(data: bytes, expect_kind) -> tuple[dict, list]:
     # decoded as Path.read_text decodes it, newline translation included
     doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a checkpoint: a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    missing = sorted({"model_kind", "hyperparams", "tensors"} - doc.keys())
+    if missing:
+        raise ValueError(f"not a checkpoint: no {', '.join(missing)}")
     kind = doc["model_kind"]
     _check_kind(kind, expect_kind)
     names, arrays = [], []
-    for entry in doc["tensors"]:
-        values = np.array([float(v) for v in entry["values"]], dtype=np.float64)
-        arrays.append(values.reshape(entry["shape"]))
-        names.append(entry["name"])
+    try:
+        for entry in doc["tensors"]:
+            values = np.array([float(v) for v in entry["values"]], dtype=np.float64)
+            arrays.append(values.reshape(entry["shape"]))
+            names.append(entry["name"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a checkpoint: malformed tensors "
+                         f"({type(exc).__name__}: {exc})") from exc
     return {"kind": kind, "hyperparams": doc["hyperparams"], "names": names}, arrays
 
 

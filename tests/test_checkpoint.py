@@ -3,6 +3,7 @@ layout, hashing, and the binary sidecar that spares a second parse."""
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -625,3 +626,21 @@ def test_kind_is_checked_on_a_hit(tmp_path):
     assert sidecar_path(path).is_file()
     with pytest.raises(ValueError, match="holds a 'vae' model, expected 'qnet'"):
         load_checkpoint(path, expect_kind="qnet")
+
+
+_GOOD_DOC = {"format_version": FORMAT_VERSION, "model_kind": "demo", "hyperparams": {},
+             "tensors": [{"name": "w", "shape": [1], "values": ["0.0"]}]}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ([1, 2], "a JSON list, not an object"),
+    ({k: v for k, v in _GOOD_DOC.items() if k != "model_kind"}, "no model_kind"),
+    ({k: v for k, v in _GOOD_DOC.items() if k != "tensors"}, "no tensors"),
+    ({**_GOOD_DOC, "tensors": [{"name": "w", "values": ["0.0"]}]},
+     "malformed tensors (KeyError: 'shape')")],
+    ids=["list", "no-model_kind", "no-tensors", "tensor-without-shape"])
+def test_load_checkpoint_refuses_a_document_that_is_no_checkpoint(tmp_path, doc, reason):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^not a checkpoint: {re.escape(reason)}$"):
+        load_checkpoint(path)

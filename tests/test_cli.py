@@ -1210,6 +1210,18 @@ def test_every_file_key_refuses_a_file_its_loader_refuses(
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 
+def test_an_encoder_that_is_no_checkpoint_exits_2_naming_encoder(
+        tmp_path, data_dir, sim_dir, latent_dir, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    section = _reaching_section("train-heads", data_dir, sim_dir, latent_dir)
+    code = _run_section(tmp_path, "train-heads", {**section, "encoder": str(path)})
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert (f"error: encoder checkpoint {path}: not a checkpoint: a JSON list, "
+            "not an object") in err
+
+
 def test_a_cohort_csv_cannot_read_exits_2_naming_data(tmp_path, capsys):
     path = tmp_path / "huge_field.csv"
     path.write_text("subject_id," + "x" * (csv.field_size_limit() + 1) + "\n",

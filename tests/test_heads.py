@@ -54,6 +54,16 @@ def test_single_row_refuses_what_a_batch_of_one_refuses(state, action, step):
     assert str(single.value) == str(batch.value)
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, -1.0, np.float64(np.nan)])
+def test_both_paths_refuse_a_step_that_is_not_finite_and_nonnegative(step):
+    head = BinaryHead("outcome", state_dim=4, rng=np.random.default_rng(0))
+    message = "^step numbers must be finite and >= 0$"
+    with pytest.raises(ValueError, match=message):
+        head.predict_proba(_GOOD_STATE, 3, step)
+    with pytest.raises(ValueError, match=message):
+        head.predict_proba_batch(_GOOD_STATE[None], [3], [step])
+
+
 def test_single_row_equals_a_batch_of_one(rng):
     head = BinaryHead("outcome", state_dim=4, step_norm=7.0, rng=rng)
     for p in head.parameters():
